@@ -7,6 +7,7 @@ machine ints in [0, p) over a prime field, never floats.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -325,64 +326,81 @@ class Infeasible:
         return not acc and rhs == self.value and bool(self.value)
 
 
-def _reduce(field: Field, rows: list[dict], rhs: list, track: bool):
-    """Sparse Gauss-Jordan elimination.
+def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: bool = False):
+    """Sparse Gauss-Jordan elimination with Markowitz-style pivoting.
 
-    Pivot rows are chosen sparsest-first (then lowest index), pivot columns by
-    fewest occurrences among remaining rows (then lowest index), so runs are
-    reproducible and fill stays small.
+    The pivot row is the sparsest unused row (then the lowest index); its
+    pivot column is the one with the fewest occurrences among unused rows, the
+    pivot row included (then the lowest column).  Runs are reproducible and
+    fill stays small.  A column -> unused-rows index gives each column's count
+    as the size of its set and lists the rows to eliminate from; a lazy heap
+    of (length, row) entries, skipped when stale, gives the next pivot row.
+
+    With `rank_only`, rows that already hold a pivot are not updated (nor are
+    `rhs` and witnesses): the pivot choice never reads them, so the pivots are
+    those of the full reduction.
     """
+    add, mul, neg = field.add, field.mul, field.neg
     work = [dict(r) for r in rows]
-    vals = list(rhs)
+    vals = None if rank_only else list(rhs)
     combos = [{i: field.one()} for i in range(len(rows))] if track else None
     used = [False] * len(work)
-    pivots: dict[int, int] = {}  # col -> row index
+    pivots: dict = {}  # col -> row index
+    live: dict = {}  # col -> unused rows holding it
+    done: dict = {}  # col -> pivot rows holding it (full reduction only)
+    for i, r in enumerate(work):
+        for c in r:
+            live.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in enumerate(work) if r]
+    heapq.heapify(heap)
 
-    def axpy(dst: dict, src: dict, m):
+    def axpy(dst: dict, src: dict, m, index: dict | None, j: int):
         for c, v in src.items():
-            s = field.add(dst.get(c, field.zero()), field.mul(m, v))
+            old = dst.get(c)
+            if old is None:
+                dst[c] = mul(m, v)
+                if index is not None:
+                    index.setdefault(c, set()).add(j)
+                continue
+            s = add(old, mul(m, v))
             if s:
                 dst[c] = s
             else:
-                dst.pop(c, None)
+                del dst[c]
+                if index is not None:
+                    index[c].discard(j)
 
-    while True:
-        best = None
-        for i, r in enumerate(work):
-            if used[i] or not r:
-                continue
-            key = (len(r), i)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            break
-        i = best[1]
-        counts = {}
-        for j, r in enumerate(work):
-            if used[j] or not r:
-                continue
-            for c in r:
-                if c in work[i]:
-                    counts[c] = counts.get(c, 0) + 1
-        col = min(work[i], key=lambda c: (counts.get(c, 0), c))
-        inv = field.inv(work[i][col])
-        work[i] = {c: field.mul(v, inv) for c, v in work[i].items()}
-        vals[i] = field.mul(vals[i], inv)
-        if track:
-            combos[i] = {k: field.mul(v, inv) for k, v in combos[i].items()}
-        for j in range(len(work)):
-            if j == i:
-                continue
-            m = work[j].get(col)
-            if m is None:
-                continue
-            m = field.neg(m)
-            axpy(work[j], work[i], m)
-            vals[j] = field.add(vals[j], field.mul(m, vals[i]))
-            if track:
-                axpy(combos[j], combos[i], m)
-        pivots[col] = i
+    while heap:
+        n, i = heapq.heappop(heap)
+        row = work[i]
+        if used[i] or len(row) != n:
+            continue
+        col = min(row, key=lambda c: (len(live[c]), c))
+        inv = field.inv(row[col])
+        row = work[i] = {c: mul(v, inv) for c, v in row.items()}
         used[i] = True
+        pivots[col] = i
+        for c in row:
+            live[c].discard(i)
+            if not rank_only:
+                done.setdefault(c, set()).add(i)
+        targets = list(live[col])
+        if not rank_only:
+            vals[i] = mul(vals[i], inv)
+            if track:
+                combos[i] = {k: mul(v, inv) for k, v in combos[i].items()}
+            targets += [j for j in done[col] if j != i]
+        for j in targets:
+            dst = work[j]
+            m = neg(dst[col])
+            before = len(dst)
+            axpy(dst, row, m, done if used[j] else live, j)
+            if not used[j] and dst and len(dst) != before:
+                heapq.heappush(heap, (len(dst), j))
+            if not rank_only:
+                vals[j] = add(vals[j], mul(m, vals[i]))
+                if track:
+                    axpy(combos[j], combos[i], m, None, j)
 
     return work, vals, combos, used, pivots
 
@@ -416,7 +434,7 @@ def solve_linear(system: LinearSystem, track_witness: bool = True):
 
 
 def matrix_rank(field: Field, rows: list[dict]) -> int:
-    _, _, _, _, pivots = _reduce(field, rows, [field.zero()] * len(rows), False)
+    _, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
     return len(pivots)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .base_ring import Infeasible, LinearSolution, LinearSystem, matrix_rank
+from .base_ring import Infeasible, LinearSolution, LinearSystem, matrix_rank, solve_linear
 from .dg_module import BidegreeWindow, ChainMap, SemifreeModule, base_change
 
 
@@ -38,6 +38,7 @@ class HomComplex:
         self.l = l
         self._slices: dict[tuple[int, int], list] = {}
         self._matrices: dict[tuple[int, int], list] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
 
     def require_complete(self, d: int, w: int):
         for e in self.m.basis:
@@ -93,24 +94,21 @@ class HomComplex:
         self._matrices[key] = cols
         return cols
 
-    def _rows_from_columns(self, cols: list[dict]) -> list[dict]:
-        rows: dict = {}
-        for j, col in enumerate(cols):
-            for rkey, scalar in col.items():
-                rows.setdefault(rkey, {})[j] = scalar
-        return [rows[k] for k in sorted(rows)]
+    def rank(self, d: int, w: int) -> int:
+        """Rank of D on the (d, w) slice, computed once; the columns are ranked
+        as rows, since row rank equals column rank."""
+        key = (d, w)
+        if key not in self._ranks:
+            field = self.m.tower.base.field
+            self._ranks[key] = matrix_rank(field, self.matrix_columns(d, w))
+        return self._ranks[key]
 
     def homology_dim(self, d: int, w: int) -> int:
         """dim H_d of the Hom complex in weight w (exact)."""
-        field = self.m.tower.base.field
         n = self.dim(d, w)
         if n == 0:
             return 0
-        rows = self._rows_from_columns(self.matrix_columns(d, w))
-        cycles = n - matrix_rank(field, rows)
-        above = self.matrix_columns(d + 1, w)
-        boundaries = matrix_rank(field, [dict(c) for c in above])
-        return cycles - boundaries
+        return n - self.rank(d, w) - self.rank(d + 1, w)
 
 
 @dataclass
@@ -214,13 +212,11 @@ def null_homotopy(f: ChainMap):
             coords_by_w.setdefault(w, {})[(alpha, (i, exps, bex))] = scalar
 
     unknowns: list = []
-    col_of: dict = {}
     columns: list[dict] = []
     for w in sorted(weights):
         hom.require_complete(d + 1, w)
         cols = hom.matrix_columns(d + 1, w)
         for lab, col in zip(hom.slice_labels(d + 1, w), cols):
-            col_of[(w, lab)] = len(unknowns)
             unknowns.append((w, lab))
             columns.append(col)
 
@@ -242,7 +238,7 @@ def null_homotopy(f: ChainMap):
         [rhs_map.get(k, field.zero()) for k in keys],
         len(unknowns),
     )
-    res = solve_or_witness(system)
+    res = solve_linear(system, track_witness=True)
     if isinstance(res, Infeasible):
         return res
     entries: dict = {}
@@ -254,12 +250,6 @@ def null_homotopy(f: ChainMap):
         prev = entries.get(alpha)
         entries[alpha] = piece if prev is None else l.add_elem(prev, piece)
     return ChainMap(m, l, d + 1, entries)
-
-
-def solve_or_witness(system: LinearSystem):
-    from .base_ring import solve_linear
-
-    return solve_linear(system, track_witness=True)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +377,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
     re-checkable inconsistency certificate for the splitting system.
     """
     system, unknowns, labels, p, pi, window = build_split_system(n, a_prefix, window)
-    res = solve_or_witness(system)
+    res = solve_linear(system, track_witness=True)
     if isinstance(res, Infeasible):
         involved = sorted(res.combo)
         eq_labels = [labels[i] for i in involved]

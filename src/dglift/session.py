@@ -117,12 +117,17 @@ class ExprEval:
     AlgebraElement, EnvelopeElement, or _ModElem, and combine per their types.
     """
 
+    # Parentheses and unary minus recurse; past this depth the expression is
+    # refused rather than left to exhaust the interpreter's recursion limit.
+    MAX_NESTING = 100
+
     def __init__(self, tokens: list[Token], resolve, constant, line: int):
         self.toks = tokens
         self.i = 0
         self.resolve = resolve
         self.constant = constant
         self.line = line
+        self.depth = 0
 
     def _err(self, msg: str, tok: Token | None = None):
         if tok is None:
@@ -139,6 +144,11 @@ class ExprEval:
             self._err("unexpected end of expression")
         self.i += 1
         return tok
+
+    def _nest(self, tok: Token):
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            self._err(f"expression nested deeper than {self.MAX_NESTING} levels", tok)
 
     def at_stop(self) -> bool:
         tok = self.peek()
@@ -185,7 +195,10 @@ class ExprEval:
         tok = self.peek()
         if tok is not None and tok.kind == "OP" and tok.text == "-":
             self.next()
-            return self._neg(self.factor(), tok)
+            self._nest(tok)
+            val = self._neg(self.factor(), tok)
+            self.depth -= 1
+            return val
         val = self.primary()
         while True:
             tok = self.peek()
@@ -234,10 +247,12 @@ class ExprEval:
                     msg = "zero denominator"
                 self._err(f"invalid literal: {msg}", tok)
         if tok.kind == "OP" and tok.text == "(":
+            self._nest(tok)
             val = self.expr()
             close = self.next()
             if close.kind != "OP" or close.text != ")":
                 self._err("expected ')'", close)
+            self.depth -= 1
             return val
         self._err(f"unexpected token {tok.text!r}", tok)
 
@@ -967,6 +982,7 @@ class _Builder:
         if "hbound" not in kw or "wbound" not in kw:
             raise ParseError("tate needs hbound and wbound", line,
                              toks[0].col if toks else 1)
+        tower_vars = {v.name for v in self.tower.variables}
         gens = []
         i = 0
         while i < len(head):
@@ -977,6 +993,10 @@ class _Builder:
             if not seg:
                 raise ParseError("empty ideal generator", line,
                                  head[i].col if i < len(head) else 1)
+            for tok in seg:
+                if tok.kind == "IDENT" and tok.text in tower_vars:
+                    raise ParseError(f"unknown identifier {tok.text!r}: ideal generators "
+                                     "live in the base ring", line, tok.col)
             bare = TowerAlgebra(self.ring, self.flavor or DIVIDED)
 
             def resolve(name, _bare=bare):
@@ -988,9 +1008,9 @@ class _Builder:
                 return _bare.constant(_bare.base.field.of(q.numerator, q.denominator))
 
             val = ExprEval(seg, resolve, constant, line).parse()
-            poly = val.terms.get((0,) * bare.n, self.ring.zero()) if val.terms else self.ring.zero()
-            if val.is_zero() or set(val.terms) - {(0,) * bare.n}:
-                raise ParseError("ideal generators live in the base ring", line, seg[0].col)
+            if val.is_zero():
+                raise ParseError("ideal generator is zero", line, seg[0].col)
+            poly = val.terms[()]  # `bare` has no tower variables
             if poly.weight() is None:
                 raise ParseError("ideal generators must be weight-homogeneous",
                                  line, seg[0].col)

@@ -92,3 +92,26 @@ def test_default_window_flag(tmp_path):
     assert doc["reports"][0]["window"] == "0:2:2"
     # without a window anywhere the command errors
     assert main([str(session)]) == 1
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 2000 + "x" + ")" * 2000,
+    "-" * 2000 + "x",
+], ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_positioned_error(tmp_path, capsys, expr):
+    session = tmp_path / "deep.session"
+    session.write_text(f"field Q\nbase x:1\nrun eval {expr}\n")
+    out = tmp_path / "r.json"
+    assert main([str(session), "--report", str(out)]) == 1
+    assert "nested deeper than" in capsys.readouterr().err
+    error = json.loads(out.read_text())["error"]
+    # the first token past the nesting limit, on the `run eval` line
+    assert (error["line"], error["col"]) == (3, len("run eval ") + 101)
+
+
+def test_nesting_below_the_limit_evaluates(tmp_path):
+    session = tmp_path / "nested.session"
+    session.write_text("field Q\nbase x:1\nrun eval " + "(" * 99 + "-x" + ")" * 99 + "\n")
+    out = tmp_path / "r.json"
+    assert main([str(session), "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["reports"][0]["result"]["value"] == "-x"

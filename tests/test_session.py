@@ -52,6 +52,17 @@ def test_unknown_identifier_position():
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("gens,message,col", [
+    ("x^2, z y - z y", "ideal generator is zero", 15),
+    ("x^2, y X", "ideal generators live in the base ring", 17),
+], ids=["zero", "tower-variable"])
+def test_tate_generator_errors(gens, message, col):
+    text = f"field Q\nbase x:1 y:1 z:1\nvar X deg 1 wt 1 d x\nrun tate {gens} hbound 2 wbound 3\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (4, col)
+
+
 def test_syntax_error_position():
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_session("field Q\nbase x:1\nrun eval x %\n")
