@@ -49,7 +49,6 @@ from .homological import (
     SplitResult,
     build_split_system,
     ext_dims,
-    hom_complex_window,
     naive_lift_check,
     null_homotopy,
 )

@@ -11,6 +11,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .render import monomial_text
+
 
 def _is_prime(p: int) -> bool:
     # deterministic Miller-Rabin, valid for word-sized p
@@ -268,9 +270,7 @@ class BasePoly:
             return "0"
         bits = []
         for exps, c in self.sorted_terms():
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(self.ring.names, exps) if e
-            )
+            mono = monomial_text(self.ring.names, exps, False, "*")
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return " + ".join(bits)
 
@@ -341,7 +341,7 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
     those of the full reduction.
     """
     add, mul, neg = field.add, field.mul, field.neg
-    work = [dict(r) for r in rows]
+    work = [{c: v for c, v in r.items() if v} for r in rows]
     vals = None if rank_only else list(rhs)
     combos = [{i: field.one()} for i in range(len(rows))] if track else None
     used = [False] * len(work)

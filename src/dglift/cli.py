@@ -13,21 +13,13 @@ import json
 import sys
 
 from . import __version__
-from .base_ring import matrix_rank
+# not called here: the benchmark tracer re-binds this copy by name
+from .base_ring import matrix_rank  # noqa: F401
 from .dg_algebra import check_axioms
 from .dg_module import BidegreeWindow, ModuleError
-from .envelope import EnvelopeAlgebra, EnvelopeElement
 from .homological import HomologicalError, ext_dims, naive_lift_check
-from .session import (
-    Command,
-    ParseError,
-    Session,
-    parse_session,
-    render_element,
-    render_envelope,
-    render_module_elem,
-    render_omega,
-)
+from .render import render_element, render_envelope, render_module_elem, render_omega
+from .session import Command, ParseError, Session, parse_session
 from .tate import TateError, tate_resolution
 
 OK, OBSTRUCTED, ERROR = 0, 10, 1
@@ -87,39 +79,9 @@ def run_command(session: Session, cmd: Command, seed: int,
         window = p["window"] or default_window
         if window is None:
             raise HomologicalError("envelope-basis needs a window (or --window)")
-        env = session.envelope(p["over"])
         rep["window"] = window.format()
-        tower = session.tower
-        field = tower.base.field
-        omega_rows = []
-        for level in range(0, window.wmax + 1):
-            for exps in env.omega_exponents(level, window.wmax):
-                h, w = env.ext_degree(exps), env.ext_weight(exps)
-                if window.contains(h, w):
-                    omega_rows.append([_omega_label(env, exps), h, w, level])
-        omega_rows.sort(key=lambda r: (r[1], r[2], r[0]))
+        omega_rows, dims = session.envelope(p["over"]).basis_tables(window)
         rep["tables"]["omega_basis"] = omega_rows
-
-        dims = []
-        for h in range(window.hmin, window.hmax + 1):
-            for w in range(0, window.wmax + 1):
-                labels = []
-                for lex in env.ext_monomials(w, h if h >= 0 else 0):
-                    dl, wl = env.ext_degree(lex), env.ext_weight(lex)
-                    for blab in tower.slice_basis(h - dl, w - wl):
-                        labels.append((lex, blab))
-                dim_be = len(labels)
-                dim_b = len(tower.slice_basis(h, w))
-                if dim_be == 0 and dim_b == 0:
-                    continue
-                rows: dict = {}
-                for j, (lex, (exps, bex)) in enumerate(labels):
-                    r = tower.monomial(exps, tower.base.monomial(bex))
-                    img = EnvelopeElement(env, {lex: r}).pi()
-                    for key, scalar in _elem_coords(img).items():
-                        rows.setdefault(key, {})[j] = scalar
-                rank = matrix_rank(field, list(rows.values()))
-                dims.append([h, w, dim_be, dim_be - rank, dim_b])
         rep["tables"]["dimensions"] = dims
         ok = all(r[3] + r[4] == r[2] for r in dims)
         rep["result"] = {"status": "ok" if ok else "failed",
@@ -198,31 +160,6 @@ def run_command(session: Session, cmd: Command, seed: int,
         return rep, OK, [f"[ok] tate: {k} variables adjoined up to degree {p['hbound']}"]
 
     raise ValueError(f"unhandled command {cmd.kind!r}")
-
-
-def _omega_label(env: EnvelopeAlgebra, exps) -> str:
-    if not any(exps):
-        return "1"
-    bits = []
-    for k, m in enumerate(exps):
-        if not m:
-            continue
-        name = "xi_" + env.ext_var(k).name
-        if m == 1:
-            bits.append(name)
-        elif env.tower.flavor == "divided":
-            bits.append(f"{name}^({m})")
-        else:
-            bits.append(f"{name}^{m}")
-    return "·".join(bits)
-
-
-def _elem_coords(elem) -> dict:
-    out = {}
-    for exps, poly in elem.terms.items():
-        for bex, scalar in poly.terms.items():
-            out[(exps, bex)] = scalar
-    return out
 
 
 def run_session(session: Session, seed: int,

@@ -14,6 +14,7 @@ from math import comb, factorial
 import random
 
 from .base_ring import BasePoly, PolyRing
+from .render import monomial_text
 
 DIVIDED = "divided"
 ORDINARY = "ordinary"
@@ -501,22 +502,19 @@ class AlgebraElement:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
+    def coordinates(self) -> dict:
+        """Field coordinates: (variable exps, base exps) -> scalar."""
+        return {(exps, bex): scalar for exps, poly in self.terms.items()
+                for bex, scalar in poly.terms.items()}
+
     def __repr__(self):
         if not self.terms:
             return "0"
+        names = [v.name for v in self.tower.variables]
+        divided = self.tower.flavor == DIVIDED
         bits = []
         for exps, p in self.sorted_terms():
-            names = []
-            for v, m in zip(self.tower.variables, exps):
-                if not m:
-                    continue
-                if m == 1:
-                    names.append(v.name)
-                elif self.tower.flavor == DIVIDED:
-                    names.append(f"{v.name}^({m})")
-                else:
-                    names.append(f"{v.name}^{m}")
-            mono = "*".join(names)
+            mono = monomial_text(names, exps, divided, "*")
             bits.append(f"({p!r})*{mono}" if mono else f"({p!r})")
         return " + ".join(bits)
 

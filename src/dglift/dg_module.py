@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dg_algebra import AlgebraElement, TowerAlgebra
+from .dg_algebra import DIVIDED, AlgebraElement, TowerAlgebra
+from .render import monomial_text
 
 
 class ModuleError(ValueError):
@@ -214,14 +215,6 @@ class SemifreeModule:
     def elem_eq(self, x: dict, y: dict) -> bool:
         return not self.sub_elem(x, y)
 
-    def format_elem(self, x: dict, render=repr) -> str:
-        if not x:
-            return "0"
-        bits = []
-        for i in sorted(x):
-            bits.append(f"{self.basis[i].name}*({render(x[i])})")
-        return " + ".join(bits)
-
     # --- constructions ------------------------------------------------------
 
     def shift(self, i: int) -> "SemifreeModule":
@@ -403,27 +396,14 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
             pairs.append((e.degree + h, e.weight + w, alpha, full[a_prefix:]))
     pairs.sort(key=lambda t: (t[0], t[2], t[3]))
 
-    def g_name(gex):
-        if not any(gex):
-            return "1"
-        bits = []
-        for k, m in enumerate(gex):
-            v = tower.variables[a_prefix + k]
-            if not m:
-                continue
-            if m == 1:
-                bits.append(v.name)
-            elif tower.flavor == "divided":
-                bits.append(f"{v.name}^({m})")
-            else:
-                bits.append(f"{v.name}^{m}")
-        return "".join(bits)
-
+    ext_names = [v.name for v in tower.variables[a_prefix:]]
+    divided = tower.flavor == DIVIDED
     basis = []
     pos = {}
     for h, w, alpha, gex in pairs:
         pos[(alpha, gex)] = len(basis)
-        basis.append(BasisElement(f"{n.basis[alpha].name}⊗{g_name(gex)}", h, w))
+        g_name = monomial_text(ext_names, gex, divided, "", "1")
+        basis.append(BasisElement(f"{n.basis[alpha].name}⊗{g_name}", h, w))
 
     def full_exps(gex):
         return (0,) * a_prefix + tuple(gex)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .dg_algebra import DIVIDED, ORDINARY, AlgebraElement, TowerAlgebra
+from .base_ring import matrix_rank
+from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra
 from .dg_module import BasisElement, BidegreeWindow, ModuleError, SemifreeModule
+from .render import omega_name
 
 
 class EnvelopeError(ValueError):
@@ -170,6 +172,45 @@ class EnvelopeAlgebra:
         out.sort()
         return out
 
+    def basis_tables(self, window: BidegreeWindow) -> tuple[list, list]:
+        """The Mon(Omega) monomials in the window and the exactness check of
+        0 -> J -> B^e -> B -> 0 per bidegree slice.
+
+        Returns rows [label, h, w, level] sorted by (h, w, label), and rows
+        [h, w, dim B^e, dim J, dim B] for every nonzero slice, where dim J is
+        dim B^e minus the rank of pi_B on the slice.
+        """
+        tower = self.tower
+        omega_rows = []
+        for level in range(0, window.wmax + 1):
+            for exps in self.omega_exponents(level, window.wmax):
+                h, w = self.ext_degree(exps), self.ext_weight(exps)
+                if window.contains(h, w):
+                    omega_rows.append([omega_name(self, exps, "xi_", "·"), h, w, level])
+        omega_rows.sort(key=lambda r: (r[1], r[2], r[0]))
+
+        dims = []
+        for h in range(window.hmin, window.hmax + 1):
+            for w in range(0, window.wmax + 1):
+                labels = []
+                for lex in self.ext_monomials(w, h if h >= 0 else 0):
+                    dl, wl = self.ext_degree(lex), self.ext_weight(lex)
+                    for blab in tower.slice_basis(h - dl, w - wl):
+                        labels.append((lex, blab))
+                dim_be = len(labels)
+                dim_b = len(tower.slice_basis(h, w))
+                if dim_be == 0 and dim_b == 0:
+                    continue
+                rows: dict = {}
+                for j, (lex, (exps, bex)) in enumerate(labels):
+                    r = tower.monomial(exps, tower.base.monomial(bex))
+                    img = EnvelopeElement(self, {lex: r}).pi()
+                    for key, scalar in img.coordinates().items():
+                        rows.setdefault(key, {})[j] = scalar
+                rank = matrix_rank(tower.base.field, list(rows.values()))
+                dims.append([h, w, dim_be, dim_be - rank, dim_b])
+        return omega_rows, dims
+
     # --- the filtration quotients J^(l)/J^(l+1) ---------------------------------
 
     def quotient_module(self, level: int, window: BidegreeWindow) -> SemifreeModule:
@@ -191,23 +232,7 @@ class EnvelopeAlgebra:
         cands.sort()
         pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
 
-        def omega_name(exps):
-            if not any(exps):
-                return "1"
-            bits = []
-            for k, m in enumerate(exps):
-                if not m:
-                    continue
-                v = self.ext_var(k)
-                if m == 1:
-                    bits.append(f"ξ_{v.name}")
-                elif tower.flavor == DIVIDED:
-                    bits.append(f"ξ_{v.name}^({m})")
-                else:
-                    bits.append(f"ξ_{v.name}^{m}")
-            return "".join(bits)
-
-        basis = [BasisElement(omega_name(exps), h, w) for h, exps, w in cands]
+        basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]
         diff: dict = {}
         for (h, exps, w) in cands:
             d = self.omega_monomial(exps).differential()
@@ -227,7 +252,7 @@ class EnvelopeAlgebra:
                 if i is None:
                     raise ModuleError(
                         f"window {window.format()} cuts the differential of "
-                        f"{omega_name(exps)}"
+                        f"{omega_name(self, exps)}"
                     )
                 deg_b = b.degree()
                 if deg_b is None:
@@ -274,21 +299,7 @@ class EnvelopeAlgebra:
         cands.sort()
         pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
 
-        def omega_name(exps):
-            bits = []
-            for k, m in enumerate(exps):
-                if not m:
-                    continue
-                v = self.ext_var(k)
-                if m == 1:
-                    bits.append(f"ξ_{v.name}")
-                elif tower.flavor == DIVIDED:
-                    bits.append(f"ξ_{v.name}^({m})")
-                else:
-                    bits.append(f"ξ_{v.name}^{m}")
-            return "".join(bits)
-
-        basis = [BasisElement(omega_name(exps), h, w) for h, exps, w in cands]
+        basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]
 
         def coords_to_elem(e: EnvelopeElement, what: str) -> dict:
             out = {}
@@ -308,7 +319,7 @@ class EnvelopeAlgebra:
             if d.is_zero():
                 continue
             j = pos[exps]
-            for i, c in coords_to_elem(d, f"d({omega_name(exps)})").items():
+            for i, c in coords_to_elem(d, f"d({omega_name(self, exps)})").items():
                 diff[(i, j)] = c
 
         module = SemifreeModule(
@@ -639,14 +650,5 @@ class OmegaCoordinates:
     def __repr__(self):
         if not self.coords:
             return "0"
-        bits = []
-        for mex, b in sorted(self.coords.items()):
-            names = []
-            for kk, m in enumerate(mex):
-                if not m:
-                    continue
-                v = self.env.ext_var(kk)
-                names.append(f"ξ_{v.name}" + (f"^({m})" if m > 1 else ""))
-            mono = "".join(names) or "1"
-            bits.append(f"({b!r})^o·{mono}")
-        return " + ".join(bits)
+        return " + ".join(f"({b!r})^o·{omega_name(self.env, mex)}"
+                          for mex, b in sorted(self.coords.items()))

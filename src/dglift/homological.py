@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .base_ring import Infeasible, LinearSolution, LinearSystem, matrix_rank, solve_linear
 from .dg_module import BidegreeWindow, ChainMap, SemifreeModule, base_change
+from .render import render_element
 
 
 class HomologicalError(ValueError):
@@ -109,37 +110,6 @@ class HomComplex:
         if n == 0:
             return 0
         return n - self.rank(d, w) - self.rank(d + 1, w)
-
-
-@dataclass
-class HomWindowSlices:
-    """Materialized window of a Hom complex: dimensions and differential
-    matrices per (degree, weight) slice."""
-
-    complex: HomComplex
-    window: BidegreeWindow
-    dims: dict
-    matrices: dict  # (d, w) -> list of sparse columns into the (d-1, w) slice
-
-    def dim(self, d: int, w: int) -> int:
-        return self.dims.get((d, w), 0)
-
-
-def hom_complex_window(m: SemifreeModule, l: SemifreeModule,
-                       window: BidegreeWindow) -> HomWindowSlices:
-    """The bigraded Hom complex restricted to degrees [hmin, hmax] and map
-    weights [-wmax, wmax], with its differential matrices."""
-    hom = HomComplex(m, l)
-    dims = {}
-    matrices = {}
-    for d in range(window.hmin, window.hmax + 1):
-        for w in range(-window.wmax, window.wmax + 1):
-            hom.require_complete(d, w)
-            n = hom.dim(d, w)
-            if n:
-                dims[(d, w)] = n
-                matrices[(d, w)] = hom.matrix_columns(d, w)
-    return HomWindowSlices(complex=hom, window=window, dims=dims, matrices=matrices)
 
 
 @dataclass
@@ -315,17 +285,10 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
     rhs: list = []
     labels: list[str] = []
 
-    from .session import render_element
-
-    def n_label(lab):
+    def label(module, lab):
         i, exps, bex = lab
         mono = tower.monomial(exps, tower.base.monomial(bex))
-        return f"{n.basis[i].name}·({render_element(mono)})"
-
-    def p_label(lab):
-        i, exps, bex = lab
-        mono = tower.monomial(exps, tower.base.monomial(bex))
-        return f"{p.basis[i].name}·({render_element(mono)})"
+        return f"{module.basis[i].name}·({render_element(mono)})"
 
     # pi_N(rho(e_beta)) = e_beta, coordinatewise in N at (|e|, wt(e))
     for beta, e in enumerate(n.basis):
@@ -338,7 +301,7 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
         for nlab in sorted(set(acc) | set(want)):
             rows.append(acc.get(nlab, {}))
             rhs.append(want.get(nlab, field.zero()))
-            labels.append(f"pi(rho({e.name})) = {e.name} at {n_label(nlab)}")
+            labels.append(f"pi(rho({e.name})) = {e.name} at {label(n, nlab)}")
 
     # d(rho(e_beta)) = rho(d(e_beta)), coordinatewise in P at (|e|-1, wt(e))
     for beta, e in enumerate(n.basis):
@@ -362,7 +325,7 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
                 continue
             rows.append(row)
             rhs.append(field.zero())
-            labels.append(f"chain condition of rho({e.name}) at {p_label(plab)}")
+            labels.append(f"chain condition of rho({e.name}) at {label(p, plab)}")
 
     system = LinearSystem(field, rows, rhs, len(unknowns))
     return system, unknowns, labels, p, pi, window

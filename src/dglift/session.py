@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .base_ring import BasePoly, Field, PolyRing
-from .dg_algebra import DIVIDED, ORDINARY, AlgebraElement, TowerAlgebra, TowerError
+from .base_ring import Field, PolyRing
+from .dg_algebra import DIVIDED, ORDINARY, TowerAlgebra, TowerError
 from .dg_module import BidegreeWindow, ModuleError, SemifreeModule, make_semifree
-from .envelope import EnvelopeAlgebra, EnvelopeElement, EnvelopeError, OmegaCoordinates
+from .envelope import EnvelopeAlgebra, EnvelopeElement, EnvelopeError
+from .render import render_element, render_envelope, render_module_elem, render_poly
 
 
 class ParseError(ValueError):
@@ -330,148 +331,6 @@ class ExprEval:
             return a.divided_power(m)
         except (TowerError, EnvelopeError) as exc:
             self._err(str(exc), tok)
-
-
-# ---------------------------------------------------------------------------
-# Canonical rendering (parseable back by the grammar above)
-# ---------------------------------------------------------------------------
-
-
-def render_poly(p: BasePoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for bex, s in p.sorted_terms():
-        mono = "·".join(
-            f"{n}^{e}" if e > 1 else n
-            for n, e in zip(p.ring.names, bex) if e
-        )
-        txt = str(s)
-        if mono:
-            if s == p.ring.field.one():
-                bits.append(mono)
-            elif str(s) == "-1":
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{txt}·{mono}")
-        else:
-            bits.append(txt)
-    return " + ".join(bits)
-
-
-def _var_power_txt(name: str, m: int, divided: bool) -> str:
-    if m == 1:
-        return name
-    return f"{name}^({m})" if divided else f"{name}^{m}"
-
-
-def render_element(u: AlgebraElement) -> str:
-    if u.is_zero():
-        return "0"
-    tower = u.tower
-    divided = tower.flavor == DIVIDED
-    bits = []
-    for exps, poly in u.sorted_terms():
-        vars_txt = "·".join(
-            _var_power_txt(v.name, m, divided and not v.is_odd)
-            for v, m in zip(tower.variables, exps) if m
-        )
-        coeff = render_poly(poly)
-        single = len(poly.terms) == 1
-        if not vars_txt:
-            bits.append(coeff if single else f"({coeff})")
-        elif single:
-            if coeff == "1":
-                bits.append(vars_txt)
-            elif coeff == "-1":
-                bits.append(f"-{vars_txt}")
-            else:
-                bits.append(f"{coeff}·{vars_txt}")
-        else:
-            bits.append(f"({coeff})·{vars_txt}")
-    return " + ".join(bits)
-
-
-def render_opposite(u: AlgebraElement, a_prefix: int) -> str:
-    """Render u^o (x) 1: extension variables get the `o` suffix."""
-    if u.is_zero():
-        return "0"
-    tower = u.tower
-    divided = tower.flavor == DIVIDED
-    bits = []
-    for exps, poly in u.sorted_terms():
-        names = []
-        for i, (v, m) in enumerate(zip(tower.variables, exps)):
-            if not m:
-                continue
-            name = v.name + ("o" if i >= a_prefix else "")
-            names.append(_var_power_txt(name, m, divided and not v.is_odd))
-        vars_txt = "·".join(names)
-        coeff = render_poly(poly)
-        single = len(poly.terms) == 1
-        if not vars_txt:
-            bits.append(coeff if single else f"({coeff})")
-        elif coeff == "1" and single:
-            bits.append(vars_txt)
-        else:
-            bits.append(f"({coeff})·{vars_txt}" if not single else f"{coeff}·{vars_txt}")
-    return " + ".join(bits)
-
-
-def render_envelope(e: EnvelopeElement) -> str:
-    if e.is_zero():
-        return "0"
-    env = e.env
-    tower = env.tower
-    divided = tower.flavor == DIVIDED
-    bits = []
-    for lex, r in e.sorted_terms():
-        names = []
-        for k, m in enumerate(lex):
-            if not m:
-                continue
-            v = env.ext_var(k)
-            names.append(_var_power_txt(v.name + "o", m, divided and not v.is_odd))
-        left = "·".join(names)
-        right = render_element(r)
-        if left:
-            bits.append(f"{left}·({right})")
-        else:
-            bits.append(right)
-    return " + ".join(bits)
-
-
-def render_omega(o: OmegaCoordinates) -> str:
-    if not o.coords:
-        return "0"
-    env = o.env
-    tower = env.tower
-    divided = tower.flavor == DIVIDED
-    bits = []
-    for mex, b in sorted(o.coords.items()):
-        names = []
-        for k, m in enumerate(mex):
-            if not m:
-                continue
-            v = env.ext_var(k)
-            names.append(_var_power_txt("xi_" + v.name, m, divided and not v.is_odd))
-        xi_txt = "·".join(names)
-        btxt = render_opposite(b, env.a_prefix)
-        if not xi_txt:
-            bits.append(btxt if len(b.terms) == 1 else f"({btxt})")
-        else:
-            wrapped = btxt if (len(b.terms) == 1 and " + " not in btxt) else f"({btxt})"
-            bits.append(f"{wrapped}·{xi_txt}")
-    return " + ".join(bits)
-
-
-def render_module_elem(module: SemifreeModule, x: dict) -> str:
-    if not x:
-        return "0"
-    bits = []
-    for i in sorted(x):
-        bits.append(f"{module.basis[i].name}·({render_element(x[i])})")
-    return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,15 +920,12 @@ def format_session(session: Session) -> str:
         lines.append(f"module {name}")
         for e in module.basis:
             lines.append(f"gen {e.name} deg {e.degree} wt {e.weight}")
-        by_target: dict[int, list] = {}
-        for (a, b), entry in sorted(module.diff.items()):
-            by_target.setdefault(b, []).append((a, entry))
+        by_target: dict[int, dict] = {}
+        for (a, b), entry in module.diff.items():
+            by_target.setdefault(b, {})[a] = entry
         for b in sorted(by_target):
-            rhs = " + ".join(
-                f"{module.basis[a].name}·({render_element(entry)})"
-                for a, entry in sorted(by_target[b])
-            )
-            lines.append(f"d {module.basis[b].name} = {rhs}")
+            lines.append(f"d {module.basis[b].name} = "
+                         f"{render_module_elem(module, by_target[b])}")
     for cmd in session.commands:
         lines.append(f"run {cmd.canonical()}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .base_ring import BasePoly, PolyRing, nullspace_basis
-from .dg_algebra import AlgebraElement, TowerAlgebra
+from .dg_algebra import TowerAlgebra
 
 
 class TateError(ValueError):
@@ -87,26 +87,18 @@ def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> Homology
         if not basis0:
             continue
         col = {lab: j for j, lab in enumerate(basis0)}
-
-        def coords(elem: AlgebraElement) -> dict:
-            out = {}
-            for exps, poly in elem.terms.items():
-                for bex, scalar in poly.terms.items():
-                    out[col[(exps, bex)]] = scalar
-            return out
-
         rows: dict = {}
         for j, (exps, bex) in enumerate(basis0):
             mono = tower.monomial(exps, tower.base.monomial(bex))
-            for (dexps, dpoly) in mono.differential().terms.items():
-                for dbex, scalar in dpoly.terms.items():
-                    rows.setdefault((dexps, dbex), {})[j] = scalar
+            for key, scalar in mono.differential().coordinates().items():
+                rows.setdefault(key, {})[j] = scalar
         cycles = nullspace_basis(field, [rows[k] for k in sorted(rows)], len(basis0))
 
         reducer = _Reducer(field)
         for exps, bex in tower.slice_basis(hdeg + 1, w):
             mono = tower.monomial(exps, tower.base.monomial(bex))
-            reducer.insert(coords(mono.differential()))
+            coords = mono.differential().coordinates()
+            reducer.insert({col[key]: scalar for key, scalar in coords.items()})
 
         reps = []
         for vec in cycles:

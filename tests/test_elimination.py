@@ -26,7 +26,8 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 @st.composite
 def systems(draw):
     """(field, sparse rows, rhs, ncols): a few random sparse rows, then rows
-    that are combinations of earlier ones, shuffled together."""
+    that are combinations of earlier ones, shuffled together; both may hold
+    explicit zero entries."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS, key=str)))]
     ncols = draw(st.integers(1, 12))
     scalars = st.integers(-3, 3)
@@ -41,7 +42,6 @@ def systems(draw):
             for c, v in r.items():
                 acc[c] = field.add(acc.get(c, field.zero()), field.mul(m, v))
         rows.insert(draw(st.integers(0, len(rows))), acc)
-    rows = [{c: v for c, v in r.items() if v} for r in rows]
     rhs = [field.of(draw(scalars)) for _ in rows]
     return field, rows, rhs, ncols
 
@@ -170,3 +170,11 @@ def test_pivot_rule_matches_reference():
             assert _reduce(field, rows, rhs, track) == reference_reduce(field, rows, rhs, track)
         _, _, _, used, pivots = reference_reduce(field, rows, rhs, False)
         assert _reduce(field, rows, None, False, rank_only=True)[3:] == (used, pivots)
+
+
+def test_explicit_zero_entries():
+    q = FIELDS[None]
+    system = LinearSystem(q, [{0: q.of(0), 1: q.of(1)}], [q.of(1)], 2)
+    res = solve_linear(system)
+    assert isinstance(res, LinearSolution) and res.solution == [q.of(0), q.of(1)]
+    assert matrix_rank(q, [{0: q.of(0)}]) == 0

@@ -34,19 +34,10 @@ def test_hom_of_free_rank_one_is_the_module(even_tower):
     for d in range(0, 5):
         for w in range(0, 4):
             assert hom.dim(d, w) == b.dimension(d, w)
-
-
-def test_hom_complex_window_slices(even_tower):
-    from dglift import hom_complex_window
-
-    b = free_module(even_tower, "u")
-    win = BidegreeWindow(0, 4, 3)
-    slices = hom_complex_window(b, b, win)
-    for (d, w), dim in slices.dims.items():
-        assert dim == b.dimension(d, w)
-        assert len(slices.matrices[(d, w)]) == dim
-    # dX = 0 here, so every matrix column is zero
-    assert all(not col for cols in slices.matrices.values() for col in cols)
+            cols = hom.matrix_columns(d, w)
+            assert len(cols) == len(hom.slice_labels(d, w))
+            # dX = 0 here, so every column is zero
+            assert not any(cols)
 
 
 def test_hom_differential_squares_to_zero(negative_control):

@@ -23,7 +23,7 @@ from dglift import (
     parse_session,
 )
 from dglift.cli import run_command
-from dglift.session import (
+from dglift.render import (
     render_element,
     render_envelope,
     render_module_elem,
@@ -124,11 +124,11 @@ elem -1 + (3·y + x)·Z^(3) + 1/2·x^2·Y^(2)·Z + -X·T | (-1) + (3*y + 1*x)*Z^
 elem 2/5·X·Y^(3)·Z^(2) | (2/5)*X*Y^(3)*Z^(2)
 module 0
 module e·(-1 + (3·y + x)·Z^(3) + 1/2·x^2·Y^(2)·Z + -X·T) + g·(-X)
-over 0 opposite -1·Xo
+over 0 opposite -Xo
 over 0 opposite -x·Zo + Xo·To
-over 0 opposite -1 + (3·y + x)·Zo^(3) + 1/2·x^2·Yo^(2)·Zo + -1·Xo·To
+over 0 opposite -1 + (3·y + x)·Zo^(3) + 1/2·x^2·Yo^(2)·Zo + -Xo·To
 over 0 envelope Xo·(-1)
-over 0 omega -1·Xo
+over 0 omega -Xo
 over 0 omega repr ((-1)*X)^o·1
 over 0 envelope Y + Zo·(-x) + Xo·To·(1)
 over 0 omega (-x·Zo + Yo + Xo·To) + -1·xi_Y
@@ -144,11 +144,11 @@ over 0 quotient 0 1
 over 0 quotient 1 ξ_T ξ_X ξ_Z ξ_Y
 over 0 quotient 2 ξ_Xξ_T ξ_Tξ_Z ξ_Tξ_Y ξ_Xξ_Z ξ_Xξ_Y ξ_Z^(2) ξ_Yξ_Z
 over 0 ideal ξ_T ξ_X ξ_Z ξ_Y ξ_Xξ_T ξ_Tξ_Z ξ_Tξ_Y ξ_Xξ_Z ξ_Xξ_Y ξ_Z^(2) ξ_Yξ_Z ξ_Xξ_Tξ_Z ξ_Tξ_Z^(2) ξ_Xξ_Z^(2) ξ_Z^(3)
-over 2 opposite -1·X
+over 2 opposite -X
 over 2 opposite -x·Zo + X·T
-over 2 opposite -1 + (3·y + x)·Zo^(3) + 1/2·x^2·Yo^(2)·Zo + -1·X·T
+over 2 opposite -1 + (3·y + x)·Zo^(3) + 1/2·x^2·Yo^(2)·Zo + -X·T
 over 2 envelope -X
-over 2 omega -1·X
+over 2 omega -X
 over 2 omega repr ((-1)*X)^o·1
 over 2 envelope Y + X·T + Zo·(-x)
 over 2 omega (-x·Zo + Yo + X·T) + -1·xi_Y
@@ -182,41 +182,41 @@ elem -1 + (3·y + x)·Z^3 + 1/2·x^2·Y^2·Z + -X·T | (-1) + (3*y + 1*x)*Z^3 + 
 elem 2/5·X·Y^3·Z^2 | (2/5)*X*Y^3*Z^2
 module 0
 module e·(-1 + (3·y + x)·Z^3 + 1/2·x^2·Y^2·Z + -X·T) + g·(-X)
-over 0 opposite -1·Xo
+over 0 opposite -Xo
 over 0 opposite -x·Zo + Xo·To
-over 0 opposite -1 + (3·y + x)·Zo^3 + 1/2·x^2·Yo^2·Zo + -1·Xo·To
+over 0 opposite -1 + (3·y + x)·Zo^3 + 1/2·x^2·Yo^2·Zo + -Xo·To
 over 0 envelope Xo·(-1)
-over 0 omega -1·Xo
+over 0 omega -Xo
 over 0 omega repr ((-1)*X)^o·1
 over 0 envelope Y + Zo·(-x) + Xo·To·(1)
 over 0 omega (-x·Zo + Yo + Xo·To) + -1·xi_Y
 over 0 omega repr ((-1*x)*Z + (1)*Y + (1)*X*T)^o·1 + ((-1))^o·ξ_Y
 over 0 envelope Yo·Zo·(x·Z^2) + Xo·Zo^2·(-1/2)
 over 0 omega (x·Yo·Zo^3 + -1/2·Xo·Zo^2) + -2·x·Yo·Zo^2·xi_Z + x·Yo·Zo·xi_Z^2
-over 0 omega repr ((1*x)*Y*Z^3 + (-1/2)*X*Z^2)^o·1 + ((-2*x)*Y*Z^2)^o·ξ_Z + ((1*x)*Y*Z)^o·ξ_Z^(2)
+over 0 omega repr ((1*x)*Y*Z^3 + (-1/2)*X*Z^2)^o·1 + ((-2*x)*Y*Z^2)^o·ξ_Z + ((1*x)*Y*Z)^o·ξ_Z^2
 over 0 envelope -Z^3 + -X + Zo·(3·Z^2) + Zo^2·(-3·Z) + Zo^3·(1) + Xo·(1)
 over 0 omega 1·xi_Z^3 + 1·xi_X
-over 0 omega repr ((1))^o·ξ_Z^(3) + ((1))^o·ξ_X
+over 0 omega repr ((1))^o·ξ_Z^3 + ((1))^o·ξ_X
 over 0 base_change e⊗1 e⊗T e⊗X f⊗1 e⊗Z e⊗Y e⊗XT f⊗T f⊗X g⊗1 e⊗TZ e⊗TY e⊗XZ e⊗XY f⊗Z f⊗Y f⊗XT g⊗T g⊗X e⊗Z^2 e⊗YZ e⊗XTZ f⊗TZ f⊗XZ g⊗Z g⊗Y g⊗XT
 over 0 quotient 0 1
 over 0 quotient 1 ξ_T ξ_X ξ_Z ξ_Y
 over 0 quotient 2 ξ_Xξ_T ξ_Tξ_Z ξ_Tξ_Y ξ_Xξ_Z ξ_Xξ_Y ξ_Z^2 ξ_Yξ_Z
 over 0 ideal ξ_T ξ_X ξ_Z ξ_Y ξ_Xξ_T ξ_Tξ_Z ξ_Tξ_Y ξ_Xξ_Z ξ_Xξ_Y ξ_Z^2 ξ_Yξ_Z ξ_Xξ_Tξ_Z ξ_Tξ_Z^2 ξ_Xξ_Z^2 ξ_Z^3
-over 2 opposite -1·X
+over 2 opposite -X
 over 2 opposite -x·Zo + X·T
-over 2 opposite -1 + (3·y + x)·Zo^3 + 1/2·x^2·Yo^2·Zo + -1·X·T
+over 2 opposite -1 + (3·y + x)·Zo^3 + 1/2·x^2·Yo^2·Zo + -X·T
 over 2 envelope -X
-over 2 omega -1·X
+over 2 omega -X
 over 2 omega repr ((-1)*X)^o·1
 over 2 envelope Y + X·T + Zo·(-x)
 over 2 omega (-x·Zo + Yo + X·T) + -1·xi_Y
 over 2 omega repr ((-1*x)*Z + (1)*Y + (1)*X*T)^o·1 + ((-1))^o·ξ_Y
 over 2 envelope Zo^2·(-1/2·X) + Yo·Zo·(x·Z^2)
 over 2 omega (x·Yo·Zo^3 + -1/2·X·Zo^2) + -2·x·Yo·Zo^2·xi_Z + x·Yo·Zo·xi_Z^2
-over 2 omega repr ((1*x)*Y*Z^3 + (-1/2)*X*Z^2)^o·1 + ((-2*x)*Y*Z^2)^o·ξ_Z + ((1*x)*Y*Z)^o·ξ_Z^(2)
+over 2 omega repr ((1*x)*Y*Z^3 + (-1/2)*X*Z^2)^o·1 + ((-2*x)*Y*Z^2)^o·ξ_Z + ((1*x)*Y*Z)^o·ξ_Z^2
 over 2 envelope -Z^3 + -Y + Zo·(3·Z^2) + Zo^2·(-3·Z) + Zo^3·(1) + Yo·(1)
 over 2 omega 1·xi_Z^3 + 1·xi_Y
-over 2 omega repr ((1))^o·ξ_Z^(3) + ((1))^o·ξ_Y
+over 2 omega repr ((1))^o·ξ_Z^3 + ((1))^o·ξ_Y
 over 2 base_change e⊗1 f⊗1 e⊗Z e⊗Y g⊗1 f⊗Z f⊗Y e⊗Z^2 e⊗YZ g⊗Z g⊗Y
 over 2 quotient 0 1
 over 2 quotient 1 ξ_Z ξ_Y
@@ -289,3 +289,14 @@ over 2 labels 1 xi_Z xi_Y xi_Z^(2) xi_Y·xi_Z xi_Y^(2) xi_Z^(3) xi_Y·xi_Z^(2)
 @pytest.mark.parametrize("p,flavor", list(EXPECTED), ids=lambda v: str(v))
 def test_renderer_snapshot(p, flavor):
     assert snapshot(p, flavor) == EXPECTED[(p, flavor)].splitlines()
+
+
+@pytest.mark.parametrize("flavor,square", [("divided", "ξ_Z^(2)"), ("ordinary", "ξ_Z^2")])
+def test_minus_one_and_omega_repr_powers(flavor, square):
+    # a coefficient -1 of u^o (x) 1 is written as a sign, as render_element
+    # does; the repr of Omega coordinates writes powers in the tower's flavor
+    session = parse_session(f"field Q\nbase x:1\ntower {flavor}\nvar X deg 1 wt 1 d x\n"
+                            "var Z deg 2 wt 1\nrun omega -Xo over 0\nrun omega xi_Z^2 over 0\n")
+    omega, square_cmd = session.commands
+    assert run_command(session, omega, 0, None)[0]["result"]["omega"] == "-Xo"
+    assert repr(square_cmd.params["expr"].to_omega()).endswith(f"^o·{square}")
