@@ -34,9 +34,19 @@ def test_hom_of_free_rank_one_is_the_module(even_tower):
     for d in range(0, 5):
         for w in range(0, 4):
             assert hom.dim(d, w) == b.dimension(d, w)
+
+
+def test_hom_complex_window_slices(even_tower):
+    b = free_module(even_tower, "u")
+    hom = HomComplex(b, b)
+    win = BidegreeWindow(0, 4, 3)
+    for d in range(win.hmin, win.hmax + 1):
+        for w in range(0, win.wmax + 1):
+            dim = hom.dim(d, w)
+            assert dim == b.dimension(d, w)
             cols = hom.matrix_columns(d, w)
-            assert len(cols) == len(hom.slice_labels(d, w))
-            # dX = 0 here, so every column is zero
+            assert len(cols) == dim == len(hom.slice_labels(d, w))
+            # dX = 0 here, so every matrix column is zero
             assert not any(cols)
 
 
