@@ -58,6 +58,7 @@ from .tate import (
     TateError,
     TateResolution,
     homology_dims,
+    homology_rep,
     tate_resolution,
     tate_step,
 )

@@ -82,7 +82,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        return Fraction(1, a) if self.p is None else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -301,7 +301,6 @@ class LinearSystem:
 @dataclass
 class LinearSolution:
     solution: list
-    nullspace: list[list]
 
 
 @dataclass
@@ -406,7 +405,7 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
 
 
 def solve_linear(system: LinearSystem, track_witness: bool = True):
-    """Exact solve: one solution plus a nullspace basis, or an Infeasible witness."""
+    """Exact solve: one solution, or an Infeasible witness."""
     field = system.field
     work, vals, combos, used, pivots = _reduce(field, system.rows, system.rhs, track_witness)
 
@@ -415,22 +414,10 @@ def solve_linear(system: LinearSystem, track_witness: bool = True):
             combo = combos[i] if track_witness else {}
             return Infeasible(combo=combo, value=vals[i])
 
-    zero = field.zero()
-    solution = [zero] * system.ncols
+    solution = [field.zero()] * system.ncols
     for col, i in pivots.items():
         solution[col] = vals[i]
-
-    free = [c for c in range(system.ncols) if c not in pivots]
-    nullspace = []
-    for f in free:
-        vec = [zero] * system.ncols
-        vec[f] = field.one()
-        for col, i in pivots.items():
-            v = work[i].get(f)
-            if v:
-                vec[col] = field.neg(v)
-        nullspace.append(vec)
-    return LinearSolution(solution=solution, nullspace=nullspace)
+    return LinearSolution(solution)
 
 
 def matrix_rank(field: Field, rows: list[dict]) -> int:
@@ -438,8 +425,14 @@ def matrix_rank(field: Field, rows: list[dict]) -> int:
     return len(pivots)
 
 
-def nullspace_basis(field: Field, rows: list[dict], ncols: int) -> list[list]:
-    sys = LinearSystem(field, rows, [field.zero()] * len(rows), ncols)
-    res = solve_linear(sys, track_witness=False)
-    assert isinstance(res, LinearSolution)
-    return res.nullspace
+def nullspace_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:
+    """Kernel basis as sparse {col: scalar} vectors: one per free column, in
+    increasing column order, with 1 there and minus the reduced pivot rows'
+    entries of that column at their pivot columns."""
+    work, _, _, _, pivots = _reduce(field, rows, [field.zero()] * len(rows), False)
+    kernel = {c: {c: field.one()} for c in range(ncols) if c not in pivots}
+    for col, i in pivots.items():
+        for c, v in work[i].items():
+            if c != col:
+                kernel[c][col] = field.neg(v)
+    return list(kernel.values())

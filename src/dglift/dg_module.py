@@ -353,19 +353,18 @@ class ChainMap:
         )
 
 
-def _split_over_prefix(tower: TowerAlgebra, c: AlgebraElement, a_prefix: int):
-    """Write a tower element as sum_g g * a with g an extension monomial and
-    a in the prefix subtower; yields (g_exps, a_element, sign applied)."""
+def split_over_prefix(tower: TowerAlgebra, terms, a_prefix: int):
+    """Write tower terms (exps, poly), taken in the given order, as g * a with
+    g an extension monomial and a in the subtower of the first `a_prefix`
+    variables, moving a past g with its Koszul sign; yields (g's exponents
+    over the extension variables, a)."""
     odd = tower._odd
-    for exps, poly in sorted(c.terms.items()):
+    for exps, poly in terms:
         aex = exps[:a_prefix] + (0,) * (tower.n - a_prefix)
-        gex = (0,) * a_prefix + exps[a_prefix:]
         p = sum(1 for i in range(a_prefix) if odd[i] and exps[i])
         q = sum(1 for i in range(a_prefix, tower.n) if odd[i] and exps[i])
         a = tower.monomial(aex, poly)
-        if (p * q) % 2:
-            a = -a
-        yield gex[a_prefix:], a
+        yield exps[a_prefix:], -a if (p * q) % 2 else a
 
 
 def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
@@ -414,7 +413,7 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
         g_elem = tower.monomial(full_exps(gex))
         du = n.apply_diff({alpha: g_elem})
         for gamma, c in du.items():
-            for g2, a in _split_over_prefix(tower, c, a_prefix):
+            for g2, a in split_over_prefix(tower, sorted(c.terms.items()), a_prefix):
                 j = pos.get((gamma, tuple(g2)))
                 if j is None:
                     raise ModuleError(

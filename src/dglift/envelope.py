@@ -13,7 +13,8 @@ from math import comb, factorial
 
 from .base_ring import matrix_rank
 from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra
-from .dg_module import BasisElement, BidegreeWindow, ModuleError, SemifreeModule
+from .dg_module import (BasisElement, BidegreeWindow, ModuleError, SemifreeModule,
+                        split_over_prefix)
 from .render import omega_name
 
 
@@ -81,18 +82,8 @@ class EnvelopeAlgebra:
 
     def from_tensor(self, b1: AlgebraElement, b2: AlgebraElement) -> "EnvelopeElement":
         """Canonicalize b1^o (x) b2 by moving A-parts across the tensor."""
-        tower = self.tower
-        k = self.a_prefix
-        odd = tower._odd
         out: dict = {}
-        for exps, poly in b1.terms.items():
-            aex = exps[:k] + (0,) * (tower.n - k)
-            lex = exps[k:]
-            p = sum(1 for i in range(k) if odd[i] and exps[i])
-            q = sum(1 for i in range(k, tower.n) if odd[i] and exps[i])
-            a = tower.monomial(aex, poly)
-            if (p * q) % 2:
-                a = -a
+        for lex, a in split_over_prefix(self.tower, b1.terms.items(), self.a_prefix):
             r = a * b2
             if r.is_zero():
                 continue

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .base_ring import BasePoly, PolyRing, nullspace_basis
-from .dg_algebra import TowerAlgebra
+from .base_ring import BasePoly, PolyRing, matrix_rank, nullspace_basis
+from .dg_algebra import AlgebraElement, TowerAlgebra
 
 
 class TateError(ValueError):
@@ -19,12 +19,11 @@ class TateError(ValueError):
 
 @dataclass
 class HomologyTable:
-    """dim H_hdeg per weight slice, with chosen cycle representatives."""
+    """dim H_hdeg per weight slice."""
 
     hdeg: int
     weight_bound: int
     dims: dict = dc_field(default_factory=dict)       # weight -> dimension
-    reps: dict = dc_field(default_factory=dict)       # weight -> [AlgebraElement]
 
     def dim(self, w: int) -> int:
         return self.dims.get(w, 0)
@@ -36,85 +35,55 @@ class HomologyTable:
         return [[w, d] for w, d in sorted(self.dims.items()) if d]
 
 
-class _Reducer:
-    """Incremental row reduction used to pick homology representatives
-    deterministically (pivot = least column; rows processed in input order)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: list[tuple[int, dict]] = []  # (pivot col, normalized row)
-
-    def reduce(self, vec: dict) -> dict:
-        field = self.field
-        vec = dict(vec)
-        for p, row in self.rows:
-            m = vec.get(p)
-            if not m:
-                continue
-            m = field.neg(m)
-            for c, v in row.items():
-                s = field.add(vec.get(c, field.zero()), field.mul(m, v))
-                if s:
-                    vec[c] = s
-                else:
-                    vec.pop(c, None)
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        """Reduce and insert; returns True when vec was independent."""
-        red = self.reduce(vec)
-        if not red:
-            return False
-        p = min(red)
-        inv = self.field.inv(red[p])
-        self.rows.append((p, {c: self.field.mul(v, inv) for c, v in red.items()}))
-        self.rows.sort(key=lambda t: t[0])
-        return True
+def _diff_rows(tower: TowerAlgebra, hdeg: int, w: int) -> tuple[list, list[dict]]:
+    """The (hdeg, w) slice basis and the rows of d on it: one row per target
+    coordinate in sorted order, {basis index: scalar}."""
+    basis = tower.slice_basis(hdeg, w)
+    rows: dict = {}
+    for j, (exps, bex) in enumerate(basis):
+        mono = tower.monomial(exps, tower.base.monomial(bex))
+        for key, scalar in mono.differential().coordinates().items():
+            rows.setdefault(key, {})[j] = scalar
+    return basis, [rows[k] for k in sorted(rows)]
 
 
 def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> HomologyTable:
-    """Exact dim H_hdeg(tower) per weight <= weight_bound, with representatives.
-
-    Representatives are nullspace vectors of the differential (deterministic
-    reduced form) that stay independent after reduction modulo boundaries.
-    """
+    """Exact dim H_hdeg(tower) per weight <= weight_bound:
+    dim C - rank d_hdeg - rank d_(hdeg+1) on each weight slice."""
     if hdeg < 0:
         raise TateError("homological degree must be >= 0")
     field = tower.base.field
     table = HomologyTable(hdeg=hdeg, weight_bound=weight_bound)
     for w in range(weight_bound + 1):
-        basis0 = tower.slice_basis(hdeg, w)
-        if not basis0:
-            continue
-        col = {lab: j for j, lab in enumerate(basis0)}
-        rows: dict = {}
-        for j, (exps, bex) in enumerate(basis0):
-            mono = tower.monomial(exps, tower.base.monomial(bex))
-            for key, scalar in mono.differential().coordinates().items():
-                rows.setdefault(key, {})[j] = scalar
-        cycles = nullspace_basis(field, [rows[k] for k in sorted(rows)], len(basis0))
-
-        reducer = _Reducer(field)
-        for exps, bex in tower.slice_basis(hdeg + 1, w):
-            mono = tower.monomial(exps, tower.base.monomial(bex))
-            coords = mono.differential().coordinates()
-            reducer.insert({col[key]: scalar for key, scalar in coords.items()})
-
-        reps = []
-        for vec in cycles:
-            sparse = {j: v for j, v in enumerate(vec) if v}
-            if reducer.insert(sparse):
-                elem = tower.zero()
-                for j, v in sorted(sparse.items()):
-                    exps, bex = basis0[j]
-                    elem = elem + tower.monomial(exps, tower.base.monomial(bex, v))
-                reps.append(elem)
-        if reps:
-            table.dims[w] = len(reps)
-            table.reps[w] = reps
-        else:
-            table.dims[w] = 0
+        basis, down = _diff_rows(tower, hdeg, w)
+        if basis:
+            _, up = _diff_rows(tower, hdeg + 1, w)
+            table.dims[w] = len(basis) - matrix_rank(field, down) - matrix_rank(field, up)
     return table
+
+
+def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | None:
+    """A cycle of the (hdeg, w) slice that is not a boundary, or None when
+    H_hdeg vanishes there: the first kernel vector of d_hdeg outside the span
+    of the boundaries (the kernel basis is read off the elimination kernel, so
+    the choice is deterministic)."""
+    field = tower.base.field
+    basis, down = _diff_rows(tower, hdeg, w)
+    col = {lab: j for j, lab in enumerate(basis)}
+    boundaries = []
+    for exps, bex in tower.slice_basis(hdeg + 1, w):
+        mono = tower.monomial(exps, tower.base.monomial(bex))
+        coords = mono.differential().coordinates()
+        boundaries.append({col[key]: scalar for key, scalar in coords.items()})
+    rank = matrix_rank(field, boundaries)
+    for vec in nullspace_basis(field, down, len(basis)):
+        if matrix_rank(field, boundaries + [vec]) > rank:
+            elem = tower.zero()
+            for j, v in sorted(vec.items()):
+                exps, bex = basis[j]
+                elem = elem + tower.monomial(exps, tower.base.monomial(bex, v))
+            return elem
+    return None
 
 
 def _fresh_name(tower: TowerAlgebra, counter: int) -> tuple[str, int]:
@@ -152,7 +121,7 @@ def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra
         if not table.total():
             return out
         w = min(w for w, d in table.dims.items() if d)
-        rep = table.reps[w][0]
+        rep = homology_rep(out, hdeg, w)
         name, counter = _fresh_name(out, counter)
         out = out.adjoin(name, hdeg + 1, w, rep)
 

@@ -77,7 +77,7 @@ def test_solve_unique(QQ):
     res = solve_linear(sys)
     assert isinstance(res, LinearSolution)
     assert res.solution == [QQ.of(1), QQ.of(1)]
-    assert res.nullspace == []
+    assert nullspace_basis(QQ, sys.rows, sys.ncols) == []
 
 
 def test_solve_infeasible_witness(QQ):
@@ -91,8 +91,8 @@ def test_nullspace_of_row(QQ):
     null = nullspace_basis(QQ, [{0: QQ.of(1), 1: QQ.of(1)}], 2)
     assert len(null) == 1
     v = null[0]
-    assert QQ.add(v[0], v[1]) == QQ.zero()
-    assert any(v)
+    assert QQ.add(v.get(0, QQ.zero()), v.get(1, QQ.zero())) == QQ.zero()
+    assert any(v.values())
 
 
 @pytest.mark.parametrize("p", [None, 5])
@@ -121,11 +121,11 @@ def test_solution_reverifies(p):
             for j, v in r.items():
                 acc = field.add(acc, field.mul(v, res.solution[j]))
             assert acc == b
-        for vec in res.nullspace:
+        for vec in nullspace_basis(field, rows, nc):
             for r in rows:
                 acc = field.zero()
                 for j, v in r.items():
-                    acc = field.add(acc, field.mul(v, vec[j]))
+                    acc = field.add(acc, field.mul(v, vec.get(j, field.zero())))
                 assert acc == field.zero()
 
 
@@ -133,7 +133,23 @@ def test_deterministic_elimination(QQ):
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
     a = solve_linear(_system(QQ, rows, [1, 0, 1], 3))
     b = solve_linear(_system(QQ, rows, [1, 0, 1], 3))
-    assert a.solution == b.solution and a.nullspace == b.nullspace
+    na = nullspace_basis(QQ, _system(QQ, rows, [0, 0, 0], 3).rows, 3)
+    nb = nullspace_basis(QQ, _system(QQ, rows, [0, 0, 0], 3).rows, 3)
+    assert a.solution == b.solution
+    assert [list(v.items()) for v in na] == [list(v.items()) for v in nb]
+
+
+def test_rational_scalars_stay_fractions():
+    # Fraction(1, 2) == 0.5, so the types are checked, not just the values
+    q = Field()
+    assert type(q.inv(2)) is Fraction and q.inv(2) == Fraction(1, 2)
+    assert type(q.div(1, 3)) is Fraction
+    res = solve_linear(LinearSystem(q, [{0: 2}], [1], 1))
+    assert res.solution == [Fraction(1, 2)]
+    assert all(type(x) is Fraction for x in res.solution)
+    null = nullspace_basis(q, [{0: 2, 1: 1}], 2)
+    assert null == [{0: Fraction(-1, 2), 1: Fraction(1)}]
+    assert all(type(x) is Fraction for v in null for x in v.values())
 
 
 def test_rank(QQ):

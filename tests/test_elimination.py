@@ -50,6 +50,25 @@ def dense(rows, ncols, field):
     return [[r.get(c, field.zero()) for c in range(ncols)] for r in rows]
 
 
+def reference_kernel(field, rows, ncols):
+    """Dense kernel vectors from the reference reduction: one per free column
+    f, in increasing order, with 1 at f and minus each reduced pivot row's
+    entry in column f at that row's pivot column."""
+    rows = [{c: v for c, v in r.items() if v} for r in rows]
+    work, _, _, _, pivots = reference_reduce(field, rows, [field.zero()] * len(rows), False)
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [field.zero()] * ncols
+        vec[f] = field.one()
+        for col, i in pivots.items():
+            if work[i].get(f):
+                vec[col] = field.neg(work[i][f])
+        kernel.append(vec)
+    return kernel
+
+
 def apply(field, row: dict, vec: list):
     acc = field.zero()
     for c, v in row.items():
@@ -118,12 +137,28 @@ def test_rank_matches_dense_oracle_and_transpose(case):
 @given(systems())
 def test_nullspace_is_a_kernel_basis(case):
     field, rows, _, ncols = case
-    null = nullspace_basis(field, rows, ncols)
+    null = dense(nullspace_basis(field, rows, ncols), ncols, field)
     assert len(null) == ncols - matrix_rank(field, rows)
     for vec in null:
         assert all(apply(field, r, vec) == field.zero() for r in rows)
     if null:
         assert dense_rank(field, null) == len(null)
+    assert null == reference_kernel(field, rows, ncols)
+
+
+@SETTINGS
+@given(st.integers(1, 8), st.lists(st.lists(st.integers(-9, 9), min_size=8, max_size=8),
+                                   max_size=8), st.sampled_from((2, 3, 5, 7)))
+def test_rank_over_q_bounds_rank_mod_p(ncols, matrix, p):
+    # an integer matrix's rank can only drop on reduction mod p: a nonzero
+    # minor mod p is nonzero over Q
+    q, fp = FIELDS[None], Field(p)
+    rank_q = matrix_rank(q, [{c: q.of(v) for c, v in enumerate(r[:ncols]) if v} for r in matrix])
+    rank_p = matrix_rank(fp, [{c: fp.of(v) for c, v in enumerate(r[:ncols]) if v % p}
+                              for r in matrix])
+    assert rank_q >= rank_p
+    assert rank_q == (dense_rank(q, [[q.of(v) for v in r[:ncols]] for r in matrix])
+                      if matrix else 0)
 
 
 @SETTINGS
@@ -170,6 +205,8 @@ def test_pivot_rule_matches_reference():
             assert _reduce(field, rows, rhs, track) == reference_reduce(field, rows, rhs, track)
         _, _, _, used, pivots = reference_reduce(field, rows, rhs, False)
         assert _reduce(field, rows, None, False, rank_only=True)[3:] == (used, pivots)
+        assert dense(nullspace_basis(field, rows, ncols), ncols, field) == reference_kernel(
+            field, rows, ncols)
 
 
 def test_explicit_zero_entries():

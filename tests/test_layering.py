@@ -1,6 +1,7 @@
 """Import layering of the dglift modules, read from their source: the math
 layers never import the parser or the command line, and `render` imports no
-dglift module, so that every layer can use it."""
+dglift module, so that every layer can use it; only `base_ring`, which holds
+the one elimination kernel, inverts field scalars."""
 
 from __future__ import annotations
 
@@ -34,3 +35,13 @@ def test_math_layers_do_not_import_the_parser_or_the_cli():
 
 def test_render_imports_no_dglift_module():
     assert dglift_imports(SRC / "render.py") == set()
+
+
+def test_only_base_ring_inverts_scalars():
+    # a field inverse is the first step of any elimination, so this keeps
+    # every elimination in the one kernel of base_ring
+    for path in sorted(SRC.glob("*.py")):
+        calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "inv"]
+        assert not calls or path.name == "base_ring.py", path.name

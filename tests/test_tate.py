@@ -1,11 +1,13 @@
 import pytest
 
 from dglift import (
+    Field,
     PolyRing,
     TateError,
     TowerAlgebra,
     check_axioms,
     homology_dims,
+    homology_rep,
     tate_resolution,
     tate_step,
 )
@@ -56,6 +58,57 @@ def _brute_homology(tower, hdeg, w):
     return len(basis0) - rank_down - rank_up
 
 
+def _coords(tower, hdeg, w, elem) -> list:
+    """Dense coordinates of elem in the (hdeg, w) slice basis."""
+    field = tower.base.field
+    col = {lab: j for j, lab in enumerate(tower.slice_basis(hdeg, w))}
+    vec = [field.zero()] * len(col)
+    for key, scalar in elem.coordinates().items():
+        vec[col[key]] = scalar
+    return vec
+
+
+def _boundaries(tower, hdeg, w) -> list[list]:
+    return [_coords(tower, hdeg, w, tower.monomial(exps, tower.base.monomial(bex)).differential())
+            for exps, bex in tower.slice_basis(hdeg + 1, w)]
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_homology_dims_match_brute_force_on_a_tate_tower(p):
+    ring = PolyRing(Field(p), ("x", "y", "z"), (1, 1, 1))
+    x, y, z = (ring.var(n) for n in "xyz")
+    tower = tate_resolution(ring, [x * x, x * y, y * z], 3, 5).tower
+    for hdeg in range(4):
+        table = homology_dims(tower, hdeg, 5)
+        for w in range(6):
+            assert table.dim(w) == _brute_homology(tower, hdeg, w), (hdeg, w)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_homology_rep_is_a_cycle_and_not_a_boundary(p):
+    # the Koszul complex on (x^2, xy, yz): H_1 and H_2 are nonzero
+    ring = PolyRing(Field(p), ("x", "y", "z"), (1, 1, 1))
+    x, y, z = (ring.var(n) for n in "xyz")
+    t = TowerAlgebra(ring, "divided")
+    for name, g in (("X1", x * x), ("X2", x * y), ("X3", y * z)):
+        t = t.adjoin(name, 1, 2, t.from_poly(g))
+    field = ring.field
+    seen = 0
+    for hdeg in (1, 2):
+        table = homology_dims(t, hdeg, 6)
+        for w in range(7):
+            rep = homology_rep(t, hdeg, w)
+            if not table.dim(w):
+                assert rep is None
+                continue
+            seen += 1
+            assert rep.differential().is_zero()
+            bound = _boundaries(t, hdeg, w)
+            rank = dense_rank(field, bound)
+            assert dense_rank(field, bound + [_coords(t, hdeg, w, rep)]) == rank + 1
+    assert seen >= 2
+
+
 def test_koszul_on_regular_element(ring_x):
     t0 = TowerAlgebra(ring_x, "divided")
     t = t0.adjoin("X", 1, 1, t0.gen("x"))
@@ -73,7 +126,7 @@ def test_h1_contains_syzygy_class(ring_xy, QQ):
     t = t.adjoin("X2", 1, 2, t.from_poly(x * y))
     table = homology_dims(t, 1, 3)
     assert table.dim(3) == 1
-    rep = table.reps[3][0]
+    rep = homology_rep(t, 1, 3)
     assert rep.differential().is_zero()
     expect = t.gen("X1") * t.from_poly(y) - t.gen("X2") * t.from_poly(x)
     # the representative spans the same line as y X1 - x X2
