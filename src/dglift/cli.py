@@ -49,7 +49,9 @@ def run_command(session: Session, cmd: Command, seed: int,
         wbound = p.get("wbound")
         if wbound is None:
             wbound = default_window.wmax if default_window else DEFAULT_AXIOM_WEIGHT_BOUND
-        budget = p.get("budget") or 200
+        budget = p.get("budget")
+        if budget is None:
+            budget = 200
         result = check_axioms(session.tower, budget, weight_bound=wbound, seed=seed)
         max_deg = max((v.degree for v in session.tower.variables), default=0)
         rep["window"] = BidegreeWindow(0, wbound + max_deg, wbound).format()

@@ -395,18 +395,6 @@ class AlgebraElement:
             out.setdefault(h, {})[e] = p
         return {h: AlgebraElement(t, terms) for h, terms in sorted(out.items())}
 
-    def bihomogeneous_parts(self) -> dict[tuple[int, int], "AlgebraElement"]:
-        t = self.tower
-        out: dict[tuple[int, int], dict] = {}
-        for e, p in self.terms.items():
-            h = sum(m * d for m, d in zip(e, t._degrees))
-            wv = sum(m * w for m, w in zip(e, t._weights))
-            for w in sorted(p.weights()):
-                key = (h, wv + w)
-                part = p.graded_component(w)
-                out.setdefault(key, {})[e] = part
-        return {k: AlgebraElement(t, v) for k, v in sorted(out.items())}
-
     # --- differential structure --------------------------------------------
 
     def differential(self) -> "AlgebraElement":
@@ -457,24 +445,8 @@ class AlgebraElement:
                     "ordinary-flavor divided powers u^m/m! need rational coefficients"
                 )
             return self.power(m).scale(self.tower.base.field.of(1, factorial(m)))
-        terms = sorted(self.terms.items())
-        return self._sum_power(terms, m)
-
-    def _sum_power(self, terms: list, m: int) -> "AlgebraElement":
-        tower = self.tower
-        if not terms:
-            return tower.zero() if m > 0 else tower.one()
-        if len(terms) == 1:
-            return self._term_power(terms[0], m)
-        head, rest = terms[0], terms[1:]
-        out = tower.zero()
-        for j in range(m + 1):
-            a = self._term_power(head, j)
-            if a.is_zero():
-                continue
-            b = self._sum_power(rest, m - j)
-            out = out + a * b
-        return out
+        return sum_divided_power(sorted(self.terms.items()), m, self._term_power,
+                                 self.tower.zero())
 
     def _term_power(self, term, i: int) -> "AlgebraElement":
         """(M*c)^(i) = c^i * M^(i) for a single monomial term."""
@@ -517,6 +489,21 @@ class AlgebraElement:
             mono = monomial_text(names, exps, divided, "*")
             bits.append(f"({p!r})*{mono}" if mono else f"({p!r})")
         return " + ".join(bits)
+
+
+def sum_divided_power(pieces: list, m: int, piece_power, zero):
+    """(p_1 + ... + p_k)^(m) for a nonempty list of pieces, by the sum rule
+    (u + v)^(m) = sum_j u^(j) v^(m-j); piece_power(p, j) gives p^(j), and zero
+    is the zero of the ring the pieces live in."""
+    if len(pieces) == 1:
+        return piece_power(pieces[0], m)
+    head, rest = pieces[0], pieces[1:]
+    out = zero
+    for j in range(m + 1):
+        a = piece_power(head, j)
+        if not a.is_zero():
+            out = out + a * sum_divided_power(rest, m - j, piece_power, zero)
+    return out
 
 
 # ---------------------------------------------------------------------------

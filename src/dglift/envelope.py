@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .base_ring import matrix_rank
-from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra
+from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra, sum_divided_power
 from .dg_module import (BasisElement, BidegreeWindow, ModuleError, SemifreeModule,
                         split_over_prefix)
 from .render import omega_name
@@ -490,22 +490,7 @@ class EnvelopeElement:
         for lex, r in sorted(self.terms.items()):
             for h, rh in r.split_by_degree().items():
                 pieces.append((lex, h, rh))
-        return self._sum_power(pieces, m)
-
-    def _sum_power(self, pieces, m: int) -> "EnvelopeElement":
-        env = self.env
-        if not pieces:
-            return env.zero() if m > 0 else env.one()
-        if len(pieces) == 1:
-            return self._piece_power(pieces[0], m)
-        head, rest = pieces[0], pieces[1:]
-        out = env.zero()
-        for j in range(m + 1):
-            a = self._piece_power(head, j)
-            if a.is_zero():
-                continue
-            out = out + a * self._sum_power(rest, m - j)
-        return out
+        return sum_divided_power(pieces, m, self._piece_power, self.env.zero())
 
     def _piece_power(self, piece, i: int) -> "EnvelopeElement":
         env = self.env

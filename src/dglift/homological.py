@@ -95,6 +95,28 @@ class HomComplex:
         self._matrices[key] = cols
         return cols
 
+    def rows(self, d: int, w: int) -> dict:
+        """D on the (d, w) slice by rows: {target coordinate: {column: scalar}},
+        the transpose of `matrix_columns`."""
+        out: dict = {}
+        for j, col in enumerate(self.matrix_columns(d, w)):
+            for rkey, scalar in col.items():
+                out.setdefault(rkey, {})[j] = scalar
+        return out
+
+    def chain_map(self, d: int, labels: list, solution: list) -> ChainMap:
+        """The degree-d map sum_j solution[j] * phi_j, where phi_j is the basis
+        map labels[j] = (alpha, lab): e_alpha -> lab."""
+        l = self.l
+        entries: dict = {}
+        for (alpha, lab), c in zip(labels, solution):
+            if not c:
+                continue
+            piece = l.scale_elem(l.label_elem(lab), c)
+            prev = entries.get(alpha)
+            entries[alpha] = piece if prev is None else l.add_elem(prev, piece)
+        return ChainMap(self.m, l, d, entries)
+
     def rank(self, d: int, w: int) -> int:
         """Rank of D on the (d, w) slice, computed once; the columns are ranked
         as rows, since row rank equals column rank."""
@@ -171,31 +193,23 @@ def null_homotopy(f: ChainMap):
     m, l, d = f.source, f.target, f.degree
     hom = HomComplex(m, l)
 
-    weights = set()
     coords_by_w: dict[int, dict] = {}
     for alpha, img in f.entries.items():
         wa = m.basis[alpha].weight
         for (i, exps, bex), scalar in l.elem_coords(img).items():
             w = l.basis[i].weight + l.tower.monomial_bidegree(exps)[1] \
                 + l.tower.base.term_weight(bex) - wa
-            weights.add(w)
             coords_by_w.setdefault(w, {})[(alpha, (i, exps, bex))] = scalar
 
     unknowns: list = []
-    columns: list[dict] = []
-    for w in sorted(weights):
-        hom.require_complete(d + 1, w)
-        cols = hom.matrix_columns(d + 1, w)
-        for lab, col in zip(hom.slice_labels(d + 1, w), cols):
-            unknowns.append((w, lab))
-            columns.append(col)
-
     rows_map: dict = {}
     rhs_map: dict = {}
-    for j, (w, _) in enumerate(unknowns):
-        for rkey, scalar in columns[j].items():
-            rows_map.setdefault((w, rkey), {})[j] = scalar
-    for w, coords in coords_by_w.items():
+    for w, coords in sorted(coords_by_w.items()):
+        hom.require_complete(d + 1, w)
+        offset = len(unknowns)
+        unknowns.extend(hom.slice_labels(d + 1, w))
+        for rkey, row in hom.rows(d + 1, w).items():
+            rows_map[(w, rkey)] = {offset + j: v for j, v in row.items()}
         for rkey, scalar in coords.items():
             rows_map.setdefault((w, rkey), {})
             rhs_map[(w, rkey)] = scalar
@@ -211,15 +225,7 @@ def null_homotopy(f: ChainMap):
     res = solve_linear(system, track_witness=True)
     if isinstance(res, Infeasible):
         return res
-    entries: dict = {}
-    for j, (w, (alpha, lab)) in enumerate(unknowns):
-        c = res.solution[j]
-        if not c:
-            continue
-        piece = l.scale_elem(l.label_elem(lab), c)
-        prev = entries.get(alpha)
-        entries[alpha] = piece if prev is None else l.add_elem(prev, piece)
-    return ChainMap(m, l, d + 1, entries)
+    return hom.chain_map(d + 1, unknowns, res.solution)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +279,8 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
     p, pi = base_change(n, window, a_prefix)
     tower = n.tower
     field = tower.base.field
-
-    unknowns: list = []
-    col_of: dict = {}
-    for beta, e in enumerate(n.basis):
-        for lab in p.slice_labels(e.degree, e.weight):
-            col_of[(beta, lab)] = len(unknowns)
-            unknowns.append((beta, lab))
+    hom = HomComplex(n, p)
+    unknowns = hom.slice_labels(0, 0)
 
     rows: list[dict] = []
     rhs: list = []
@@ -291,41 +292,23 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
         return f"{module.basis[i].name}·({render_element(mono)})"
 
     # pi_N(rho(e_beta)) = e_beta, coordinatewise in N at (|e|, wt(e))
+    images: dict = {}
+    for j, (beta, lab) in enumerate(unknowns):
+        for nlab, scalar in n.elem_coords(pi.apply(p.label_elem(lab))).items():
+            images.setdefault(beta, {}).setdefault(nlab, {})[j] = scalar
     for beta, e in enumerate(n.basis):
-        acc: dict = {}
-        for lab in p.slice_labels(e.degree, e.weight):
-            img = pi.apply(p.label_elem(lab))
-            for nlab, scalar in n.elem_coords(img).items():
-                acc.setdefault(nlab, {})[col_of[(beta, lab)]] = scalar
+        acc = images.get(beta, {})
         want = n.elem_coords(n.basis_elem(beta))
         for nlab in sorted(set(acc) | set(want)):
             rows.append(acc.get(nlab, {}))
             rhs.append(want.get(nlab, field.zero()))
             labels.append(f"pi(rho({e.name})) = {e.name} at {label(n, nlab)}")
 
-    # d(rho(e_beta)) = rho(d(e_beta)), coordinatewise in P at (|e|-1, wt(e))
-    for beta, e in enumerate(n.basis):
-        acc = {}
-        for lab in p.slice_labels(e.degree, e.weight):
-            img = p.apply_diff(p.label_elem(lab))
-            for plab, scalar in p.elem_coords(img).items():
-                acc.setdefault(plab, {})[col_of[(beta, lab)]] = scalar
-        for (alpha, bb), entry in n.diff.items():
-            if bb != beta:
-                continue
-            ea = n.basis[alpha]
-            for lab in p.slice_labels(ea.degree, ea.weight):
-                img = p.mul_elem(p.label_elem(lab), entry)
-                for plab, scalar in p.elem_coords(img).items():
-                    acc.setdefault(plab, {})[col_of[(alpha, lab)]] = field.neg(scalar)
-        for plab in sorted(acc):
-            row = acc[plab]
-            row = {j: v for j, v in row.items() if v}
-            if not row:
-                continue
-            rows.append(row)
-            rhs.append(field.zero())
-            labels.append(f"chain condition of rho({e.name}) at {label(p, plab)}")
+    # D(rho) = d 。rho - rho 。d = 0, coordinatewise in P at (|e|-1, wt(e))
+    for (beta, plab), row in sorted(hom.rows(0, 0).items()):
+        rows.append(row)
+        rhs.append(field.zero())
+        labels.append(f"chain condition of rho({n.basis[beta].name}) at {label(p, plab)}")
 
     system = LinearSystem(field, rows, rhs, len(unknowns))
     return system, unknowns, labels, p, pi, window
@@ -359,15 +342,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
         )
 
     assert isinstance(res, LinearSolution)
-    entries: dict = {}
-    for j, (beta, lab) in enumerate(unknowns):
-        c = res.solution[j]
-        if not c:
-            continue
-        piece = p.scale_elem(p.label_elem(lab), c)
-        prev = entries.get(beta)
-        entries[beta] = piece if prev is None else p.add_elem(prev, piece)
-    rho = ChainMap(n, p, 0, entries)
+    rho = HomComplex(n, p).chain_map(0, unknowns, res.solution)
 
     transcript = [
         f"splitting system: {len(unknowns)} unknowns, {len(labels)} equations",

@@ -850,8 +850,7 @@ class _Builder:
                 seg.append(head[i])
                 i += 1
             if not seg:
-                raise ParseError("empty ideal generator", line,
-                                 head[i].col if i < len(head) else 1)
+                raise ParseError("empty ideal generator", line, head[i].col)
             for tok in seg:
                 if tok.kind == "IDENT" and tok.text in tower_vars:
                     raise ParseError(f"unknown identifier {tok.text!r}: ideal generators "
@@ -874,6 +873,8 @@ class _Builder:
                 raise ParseError("ideal generators must be weight-homogeneous",
                                  line, seg[0].col)
             gens.append(poly)
+            if i == len(head) - 1:
+                raise ParseError("empty ideal generator", line, head[i].col)
             i += 1  # skip the comma
         if not gens:
             raise ParseError("tate needs at least one generator", line, 1)

@@ -2,10 +2,14 @@
 
 Deliberately separate from dglift.base_ring: plain dense Gaussian elimination
 over Fraction/int scalars, no pivoting strategy, used to cross-check ranks,
-homology dimensions, and Ext tables computed by the library.
+homology dimensions, and Ext tables computed by the library.  The Hom
+differential is applied to maps with module-element operations, not with the
+library's Hom-complex code.
 """
 
 from __future__ import annotations
+
+from dglift import ChainMap
 
 
 def dense_rref(field, rows: list[list]) -> tuple[list[list], list[int]]:
@@ -37,9 +41,24 @@ def dense_rank(field, rows: list[list]) -> int:
     return len(dense_rref(field, rows)[1])
 
 
+def hom_differential(phi) -> dict:
+    """D(phi)(e_b) = d_L(phi(e_b)) - (-1)^|phi| phi(d_M e_b) for a map phi:
+    M -> L, with element operations only, as {b: L-element}."""
+    m, l = phi.source, phi.target
+    out = {}
+    for b in range(len(m.basis)):
+        lhs = l.apply_diff(phi.entries.get(b, {}))
+        rhs = phi.apply(m.apply_diff(m.basis_elem(b)))
+        img = l.add_elem(lhs, rhs) if phi.degree % 2 else l.sub_elem(lhs, rhs)
+        if img:
+            out[b] = img
+    return out
+
+
 def brute_ext_dim(m, l, i: int, w: int) -> int:
     """dim Ext^i(M, L) at weight w by enumerating every bidegree-homogeneous
-    map basis vector and row-reducing dense matrices of the Hom differential."""
+    map basis vector and row-reducing dense matrices of the Hom differential,
+    which is applied to each basis map with `hom_differential`."""
     field = m.tower.base.field
     d = -i
 
@@ -51,16 +70,7 @@ def brute_ext_dim(m, l, i: int, w: int) -> int:
         return out
 
     def dmap(alpha, lab, dd):
-        v = l.label_elem(lab)
-        out = {alpha: l.apply_diff(v)}
-        sign = -1 if dd % 2 else 1
-        for (a, b), entry in m.diff.items():
-            if a != alpha:
-                continue
-            piece = l.mul_elem(v, entry.scale_int(-sign))
-            prev = out.get(b)
-            out[b] = piece if prev is None else l.add_elem(prev, piece)
-        return out
+        return hom_differential(ChainMap(m, l, dd, {alpha: l.label_elem(lab)}))
 
     def matrix(src, tgt, dd):
         tgt_keys = []

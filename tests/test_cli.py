@@ -115,3 +115,19 @@ def test_nesting_below_the_limit_evaluates(tmp_path):
     out = tmp_path / "r.json"
     assert main([str(session), "--report", str(out)]) == 0
     assert json.loads(out.read_text())["reports"][0]["result"]["value"] == "-x"
+
+
+def test_check_axioms_budget_zero_is_not_the_default(tmp_path):
+    # budget 0 draws the minimum of one random sample, like budget 1; it used
+    # to fall back to the default budget of 200
+    session = tmp_path / "budget.session"
+    session.write_text(
+        "field Q\nbase x:1\ntower divided\nvar X deg 1 wt 1 d x\n"
+        "run check-axioms budget 0 wbound 2\n"
+        "run check-axioms budget 1 wbound 2\n"
+        "run check-axioms wbound 2\n"
+    )
+    out = tmp_path / "r.json"
+    assert main([str(session), "--report", str(out)]) == 0
+    zero, one, default = (rep["tables"]["laws"] for rep in json.loads(out.read_text())["reports"])
+    assert zero == one != default

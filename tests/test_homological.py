@@ -6,9 +6,12 @@ from dglift import (
     BidegreeWindow,
     ChainMap,
     EnvelopeAlgebra,
+    Field,
     HomComplex,
     HomologicalError,
     Infeasible,
+    PolyRing,
+    TowerAlgebra,
     base_change,
     build_split_system,
     ext_dims,
@@ -18,8 +21,9 @@ from dglift import (
     null_homotopy,
     tensor_bimodule,
 )
+from dglift.base_ring import nullspace_basis
 
-from oracle import brute_ext_dim
+from oracle import brute_ext_dim, hom_differential
 
 
 @pytest.fixture
@@ -57,20 +61,52 @@ def test_hom_differential_squares_to_zero(negative_control):
         for w in range(-1, 2):
             for alpha, lab in hom.slice_labels(d, w):
                 img = hom.map_image(alpha, lab, d)
-                # apply D once more by hand
-                total = {}
-                for beta, elem in img.items():
-                    dd = n.apply_diff(elem)
-                    if dd:
-                        total[beta] = n.add_elem(total.get(beta, {}), dd)
-                sign = -1 if (d - 1) % 2 else 1
-                for (a, b), entry in n.diff.items():
-                    if a not in img:
-                        continue
-                    piece = n.mul_elem(img[a], entry.scale_int(-sign))
-                    if piece:
-                        total[b] = n.add_elem(total.get(b, {}), piece)
-                assert all(not v for v in total.values())
+                assert img == hom_differential(ChainMap(n, n, d, {alpha: n.label_elem(lab)}))
+                # apply D once more with element operations
+                assert not hom_differential(ChainMap(n, n, d - 1, img))
+
+
+def cross_check_modules(field):
+    """The negative control, the rigid Koszul module and the mixed-tower cone
+    over the given field."""
+    even = TowerAlgebra(PolyRing(field, (), ()), "divided").adjoin("X", 2, 1, None)
+    koszul = TowerAlgebra(PolyRing(field, ("x", "y"), (1, 1)), "divided")
+    koszul = koszul.adjoin("X1", 1, 1, koszul.gen("x"))
+    koszul = koszul.adjoin("X2", 1, 1, koszul.gen("y"))
+    z = koszul.gen("X1") * koszul.gen("y") - koszul.gen("X2") * koszul.gen("x")
+    mixed = koszul.adjoin("Y", 2, 2, z)
+    return {
+        "negative-control": make_semifree(even, [("e", 0, 0), ("f", 3, 1)],
+                                          {("e", "f"): even.gen("X")}),
+        "rigid-koszul": make_semifree(koszul, [("e", 0, 0), ("g", 1, 1), ("h", 2, 1)],
+                                      {("g", "h"): koszul.one()}),
+        "mixed-cone": make_semifree(mixed, [("e", 0, 0), ("f", 2, 2)],
+                                    {("e", "f"): mixed.variable_diff(2)}),
+    }
+
+
+@pytest.mark.parametrize("name", ["negative-control", "rigid-koszul", "mixed-cone"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_hom_rows_agree_with_chain_maps(p, name):
+    # the matrix route (kernel of D's rows, assembled by chain_map) against the
+    # element route (ChainMap.is_chain_map)
+    n = cross_check_modules(Field(p))[name]
+    field = n.tower.base.field
+    hom = HomComplex(n, n)
+    kernel_vectors = nonzero_columns = 0
+    for d in (-1, 0, 1):
+        for w in range(-2, 3):
+            labels = hom.slice_labels(d, w)
+            kernel = nullspace_basis(field, list(hom.rows(d, w).values()), len(labels))
+            for vec in kernel:
+                solution = [vec.get(j, field.zero()) for j in range(len(labels))]
+                assert hom.chain_map(d, labels, solution).is_chain_map()
+            for lab, col in zip(labels, hom.matrix_columns(d, w)):
+                basis_map = hom.chain_map(d, [lab], [field.one()])
+                assert basis_map.is_chain_map() == (not col)
+                nonzero_columns += bool(col)
+            kernel_vectors += len(kernel)
+    assert kernel_vectors and nonzero_columns
 
 
 def test_identity_is_a_cycle(negative_control):

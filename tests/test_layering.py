@@ -1,7 +1,9 @@
 """Import layering of the dglift modules, read from their source: the math
 layers never import the parser or the command line, and `render` imports no
 dglift module, so that every layer can use it; only `base_ring`, which holds
-the one elimination kernel, inverts field scalars."""
+the one elimination kernel, inverts field scalars; and in `homological` only
+`HomComplex` reads a module's differential, so the Hom differential has one
+home."""
 
 from __future__ import annotations
 
@@ -45,3 +47,14 @@ def test_only_base_ring_inverts_scalars():
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and node.func.attr == "inv"]
         assert not calls or path.name == "base_ring.py", path.name
+
+
+def test_only_hom_complex_reads_module_differentials():
+    # Ext, null homotopies and the splitting system all take D from HomComplex
+    tree = ast.parse((SRC / "homological.py").read_text(encoding="utf-8"))
+    hom = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "HomComplex")
+    inside = {id(node) for node in ast.walk(hom)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "diff"]
+    assert reads and all(id(node) in inside for node in reads)

@@ -55,7 +55,10 @@ def test_unknown_identifier_position():
 @pytest.mark.parametrize("gens,message,col", [
     ("x^2, z y - z y", "ideal generator is zero", 15),
     ("x^2, y X", "ideal generators live in the base ring", 17),
-], ids=["zero", "tower-variable"])
+    ("x^2,", "empty ideal generator", 13),
+    (", x^2", "empty ideal generator", 10),
+    ("x^2,, y", "empty ideal generator", 14),
+], ids=["zero", "tower-variable", "trailing-comma", "leading-comma", "doubled-comma"])
 def test_tate_generator_errors(gens, message, col):
     text = f"field Q\nbase x:1 y:1 z:1\nvar X deg 1 wt 1 d x\nrun tate {gens} hbound 2 wbound 3\n"
     with pytest.raises(ParseError, match=message) as err:
