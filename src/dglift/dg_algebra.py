@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, factorial
 import random
 
-from .base_ring import BasePoly, PolyRing
+from .base_ring import BasePoly, PolyRing, matrix_rank
 from .render import monomial_text
 
 DIVIDED = "divided"
@@ -46,7 +46,9 @@ class TowerAlgebra:
     """A base polynomial ring with an ordered list of adjoined DG variables.
 
     The constructor performs only structural checks; `adjoin` is the validated
-    path that also checks the cycle condition on differential targets.
+    path that also checks the cycle condition on differential targets.  A
+    tower never changes, so it memoises its monomial differentials, slice
+    bases and slice ranks.
     """
 
     def __init__(self, base: PolyRing, flavor: str = DIVIDED,
@@ -60,6 +62,9 @@ class TowerAlgebra:
         self._degrees = tuple(v.degree for v in self.variables)
         self._weights = tuple(v.weight for v in self.variables)
         self._diff_cache: dict[int, AlgebraElement] = {}
+        self._mono_diffs: dict[tuple, AlgebraElement] = {}
+        self._slices: dict[tuple[int, int], tuple] = {}
+        self._slice_ranks: dict[tuple[int, int], tuple[int, int]] = {}
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names) or set(names) & set(base.names):
             raise TowerError("variable names must be fresh and distinct")
@@ -155,6 +160,31 @@ class TowerAlgebra:
         self._diff_cache[i] = elem
         return elem
 
+    def monomial_diff(self, exps: tuple[int, ...]) -> "AlgebraElement":
+        """d of the monomial X^exps with coefficient 1, by the Leibniz rule;
+        computed once per exponent vector.  Callers must not mutate it."""
+        cached = self._mono_diffs.get(exps)
+        if cached is not None:
+            return cached
+        out = self.zero()
+        prefix_deg = 0
+        for i, m in enumerate(exps):
+            if m:
+                t = self.variable_diff(i)
+                if not t.is_zero():
+                    head = list(exps[: i + 1]) + [0] * (self.n - i - 1)
+                    head[i] = m - 1
+                    piece = self.monomial(tuple(head)) * t
+                    tail = (0,) * (i + 1) + exps[i + 1 :]
+                    piece = piece * self.monomial(tail)
+                    k = m if self.flavor == ORDINARY else 1
+                    if prefix_deg % 2:
+                        k = -k
+                    out = out + piece.scale_int(k)
+                prefix_deg += m * self._degrees[i]
+        self._mono_diffs[exps] = out
+        return out
+
     # --- structure -------------------------------------------------------
 
     def term_bidegree(self, exps, base_exps) -> tuple[int, int]:
@@ -196,10 +226,15 @@ class TowerAlgebra:
         out.sort()
         return out
 
-    def slice_basis(self, hdeg: int, weight: int) -> list[tuple[tuple, tuple]]:
-        """Field basis of the (hdeg, weight) bidegree piece: (var exps, base exps)."""
+    def slice_basis(self, hdeg: int, weight: int) -> tuple[tuple[tuple, tuple], ...]:
+        """Field basis of the (hdeg, weight) bidegree piece: (var exps, base
+        exps), sorted; computed once per slice."""
         if hdeg < 0 or weight < 0:
-            return []
+            return ()
+        key = (hdeg, weight)
+        cached = self._slices.get(key)
+        if cached is not None:
+            return cached
         out = []
         for exps in self.gamma_monomials(weight, hdeg):
             h, w = self.monomial_bidegree(exps)
@@ -208,7 +243,27 @@ class TowerAlgebra:
             for bex in self.base.monomials_of_weight(weight - w):
                 out.append((exps, bex))
         out.sort()
-        return out
+        self._slices[key] = tuple(out)
+        return self._slices[key]
+
+    def slice_images(self, hdeg: int, weight: int) -> list[dict]:
+        """Field coordinates of d of each (hdeg, weight) basis vector X^e x^b,
+        in basis order: the columns of d on the slice.  d(X^e x^b) is
+        d(X^e) with every base exponent shifted by b."""
+        return [{(exps, tuple(a + b for a, b in zip(bex, shift))): scalar
+                 for exps, poly in self.monomial_diff(mono).terms.items()
+                 for bex, scalar in poly.terms.items()}
+                for mono, shift in self.slice_basis(hdeg, weight)]
+
+    def slice_rank(self, hdeg: int, weight: int) -> tuple[int, int]:
+        """(dim, rank d) of the (hdeg, weight) slice, computed once; the
+        columns are ranked as rows, since row rank equals column rank."""
+        key = (hdeg, weight)
+        if key not in self._slice_ranks:
+            images = self.slice_images(hdeg, weight)
+            rank = matrix_rank(self.base.field, images) if images else 0
+            self._slice_ranks[key] = (len(images), rank)
+        return self._slice_ranks[key]
 
     def adjoin(self, name: str, degree: int, weight: int,
                target: "AlgebraElement | None" = None) -> "TowerAlgebra":
@@ -349,12 +404,7 @@ class AlgebraElement:
         return AlgebraElement(self.tower, out)
 
     def power(self, m: int) -> "AlgebraElement":
-        if m < 0:
-            raise TowerError("negative power")
-        out = self.tower.one()
-        for _ in range(m):
-            out = out * self
-        return out
+        return ring_power(self, m, self.tower.one(), TowerError)
 
     # --- grading ----------------------------------------------------------
 
@@ -398,25 +448,12 @@ class AlgebraElement:
     # --- differential structure --------------------------------------------
 
     def differential(self) -> "AlgebraElement":
-        """Leibniz differential; base-ring coefficients are constants (d = 0)."""
+        """Leibniz differential; base-ring coefficients are constants (d = 0),
+        so d(X^e p) = d(X^e) p."""
         tower = self.tower
         out = tower.zero()
         for exps, poly in sorted(self.terms.items()):
-            prefix_deg = 0
-            for i, m in enumerate(exps):
-                if m:
-                    t = tower.variable_diff(i)
-                    if not t.is_zero():
-                        head = list(exps[: i + 1]) + [0] * (tower.n - i - 1)
-                        head[i] = m - 1
-                        piece = tower.monomial(tuple(head)) * t
-                        tail = (0,) * (i + 1) + exps[i + 1 :]
-                        piece = piece * tower.monomial(tail, poly)
-                        k = m if tower.flavor == ORDINARY else 1
-                        if prefix_deg % 2:
-                            k = -k
-                        out = out + piece.scale_int(k)
-                    prefix_deg += m * tower._degrees[i]
+            out = out + tower.monomial_diff(exps).scale_poly(poly)
         return out
 
     # --- divided powers ------------------------------------------------------
@@ -489,6 +526,17 @@ class AlgebraElement:
             mono = monomial_text(names, exps, divided, "*")
             bits.append(f"({p!r})*{mono}" if mono else f"({p!r})")
         return " + ".join(bits)
+
+
+def ring_power(x, m: int, one, error):
+    """x^m by repeated multiplication from the ring's one; a negative m
+    raises the given error type."""
+    if m < 0:
+        raise error("negative power")
+    out = one
+    for _ in range(m):
+        out = out * x
+    return out
 
 
 def sum_divided_power(pieces: list, m: int, piece_power, zero):

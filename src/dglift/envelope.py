@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .base_ring import matrix_rank
-from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra, sum_divided_power
+from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra, ring_power, sum_divided_power
 from .dg_module import (BasisElement, BidegreeWindow, ModuleError, SemifreeModule,
                         split_over_prefix)
 from .render import omega_name
@@ -402,12 +402,7 @@ class EnvelopeElement:
         return out
 
     def power(self, m: int) -> "EnvelopeElement":
-        if m < 0:
-            raise EnvelopeError("negative power")
-        out = self.env.one()
-        for _ in range(m):
-            out = out * self
-        return out
+        return ring_power(self, m, self.env.one(), EnvelopeError)
 
     # --- DG structure ---------------------------------------------------------
 

@@ -35,30 +35,16 @@ class HomologyTable:
         return [[w, d] for w, d in sorted(self.dims.items()) if d]
 
 
-def _diff_rows(tower: TowerAlgebra, hdeg: int, w: int) -> tuple[list, list[dict]]:
-    """The (hdeg, w) slice basis and the rows of d on it: one row per target
-    coordinate in sorted order, {basis index: scalar}."""
-    basis = tower.slice_basis(hdeg, w)
-    rows: dict = {}
-    for j, (exps, bex) in enumerate(basis):
-        mono = tower.monomial(exps, tower.base.monomial(bex))
-        for key, scalar in mono.differential().coordinates().items():
-            rows.setdefault(key, {})[j] = scalar
-    return basis, [rows[k] for k in sorted(rows)]
-
-
 def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> HomologyTable:
     """Exact dim H_hdeg(tower) per weight <= weight_bound:
     dim C - rank d_hdeg - rank d_(hdeg+1) on each weight slice."""
     if hdeg < 0:
         raise TateError("homological degree must be >= 0")
-    field = tower.base.field
     table = HomologyTable(hdeg=hdeg, weight_bound=weight_bound)
     for w in range(weight_bound + 1):
-        basis, down = _diff_rows(tower, hdeg, w)
-        if basis:
-            _, up = _diff_rows(tower, hdeg + 1, w)
-            table.dims[w] = len(basis) - matrix_rank(field, down) - matrix_rank(field, up)
+        dim, down = tower.slice_rank(hdeg, w)
+        if dim:
+            table.dims[w] = dim - down - tower.slice_rank(hdeg + 1, w)[1]
     return table
 
 
@@ -68,16 +54,16 @@ def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | Non
     of the boundaries (the kernel basis is read off the elimination kernel, so
     the choice is deterministic)."""
     field = tower.base.field
-    basis, down = _diff_rows(tower, hdeg, w)
-    col = {lab: j for j, lab in enumerate(basis)}
-    boundaries = []
-    for exps, bex in tower.slice_basis(hdeg + 1, w):
-        mono = tower.monomial(exps, tower.base.monomial(bex))
-        coords = mono.differential().coordinates()
-        boundaries.append({col[key]: scalar for key, scalar in coords.items()})
-    rank = matrix_rank(field, boundaries)
-    for vec in nullspace_basis(field, down, len(basis)):
-        if matrix_rank(field, boundaries + [vec]) > rank:
+    basis = tower.slice_basis(hdeg, w)
+    rows: dict = {}
+    for j, image in enumerate(tower.slice_images(hdeg, w)):
+        for key, scalar in image.items():
+            rows.setdefault(key, {})[j] = scalar
+    # boundaries and kernel vectors are both keyed by (hdeg, w) basis vectors
+    boundaries = tower.slice_images(hdeg + 1, w)
+    rank = tower.slice_rank(hdeg + 1, w)[1]
+    for vec in nullspace_basis(field, [rows[k] for k in sorted(rows)], len(basis)):
+        if matrix_rank(field, boundaries + [{basis[j]: v for j, v in vec.items()}]) > rank:
             elem = tower.zero()
             for j, v in sorted(vec.items()):
                 exps, bex = basis[j]
@@ -101,7 +87,11 @@ def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra
     Classes are killed one at a time, lowest weight first, recomputing homology
     after each adjunction: multiples of an already-killed class become
     boundaries, so this adjoins one variable per module generator of H_hdeg
-    rather than one per weight-slice basis vector.
+    rather than one per weight-slice basis vector.  The recomputation is
+    incremental: a degree-(hdeg+1) variable never enters a (hdeg, w) slice,
+    so d_hdeg is ranked once, and one of weight w leaves the (hdeg+1, v)
+    slices with v < w alone, so only rank d_(hdeg+1) at weights >= w is
+    recomputed.
 
     Requires H_j = 0 for 1 <= j < hdeg within the bound (checked).
     """
@@ -114,16 +104,25 @@ def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra
                 f"H_{j} is not yet zero below weight {weight_bound}; "
                 f"kill it before degree {hdeg}"
             )
+    weights = range(weight_bound + 1)
+    down = [tower.slice_rank(hdeg, w) for w in weights]
+    up = [0] * len(weights)
     out = tower
     counter = len(tower.variables)
+    lo = 0
     while True:
-        table = homology_dims(out, hdeg, weight_bound)
-        if not table.total():
+        for w in weights[lo:]:
+            if down[w][0]:
+                up[w] = out.slice_rank(hdeg + 1, w)[1]
+        live = [w for w in weights if down[w][0] - down[w][1] - up[w]]
+        if not live:
             return out
-        w = min(w for w, d in table.dims.items() if d)
-        rep = homology_rep(out, hdeg, w)
+        lo = live[0]
+        rep = homology_rep(out, hdeg, lo)
+        if rep is None:
+            raise TateError(f"H_{hdeg} at weight {lo} has no representative; this is a bug")
         name, counter = _fresh_name(out, counter)
-        out = out.adjoin(name, hdeg + 1, w, rep)
+        out = out.adjoin(name, hdeg + 1, lo, rep)
 
 
 @dataclass

@@ -4,7 +4,9 @@ Deliberately separate from dglift.base_ring: plain dense Gaussian elimination
 over Fraction/int scalars, no pivoting strategy, used to cross-check ranks,
 homology dimensions, and Ext tables computed by the library.  The Hom
 differential is applied to maps with module-element operations, not with the
-library's Hom-complex code.
+library's Hom-complex code, and the differential of a tower element is
+expanded by the Leibniz rule over its variable powers, not with the library's
+memoised monomial differentials.
 """
 
 from __future__ import annotations
@@ -39,6 +41,29 @@ def dense_rref(field, rows: list[list]) -> tuple[list[list], list[int]]:
 
 def dense_rank(field, rows: list[list]) -> int:
     return len(dense_rref(field, rows)[1])
+
+
+def leibniz_differential(elem):
+    """d(elem) with element operations only: in each term X_1^(m_1)...X_n^(m_n) p
+    and for each i with m_i > 0, the factor X_i^(m_i) becomes X_i^(m_i - 1) dX_i
+    (times m_i in the ordinary flavor), with the Koszul sign of the factors
+    before it."""
+    tower = elem.tower
+    out = tower.zero()
+    for exps, poly in elem.terms.items():
+        for i, m in enumerate(exps):
+            if not m:
+                continue
+            piece = tower.from_poly(poly)
+            for j, mj in enumerate(exps):
+                if j != i:
+                    piece = piece * tower.variable_power(j, mj)
+                    continue
+                factor = tower.variable_power(i, m - 1) * tower.variable_diff(i)
+                piece = piece * (factor.scale_int(m) if tower.flavor == "ordinary" else factor)
+            prefix = sum(exps[j] * tower.variables[j].degree for j in range(i))
+            out = out + (-piece if prefix % 2 else piece)
+    return out
 
 
 def hom_differential(phi) -> dict:

@@ -2,8 +2,18 @@ import random
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dglift import DGVariable, PolyRing, TowerAlgebra, TowerError, check_axioms
+from dglift import (
+    DGVariable,
+    Field,
+    PolyRing,
+    TowerAlgebra,
+    TowerError,
+    check_axioms,
+)
+
+from oracle import leibniz_differential
 
 
 def test_divided_product_rule(even_tower):
@@ -175,3 +185,60 @@ def test_check_axioms_seed_reproducible(mixed_tower):
     a = check_axioms(mixed_tower, 100, weight_bound=4, seed=9)
     b = check_axioms(mixed_tower, 100, weight_bound=4, seed=9)
     assert a.to_dict() == b.to_dict()
+
+
+def _oracle_towers(flavor, p):
+    """The acceptance tower Q[x,y]<X1,X2,Y> (dY = X1 y - X2 x) and the Tate
+    tower of (x^2, xy) to degree 3, in the given flavor over Q or F_p."""
+    ring = PolyRing(Field(p), ("x", "y"), (1, 1))
+    x, y = ring.var("x"), ring.var("y")
+    towers = []
+    for dx1, dx2, wt, last in ((x, y, 1, ("Y", 2, 2)), (x * x, x * y, 2, ("X3", 2, 3))):
+        t = TowerAlgebra(ring, flavor)
+        t = t.adjoin("X1", 1, wt, t.from_poly(dx1))
+        t = t.adjoin("X2", 1, wt, t.from_poly(dx2))
+        g = t.gen
+        towers.append(t.adjoin(*last, g("X1") * g("y") - g("X2") * g("x")))
+    g = towers[1].gen
+    towers[1] = towers[1].adjoin("X4", 3, 4, g("X3") * g("x") + g("X1") * g("X2"))
+    return towers
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    """The same towers, per (flavor, p), after check_axioms has filled their memos."""
+    out = {}
+    for flavor in ("divided", "ordinary"):
+        for p in (None, 5):
+            out[(flavor, p)] = _oracle_towers(flavor, p)
+            for tower in out[(flavor, p)]:
+                check_axioms(tower, 40, weight_bound=5, seed=1)
+    return out
+
+
+def _element(tower, terms):
+    field, base = tower.base.field, tower.base
+    monos = tower.gamma_monomials(6, 8)
+    out = tower.zero()
+    for i, bw, bi, c in terms:
+        bases = base.monomials_of_weight(bw)
+        mono = base.monomial(bases[bi % len(bases)], field.of(c))
+        out = out + tower.monomial(monos[i % len(monos)], mono)
+    return out
+
+
+TERMS = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2), st.integers(0, 5),
+                           st.sampled_from((-3, -2, -1, 1, 2, 3))), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 1), terms=TERMS)
+def test_differential_matches_leibniz_oracle(warmed, flavor, p, which, terms):
+    # on a fresh tower, then on one whose memo check_axioms has warmed: a
+    # caller that mutates a memoised differential or basis shows up there
+    fresh = _element(_oracle_towers(flavor, p)[which], terms)
+    assert fresh.differential() == leibniz_differential(fresh)
+    warm = _element(warmed[(flavor, p)][which], terms)
+    assert warm.differential() == leibniz_differential(warm) == fresh.differential()

@@ -1,9 +1,10 @@
 """Import layering of the dglift modules, read from their source: the math
 layers never import the parser or the command line, and `render` imports no
 dglift module, so that every layer can use it; only `base_ring`, which holds
-the one elimination kernel, inverts field scalars; and in `homological` only
+the one elimination kernel, inverts field scalars; in `homological` only
 `HomComplex` reads a module's differential, so the Hom differential has one
-home."""
+home; and in `dg_algebra` only `TowerAlgebra.monomial_diff` applies the
+Leibniz rule, so every differential of a tower element goes through its memo."""
 
 from __future__ import annotations
 
@@ -58,3 +59,18 @@ def test_only_hom_complex_reads_module_differentials():
     reads = [node for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "diff"]
     assert reads and all(id(node) in inside for node in reads)
+
+
+def test_only_monomial_diff_applies_the_leibniz_rule():
+    # variable_diff is the Leibniz rule's input; AlgebraElement.differential
+    # and the slice ranks read the memoised monomial differentials instead
+    tree = ast.parse((SRC / "dg_algebra.py").read_text(encoding="utf-8"))
+    tower = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "TowerAlgebra")
+    rule = next(node for node in tower.body
+                if isinstance(node, ast.FunctionDef) and node.name == "monomial_diff")
+    inside = {id(node) for node in ast.walk(rule)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "variable_diff"]
+    assert calls and all(id(node) in inside for node in calls)
