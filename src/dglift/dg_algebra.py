@@ -61,8 +61,10 @@ class TowerAlgebra:
         self._odd = tuple(v.is_odd for v in self.variables)
         self._degrees = tuple(v.degree for v in self.variables)
         self._weights = tuple(v.weight for v in self.variables)
-        self._diff_cache: dict[int, AlgebraElement] = {}
-        self._mono_diffs: dict[tuple, AlgebraElement] = {}
+        # the memos hold term maps, not elements, so that a tower is in no
+        # reference cycle and is freed as soon as it is dropped
+        self._diff_cache: dict[int, dict] = {}
+        self._mono_diffs: dict[tuple, dict] = {}
         self._slices: dict[tuple[int, int], tuple] = {}
         self._slice_ranks: dict[tuple[int, int], tuple[int, int]] = {}
         names = [v.name for v in self.variables]
@@ -147,25 +149,19 @@ class TowerAlgebra:
 
     def variable_diff(self, i: int) -> "AlgebraElement":
         """d(X_i) embedded into this tower."""
-        cached = self._diff_cache.get(i)
-        if cached is not None:
-            return cached
-        target = self.variables[i].target
-        if target is None:
-            elem = self.zero()
-        else:
-            pad = self.n - i
-            terms = {exps + (0,) * pad: poly for exps, poly in target}
-            elem = AlgebraElement(self, terms)
-        self._diff_cache[i] = elem
-        return elem
+        terms = self._diff_cache.get(i)
+        if terms is None:
+            pad = (0,) * (self.n - i)
+            terms = {exps + pad: poly for exps, poly in self.variables[i].target or ()}
+            self._diff_cache[i] = terms
+        return AlgebraElement(self, terms)
 
     def monomial_diff(self, exps: tuple[int, ...]) -> "AlgebraElement":
         """d of the monomial X^exps with coefficient 1, by the Leibniz rule;
         computed once per exponent vector.  Callers must not mutate it."""
-        cached = self._mono_diffs.get(exps)
-        if cached is not None:
-            return cached
+        terms = self._mono_diffs.get(exps)
+        if terms is not None:
+            return AlgebraElement(self, terms)
         out = self.zero()
         prefix_deg = 0
         for i, m in enumerate(exps):
@@ -182,7 +178,7 @@ class TowerAlgebra:
                         k = -k
                     out = out + piece.scale_int(k)
                 prefix_deg += m * self._degrees[i]
-        self._mono_diffs[exps] = out
+        self._mono_diffs[exps] = out.terms
         return out
 
     # --- structure -------------------------------------------------------
