@@ -179,6 +179,19 @@ def test_check_axioms_detects_corruption(koszul_xy, ring_xy):
     assert "d_squared_zero" in failed
     witness = next(l.witness for l in report.laws if not l.passed)
     assert witness
+    # the whole report, witness text included; a law stops at its first failure
+    passing = [("leibniz", 93), ("graded_commutativity", 93), ("odd_squares_vanish", 29),
+               ("differential_preserves_weight", 67), ("dp_zeroth_and_first", 11),
+               ("dp_product_rule", 36), ("dp_sum_rule", 10), ("dp_scalar_rule", 24),
+               ("dp_composition_rule", 15), ("dp_differential", 24)]
+    assert report.to_dict() == {
+        "laws": [{"law": "d_squared_zero", "cases": 16, "passed": False,
+                  "witness": "d(d((1)*W)) = (1*x^2)"}]
+        + [{"law": law, "cases": cases, "passed": True} for law, cases in passing],
+        "passed": False,
+        "seed": 3,
+        "weight_bound": 4,
+    }
 
 
 def test_check_axioms_seed_reproducible(mixed_tower):
