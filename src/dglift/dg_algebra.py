@@ -658,25 +658,24 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
 
     n_random = max(1, sample_budget // 8)
 
+    # each case yields True, or the witness of its failure: `ok or f"..."`
+    # builds the witness text only when the law fails
     def law(name, cases):
-        failures = []
-        count = 0
-        for case in cases:
+        count, witness = 0, None
+        for result in cases:
             count += 1
-            ok, witness = case
-            if not ok:
-                failures.append(witness)
+            if result is not True:
+                witness = result
                 break
         report.laws.append(
-            LawResult(law=name, cases=count, passed=not failures,
-                      witness=failures[0] if failures else None)
+            LawResult(law=name, cases=count, passed=witness is None, witness=witness)
         )
 
     def dd_cases():
         pool = monos + [sampler.homogeneous() for _ in range(n_random)]
         for u in pool:
             d2 = u.differential().differential()
-            yield d2.is_zero(), f"d(d({u!r})) = {d2!r}"
+            yield d2.is_zero() or f"d(d({u!r})) = {d2!r}"
 
     law("d_squared_zero", dd_cases())
 
@@ -692,7 +691,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
             rhs = u.differential() * v + (u * v.differential()).scale_int(
                 -1 if du % 2 else 1
             )
-            yield lhs == rhs, f"Leibniz fails for u={u!r}, v={v!r}"
+            yield lhs == rhs or f"Leibniz fails for u={u!r}, v={v!r}"
 
     law("leibniz", leibniz_cases())
 
@@ -705,7 +704,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
             if du is None or dv is None:
                 continue
             rhs = (v * u).scale_int(-1 if (du * dv) % 2 else 1)
-            yield u * v == rhs, f"commutativity fails for u={u!r}, v={v!r}"
+            yield u * v == rhs or f"commutativity fails for u={u!r}, v={v!r}"
 
     law("graded_commutativity", comm_cases())
 
@@ -717,7 +716,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                 pool.append(u)
         for u in pool:
             sq = u * u
-            yield sq.is_zero(), f"odd square ({u!r})^2 = {sq!r}"
+            yield sq.is_zero() or f"odd square ({u!r})^2 = {sq!r}"
 
     law("odd_squares_vanish", odd_square_cases())
 
@@ -726,7 +725,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
         for u in pool:
             ws = u.weights()
             dw = u.differential().weights()
-            yield dw <= ws, f"d changed weight of {u!r}"
+            yield dw <= ws or f"d changed weight of {u!r}"
 
     law("differential_preserves_weight", weight_cases())
 
@@ -741,7 +740,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
 
         def dp_unit_cases():
             for u in evens(n_random):
-                yield u.divided_power(0) == tower.one() and u.divided_power(1) == u, \
+                yield u.divided_power(0) == tower.one() and u.divided_power(1) == u or \
                     f"u^(0)/u^(1) fail for {u!r}"
 
         law("dp_zeroth_and_first", dp_unit_cases())
@@ -751,7 +750,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                 for i, j in ((1, 1), (1, 2), (2, 2)):
                     lhs = u.divided_power(i) * u.divided_power(j)
                     rhs = u.divided_power(i + j).scale_int(comb(i + j, i))
-                    yield lhs == rhs, f"u^({i})u^({j}) fails for {u!r}"
+                    yield lhs == rhs or f"u^({i})u^({j}) fails for {u!r}"
 
         law("dp_product_rule", dp_product_cases())
 
@@ -763,7 +762,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                     rhs = tower.zero()
                     for j in range(i + 1):
                         rhs = rhs + u.divided_power(j) * v.divided_power(i - j)
-                    yield lhs == rhs, f"(u+v)^({i}) fails for u={u!r}, v={v!r}"
+                    yield lhs == rhs or f"(u+v)^({i}) fails for u={u!r}, v={v!r}"
 
         law("dp_sum_rule", dp_sum_cases())
 
@@ -776,7 +775,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                         tower.base.field.mul(c, c) if i == 2
                         else tower.base.field.mul(tower.base.field.mul(c, c), c)
                     )
-                    yield lhs == rhs, f"(cu)^({i}) fails for {u!r}"
+                    yield lhs == rhs or f"(cu)^({i}) fails for {u!r}"
 
         law("dp_scalar_rule", dp_scalar_cases())
 
@@ -786,7 +785,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                     lhs = u.divided_power(i).divided_power(j)
                     c = factorial(i * j) // (factorial(j) * factorial(i) ** j)
                     rhs = u.divided_power(i * j).scale_int(c)
-                    yield lhs == rhs, f"(u^({i}))^({j}) fails for {u!r}"
+                    yield lhs == rhs or f"(u^({i}))^({j}) fails for {u!r}"
 
         law("dp_composition_rule", dp_composition_cases())
 
@@ -795,7 +794,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                 for m in (2, 3):
                     lhs = u.divided_power(m).differential()
                     rhs = u.divided_power(m - 1) * u.differential()
-                    yield lhs == rhs, f"d(u^({m})) fails for {u!r}"
+                    yield lhs == rhs or f"d(u^({m})) fails for {u!r}"
 
         law("dp_differential", dp_diff_cases())
 
@@ -806,7 +805,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
                 if u.is_zero():
                     continue
                 for m in (2, 3):
-                    yield u.divided_power(m).scale_int(factorial(m)) == u.power(m), \
+                    yield u.divided_power(m).scale_int(factorial(m)) == u.power(m) or \
                         f"m! u^(m) != u^m for {u!r}"
 
         law("ordinary_power_consistency", dp_ordinary_cases())

@@ -66,13 +66,12 @@ class SemifreeModule:
 
     def __init__(self, tower: TowerAlgebra, basis, diff: dict, *,
                  complete_hmax: int | None = None, complete_wmax: int | None = None,
-                 symmetric_bimodule: bool = False, validate: bool = True):
+                 validate: bool = True):
         self.tower = tower
         self.basis = tuple(basis)
         self.diff = {k: v for k, v in diff.items() if not v.is_zero()}
         self.complete_hmax = complete_hmax
         self.complete_wmax = complete_wmax
-        self.symmetric_bimodule = symmetric_bimodule
         self.left_action_fn = None  # set by bimodule constructors
         if validate:
             self._validate()

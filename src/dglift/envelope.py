@@ -252,9 +252,7 @@ class EnvelopeAlgebra:
                 diff[(i, j)] = b.scale_int(sign)
 
         module = SemifreeModule(
-            tower, basis, diff,
-            complete_hmax=window.hmax, complete_wmax=window.wmax,
-            symmetric_bimodule=True,
+            tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
         )
 
         def left_action(b: AlgebraElement, k: int) -> dict:

@@ -12,6 +12,10 @@ Statements (one per line, `#` starts a comment):
     d <gen> = <module expr>
     run <command>
 
+A statement uses its whole line.  The keywords of a command (`over`,
+`hbound`, `wbound`, `budget`) come after its arguments, in any order, each at
+most once, and so do `deg` and `wt`.
+
 Expressions: identifiers, integer and p/q literals, + - (binary and unary),
 products by `*`, `·` or juxtaposition, ordinary powers `^m`, divided powers
 `^(m)`, parentheses.  In envelope contexts `X` means 1^o(x)X, `Xo` means
@@ -22,10 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NoReturn
 
 from .base_ring import Field, PolyRing
 from .dg_algebra import DIVIDED, ORDINARY, TowerAlgebra, TowerError
-from .dg_module import BidegreeWindow, ModuleError, SemifreeModule, make_semifree
+from .dg_module import (
+    BasisElement, BidegreeWindow, ModuleError, SemifreeModule, make_semifree,
+)
 from .envelope import EnvelopeAlgebra, EnvelopeElement, EnvelopeError
 from .render import render_element, render_envelope, render_module_elem, render_poly
 
@@ -97,6 +104,109 @@ def tokenize_line(text: str, line_no: int) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
+# Reading a line
+# ---------------------------------------------------------------------------
+
+
+class _Cursor:
+    """The tokens of one line and a position in them.
+
+    Statements and expressions read every token through a cursor, and every
+    failure is a ParseError at the offending token: the given one, else the
+    current one, else the last token of the line.
+    """
+
+    def __init__(self, toks: list[Token], line: int):
+        self.toks = toks
+        self.line = line
+        self.i = 0
+
+    def error(self, message: str, tok: Token | None = None) -> NoReturn:
+        tok = tok or self.peek() or self.toks[-1]
+        raise ParseError(message, self.line, tok.col)
+
+    def peek(self, ahead: int = 0) -> Token | None:
+        i = self.i + ahead
+        return self.toks[i] if i < len(self.toks) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            self.error("unexpected end of expression")
+        self.i += 1
+        return tok
+
+    def take(self, text: str) -> Token | None:
+        """The next token, consumed, if its text is `text`."""
+        tok = self.peek()
+        if tok is None or tok.text != text:
+            return None
+        self.i += 1
+        return tok
+
+    def expect(self, text: str, message: str) -> None:
+        """Consume `text`, or fail at the token before it."""
+        if self.take(text) is None:
+            self.error(message, self.toks[self.i - 1])
+
+    def ident(self, what: str) -> Token:
+        tok = self.peek()
+        if tok is None or tok.kind != "IDENT":
+            self.error(f"expected {what}")
+        self.i += 1
+        return tok
+
+    def int(self, what: str) -> int:
+        """An integer literal, with an optional minus sign."""
+        sign = -1 if self.take("-") else 1
+        tok = self.peek()
+        if tok is None or tok.kind != "INT":
+            self.error(f"expected {what}")
+        self.i += 1
+        return sign * int(tok.text)
+
+    def window(self) -> BidegreeWindow:
+        """`hmin:hmax:wmax`."""
+        start = self.peek()
+        bounds = [self.int("window hmin")]
+        for what in ("window hmax", "window wmax"):
+            self.expect(":", "window must look like hmin:hmax:wmax")
+            bounds.append(self.int(what))
+        try:
+            return BidegreeWindow(*bounds)
+        except ModuleError as exc:
+            self.error(str(exc), start)
+
+    def keywords(self, allowed: tuple[str, ...]) -> dict[str, int]:
+        """`<word> <int>` pairs for the words in `allowed`, in any order and
+        each at most once, up to the first other token."""
+        out: dict[str, int] = {}
+        while (tok := self.peek()) is not None and tok.kind == "IDENT" and tok.text in allowed:
+            if tok.text in out:
+                self.error(f"{tok.text!r} given twice", tok)
+            self.i += 1
+            out[tok.text] = self.int({"deg": "degree", "wt": "weight"}.get(
+                tok.text, f"integer after {tok.text!r}"))
+        return out
+
+    def until(self, words) -> "_Cursor":
+        """The tokens before the next of `words` as a cursor of their own;
+        this cursor moves past them."""
+        j = self.i
+        while j < len(self.toks) and self.toks[j].text not in words:
+            j += 1
+        head = _Cursor(self.toks[self.i:j], self.line)
+        self.i = j
+        return head
+
+    def done(self) -> None:
+        """Fail at the first token left unread."""
+        tok = self.peek()
+        if tok is not None:
+            self.error(f"unexpected {tok.text!r}", tok)
+
+
+# ---------------------------------------------------------------------------
 # Expression evaluation
 # ---------------------------------------------------------------------------
 
@@ -111,48 +221,104 @@ class _ModElem:
         self.terms = terms
 
 
-class ExprEval:
-    """Recursive-descent evaluator over a token slice.
+class _Names:
+    """The one name resolver: the base and tower variables of `tower` as
+    tower elements, and literals as constants.  The module and envelope
+    contexts wrap it; with `base_only`, as for the ideal generators of
+    `run tate`, tower variables are not names."""
 
-    `resolve(name)` returns the value of an identifier; values are
+    def __init__(self, tower: TowerAlgebra, base_only: bool = False):
+        self.tower = tower
+        self.var_index = {v.name: i for i, v in enumerate(tower.variables)}
+        self.base_only = base_only
+
+    def lookup(self, name: str):
+        """The value of `name`, or None."""
+        if name in self.tower.base.names or (name in self.var_index and not self.base_only):
+            return self.tower.gen(name)
+        return None
+
+    def unknown(self, name: str) -> str:
+        if self.base_only and name in self.var_index:
+            return f"unknown identifier {name!r}: ideal generators live in the base ring"
+        return f"unknown identifier {name!r}"
+
+    def constant(self, q: Fraction):
+        return self.tower.constant(self.tower.base.field.of(q.numerator, q.denominator))
+
+
+class _ModuleNames(_Names):
+    """The generators of the module being declared, then the tower's names."""
+
+    def __init__(self, tower: TowerAlgebra, specs: list):
+        super().__init__(tower)
+        self.specs = specs
+        self.gen_index = {e.name: i for i, e in enumerate(specs)}
+
+    def lookup(self, name: str):
+        i = self.gen_index.get(name)
+        if i is None:
+            return super().lookup(name)
+        return _ModElem(self.specs, {i: self.tower.one()})
+
+
+class _EnvelopeNames(_Names):
+    """Names in B^e: `X` is 1^o(x)X, `Xo` is X^o(x)1, and `xi_X` is the
+    diagonal of an X outside the prefix A."""
+
+    def __init__(self, env: EnvelopeAlgebra):
+        super().__init__(env.tower)
+        self.env = env
+
+    def lookup(self, name: str):
+        val = super().lookup(name)
+        if val is not None:
+            return self.env.include_right(val)
+        stem = name[:-1]
+        if name.endswith("o") and stem in self.var_index:
+            return self.env.include_left(self.tower.gen(stem))
+        if name.endswith("o") and stem in self.tower.base.names:
+            return self.env.include_right(self.tower.gen(stem))
+        i = self.var_index.get(name[3:], -1) if name.startswith("xi_") else -1
+        if i >= self.env.a_prefix:
+            return self.env.xi(i - self.env.a_prefix)
+        return None
+
+    def constant(self, q: Fraction):
+        return self.env.include_right(super().constant(q))
+
+
+class ExprEval:
+    """Recursive-descent evaluator reading from a `_Cursor`.
+
+    `names` gives the values of identifiers and literals; values are
     AlgebraElement, EnvelopeElement, or _ModElem, and combine per their types.
+    An expression ends at the end of the line, a keyword, `,` or `)`.
     """
 
     # Parentheses and unary minus recurse; past this depth the expression is
     # refused rather than left to exhaust the interpreter's recursion limit.
     MAX_NESTING = 100
 
-    def __init__(self, tokens: list[Token], resolve, constant, line: int):
-        self.toks = tokens
-        self.i = 0
-        self.resolve = resolve
-        self.constant = constant
-        self.line = line
+    def __init__(self, cur: _Cursor, names: _Names):
+        self.cur = cur
+        self.names = names
         self.depth = 0
-
-    def _err(self, msg: str, tok: Token | None = None):
-        if tok is None:
-            tok = self.toks[self.i - 1] if self.i else None
-        col = tok.col if tok else 1
-        raise ParseError(msg, self.line, col)
-
-    def peek(self) -> Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self._err("unexpected end of expression")
-        self.i += 1
-        return tok
 
     def _nest(self, tok: Token):
         self.depth += 1
         if self.depth > self.MAX_NESTING:
-            self._err(f"expression nested deeper than {self.MAX_NESTING} levels", tok)
+            self.cur.error(f"expression nested deeper than {self.MAX_NESTING} levels", tok)
+
+    def _int(self, message: str) -> tuple[Token, int]:
+        """An unsigned integer literal and its token."""
+        tok = self.cur.peek() or self.cur.next()  # next() fails at the end of the line
+        if tok.kind != "INT":
+            self.cur.error(message, tok)
+        return tok, self.cur.int(message)
 
     def at_stop(self) -> bool:
-        tok = self.peek()
+        tok = self.cur.peek()
         if tok is None:
             return True
         if tok.kind == "IDENT" and tok.text in KEYWORDS:
@@ -162,27 +328,27 @@ class ExprEval:
     def parse(self):
         val = self.expr()
         if not self.at_stop():
-            self._err(f"unexpected token {self.peek().text!r}", self.peek())
+            self.cur.error(f"unexpected token {self.cur.peek().text!r}")
         return val
 
     def expr(self):
         val = self.term()
         while True:
-            tok = self.peek()
+            tok = self.cur.peek()
             if tok is None or tok.kind != "OP" or tok.text not in ("+", "-"):
                 return val
-            self.next()
+            self.cur.next()
             rhs = self.term()
             val = self._add(val, rhs, tok) if tok.text == "+" else self._sub(val, rhs, tok)
 
     def term(self):
         val = self.factor()
         while True:
-            tok = self.peek()
+            tok = self.cur.peek()
             if tok is None:
                 return val
             if tok.kind == "OP" and tok.text in ("*", "·"):
-                self.next()
+                self.cur.next()
                 val = self._mul(val, self.factor(), tok)
                 continue
             if self.at_stop():
@@ -193,69 +359,57 @@ class ExprEval:
             return val
 
     def factor(self):
-        tok = self.peek()
+        tok = self.cur.peek()
         if tok is not None and tok.kind == "OP" and tok.text == "-":
-            self.next()
+            self.cur.next()
             self._nest(tok)
             val = self._neg(self.factor(), tok)
             self.depth -= 1
             return val
         val = self.primary()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "OP" or tok.text != "^":
-                return val
-            self.next()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "OP" and nxt.text == "(":
-                self.next()
-                m_tok = self.next()
-                if m_tok.kind != "INT":
-                    self._err("divided power needs an integer", m_tok)
-                close = self.next()
+        while self.cur.take("^"):
+            if self.cur.take("("):
+                m_tok, m = self._int("divided power needs an integer")
+                close = self.cur.next()
                 if close.kind != "OP" or close.text != ")":
-                    self._err("expected ')'", close)
-                val = self._divided(val, int(m_tok.text), m_tok)
+                    self.cur.error("expected ')'", close)
+                val = self._divided(val, m, m_tok)
             else:
-                m_tok = self.next()
-                if m_tok.kind != "INT":
-                    self._err("power needs an integer", m_tok)
-                val = self._power(val, int(m_tok.text), m_tok)
+                m_tok, m = self._int("power needs an integer")
+                val = self._power(val, m, m_tok)
+        return val
 
     def primary(self):
-        tok = self.next()
-        if tok.kind == "IDENT":
-            if tok.text in KEYWORDS:
-                self._err(f"{tok.text!r} is a reserved word", tok)
-            val = self.resolve(tok.text)
-            if val is None:
-                self._err(f"unknown identifier {tok.text!r}", tok)
-            return val
+        tok = self.cur.peek() or self.cur.next()
         if tok.kind == "INT":
-            numer = int(tok.text)
-            nxt = self.peek()
+            numer, denom = self.cur.int("numerator"), 1
+            after = self.cur.peek(1)
+            if after is not None and after.kind == "INT" and self.cur.take("/"):
+                denom = self.cur.int("denominator")
             try:
-                if nxt is not None and nxt.kind == "OP" and nxt.text == "/":
-                    after = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else None
-                    if after is not None and after.kind == "INT":
-                        self.next()
-                        denom_tok = self.next()
-                        return self.constant(Fraction(numer, int(denom_tok.text)))
-                return self.constant(Fraction(numer))
+                return self.names.constant(Fraction(numer, denom))
             except ZeroDivisionError as exc:
                 msg = str(exc)
                 if "Fraction" in msg:
                     msg = "zero denominator"
-                self._err(f"invalid literal: {msg}", tok)
+                self.cur.error(f"invalid literal: {msg}", tok)
+        self.cur.next()
+        if tok.kind == "IDENT":
+            if tok.text in KEYWORDS:
+                self.cur.error(f"{tok.text!r} is a reserved word", tok)
+            val = self.names.lookup(tok.text)
+            if val is None:
+                self.cur.error(self.names.unknown(tok.text), tok)
+            return val
         if tok.kind == "OP" and tok.text == "(":
             self._nest(tok)
             val = self.expr()
-            close = self.next()
+            close = self.cur.next()
             if close.kind != "OP" or close.text != ")":
-                self._err("expected ')'", close)
+                self.cur.error("expected ')'", close)
             self.depth -= 1
             return val
-        self._err(f"unexpected token {tok.text!r}", tok)
+        self.cur.error(f"unexpected token {tok.text!r}", tok)
 
     # --- typed operations --------------------------------------------------
 
@@ -271,11 +425,11 @@ class ExprEval:
                     out[i] = s
             return _ModElem(a.ctx, out)
         if isinstance(a, _ModElem) or isinstance(b, _ModElem):
-            self._err("cannot add a module element and a ring element", tok)
+            self.cur.error("cannot add a module element and a ring element", tok)
         try:
             return a + b
         except (TowerError, EnvelopeError) as exc:
-            self._err(str(exc), tok)
+            self.cur.error(str(exc), tok)
 
     def _sub(self, a, b, tok):
         return self._add(a, self._neg(b, tok), tok)
@@ -287,7 +441,7 @@ class ExprEval:
 
     def _mul(self, a, b, tok):
         if isinstance(a, _ModElem) and isinstance(b, _ModElem):
-            self._err("cannot multiply two module elements", tok)
+            self.cur.error("cannot multiply two module elements", tok)
         try:
             if isinstance(a, _ModElem):
                 out = {}
@@ -314,23 +468,23 @@ class ExprEval:
                 return _ModElem(b.ctx, out)
             return a * b
         except (TowerError, EnvelopeError) as exc:
-            self._err(str(exc), tok)
+            self.cur.error(str(exc), tok)
 
     def _power(self, a, m: int, tok):
         if isinstance(a, _ModElem):
-            self._err("cannot take powers of a module element", tok)
+            self.cur.error("cannot take powers of a module element", tok)
         try:
             return a.power(m)
         except (TowerError, EnvelopeError) as exc:
-            self._err(str(exc), tok)
+            self.cur.error(str(exc), tok)
 
     def _divided(self, a, m: int, tok):
         if isinstance(a, _ModElem):
-            self._err("cannot take powers of a module element", tok)
+            self.cur.error("cannot take powers of a module element", tok)
         try:
             return a.divided_power(m)
         except (TowerError, EnvelopeError) as exc:
-            self._err(str(exc), tok)
+            self.cur.error(str(exc), tok)
 
 
 # ---------------------------------------------------------------------------
@@ -405,65 +559,6 @@ class Session:
 # ---------------------------------------------------------------------------
 
 
-def _expect_ident(toks: list[Token], i: int, line: int, what: str) -> Token:
-    if i >= len(toks) or toks[i].kind != "IDENT":
-        col = toks[i].col if i < len(toks) else (toks[-1].col if toks else 1)
-        raise ParseError(f"expected {what}", line, col)
-    return toks[i]
-
-
-def _expect_int(toks: list[Token], i: int, line: int, what: str) -> int:
-    sign = 1
-    if i < len(toks) and toks[i].kind == "OP" and toks[i].text == "-":
-        sign = -1
-        i += 1
-    if i >= len(toks) or toks[i].kind != "INT":
-        col = toks[i].col if i < len(toks) else (toks[-1].col if toks else 1)
-        raise ParseError(f"expected {what}", line, col)
-    return sign * int(toks[i].text)
-
-
-def _int_width(toks: list[Token], i: int) -> int:
-    return 2 if (toks[i].kind == "OP" and toks[i].text == "-") else 1
-
-
-def _parse_window(toks: list[Token], i: int, line: int) -> tuple[BidegreeWindow, int]:
-    h0 = _expect_int(toks, i, line, "window hmin")
-    i += _int_width(toks, i)
-    for _ in range(2):
-        if i >= len(toks) or toks[i].text != ":":
-            raise ParseError("window must look like hmin:hmax:wmax", line,
-                             toks[i - 1].col)
-        i += 1
-        if _ == 0:
-            h1 = _expect_int(toks, i, line, "window hmax")
-        else:
-            w = _expect_int(toks, i, line, "window wmax")
-        i += _int_width(toks, i)
-    try:
-        return BidegreeWindow(h0, h1, w), i
-    except ModuleError as exc:
-        raise ParseError(str(exc), line, toks[0].col) from None
-
-
-def _keyword_split(toks: list[Token]) -> tuple[list[Token], dict]:
-    """Split trailing `over/hbound/wbound/budget <int>` arguments off a line."""
-    kw: dict = {}
-    head_end = len(toks)
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if t.kind == "IDENT" and t.text in ("over", "hbound", "wbound", "budget"):
-            if head_end == len(toks):
-                head_end = i
-            val = _expect_int(toks, i + 1, t.line, f"integer after {t.text!r}")
-            kw[t.text] = val
-            i += 1 + _int_width(toks, i + 1)
-            continue
-        i += 1
-    return toks[:head_end], kw
-
-
 class _Builder:
     def __init__(self):
         self.field: Field | None = None
@@ -473,28 +568,28 @@ class _Builder:
         self.modules: dict[str, SemifreeModule] = {}
         self.module_order: list[str] = []
         self.commands: list[Command] = []
-        # module under construction
+        # module under construction; cur_diffs maps a generator's index to
+        # the terms of its differential
         self.cur_name: str | None = None
         self.cur_gens: list[tuple[str, int, int]] = []
-        self.cur_diffs: dict = {}
+        self.cur_diffs: dict[int, dict] = {}
         self.cur_line = 0
 
-    def ensure_ring(self, line: int):
+    def ensure_tower(self):
         if self.field is None:
             self.field = Field()
         if self.ring is None:
             self.ring = PolyRing(self.field, (), ())
-
-    def ensure_tower(self, line: int):
-        self.ensure_ring(line)
         if self.tower is None:
             self.tower = TowerAlgebra(self.ring, self.flavor or DIVIDED)
 
     def flush_module(self):
         if self.cur_name is None:
             return
+        diffs = {(alpha, beta): coeff for beta, terms in self.cur_diffs.items()
+                 for alpha, coeff in sorted(terms.items())}
         try:
-            module = make_semifree(self.tower, self.cur_gens, self.cur_diffs)
+            module = make_semifree(self.tower, self.cur_gens, diffs)
         except ModuleError as exc:
             raise ParseError(str(exc), self.cur_line, 1) from None
         self.modules[self.cur_name] = module
@@ -503,384 +598,237 @@ class _Builder:
         self.cur_gens = []
         self.cur_diffs = {}
 
-    # --- expression contexts ---------------------------------------------
-
-    def tower_resolver(self):
-        tower = self.tower
-
-        def resolve(name: str):
-            if name in tower.base.names:
-                return tower.from_poly(tower.base.var(name))
-            for v in tower.variables:
-                if v.name == name:
-                    return tower.gen(name)
-            return None
-
-        return resolve, lambda q: tower.constant(tower.base.field.of(q.numerator, q.denominator))
-
-    def envelope_resolver(self, env: EnvelopeAlgebra):
-        tower = self.tower
-
-        def resolve(name: str):
-            if name in tower.base.names:
-                return env.include_right(tower.from_poly(tower.base.var(name)))
-            for i, v in enumerate(tower.variables):
-                if v.name == name:
-                    return env.include_right(tower.gen(name))
-            if name.endswith("o"):
-                stem = name[:-1]
-                for i, v in enumerate(tower.variables):
-                    if v.name == stem:
-                        return env.include_left(tower.gen(stem))
-                if stem in tower.base.names:
-                    return env.include_right(tower.from_poly(tower.base.var(stem)))
-            if name.startswith("xi_"):
-                stem = name[3:]
-                for i, v in enumerate(tower.variables):
-                    if v.name == stem and i >= env.a_prefix:
-                        return env.xi(i - env.a_prefix)
-            return None
-
-        def constant(q):
-            return env.include_right(tower.constant(tower.base.field.of(q.numerator, q.denominator)))
-
-        return resolve, constant
-
-    def module_resolver(self, gen_index: dict, gen_specs):
-        tower_resolve, constant = self.tower_resolver()
-        tower = self.tower
-
-        def resolve(name: str):
-            if name in gen_index:
-                i = gen_index[name]
-                return _ModElem(gen_specs, {i: tower.one()})
-            return tower_resolve(name)
-
-        return resolve, constant
-
     # --- statements ---------------------------------------------------------
 
-    def stmt(self, toks: list[Token], line: int):
-        head = toks[0]
-        if head.kind != "IDENT":
-            raise ParseError("expected a statement keyword", line, head.col)
-        kind = head.text
-        if kind == "field":
-            self.do_field(toks, line)
-        elif kind == "base":
-            self.do_base(toks, line)
-        elif kind == "tower":
-            self.do_tower(toks, line)
-        elif kind == "var":
-            self.do_var(toks, line)
-        elif kind == "module":
-            self.do_module(toks, line)
-        elif kind == "gen":
-            self.do_gen(toks, line)
-        elif kind == "d":
-            self.do_diff(toks, line)
-        elif kind == "run":
-            self.do_run(toks, line)
-        else:
-            raise ParseError(f"unknown statement {kind!r}", line, head.col)
+    def stmt(self, cur: _Cursor):
+        head = cur.ident("a statement keyword")
+        handler = {
+            "field": self.do_field,
+            "base": self.do_base,
+            "tower": self.do_tower,
+            "var": self.do_var,
+            "module": self.do_module,
+            "gen": self.do_gen,
+            "d": self.do_diff,
+            "run": self.do_run,
+        }.get(head.text)
+        if handler is None:
+            cur.error(f"unknown statement {head.text!r}", head)
+        handler(cur, head)
+        cur.done()
 
-    def do_field(self, toks, line):
+    def do_field(self, cur, head):
         if self.field is not None:
-            raise ParseError(
-                "field already fixed (declare it before base and tower)", line,
-                toks[0].col,
-            )
-        spec = _expect_ident(toks, 1, line, "Q or F <p>")
+            cur.error("field already fixed (declare it before base and tower)", head)
+        spec = cur.ident("Q or F <p>")
         if spec.text == "Q":
             self.field = Field()
         elif spec.text == "F":
-            p = _expect_int(toks, 2, line, "prime modulus")
+            p_tok = cur.peek()
+            p = cur.int("prime modulus")
             try:
                 self.field = Field(p)
             except ValueError as exc:
-                raise ParseError(str(exc), line, toks[2].col) from None
+                cur.error(str(exc), p_tok)
         else:
-            raise ParseError("field must be Q or F <p>", line, spec.col)
+            cur.error("field must be Q or F <p>", spec)
 
-    def do_base(self, toks, line):
+    def do_base(self, cur, head):
         if self.ring is not None:
-            raise ParseError("base already declared", line, toks[0].col)
+            cur.error("base already declared", head)
         if self.field is None:
             self.field = Field()
         names, weights = [], []
-        i = 1
-        while i < len(toks):
-            name = _expect_ident(toks, i, line, "variable name")
+        while cur.peek() is not None:
+            name = cur.ident("variable name")
             if name.text in KEYWORDS:
-                raise ParseError(f"{name.text!r} is reserved", line, name.col)
-            if i + 1 >= len(toks) or toks[i + 1].text != ":":
-                raise ParseError("base entries look like name:weight", line, name.col)
-            w = _expect_int(toks, i + 2, line, "weight")
+                cur.error(f"{name.text!r} is reserved", name)
+            cur.expect(":", "base entries look like name:weight")
             names.append(name.text)
-            weights.append(w)
-            i += 3
+            weights.append(cur.int("weight"))
         try:
             self.ring = PolyRing(self.field, tuple(names), tuple(weights))
         except ValueError as exc:
-            raise ParseError(str(exc), line, toks[0].col) from None
+            cur.error(str(exc), head)
 
-    def do_tower(self, toks, line):
+    def do_tower(self, cur, head):
         if self.tower is not None:
-            raise ParseError("tower already declared", line, toks[0].col)
-        flavor = _expect_ident(toks, 1, line, "divided or ordinary")
+            cur.error("tower already declared", head)
+        flavor = cur.ident("divided or ordinary")
         if flavor.text not in (DIVIDED, ORDINARY):
-            raise ParseError("tower flavor must be divided or ordinary", line, flavor.col)
+            cur.error("tower flavor must be divided or ordinary", flavor)
         self.flavor = flavor.text
-        self.ensure_tower(line)
+        self.ensure_tower()
 
-    def do_var(self, toks, line):
-        self.ensure_tower(line)
+    def do_var(self, cur, head):
+        self.ensure_tower()
         if self.cur_name is not None:
-            raise ParseError("tower variables must come before modules", line, toks[0].col)
-        name = _expect_ident(toks, 1, line, "variable name")
+            cur.error("tower variables must come before modules", head)
+        name = cur.ident("variable name")
         if name.text in KEYWORDS or name.text.endswith("o") or name.text.startswith("xi_"):
-            raise ParseError(
-                f"{name.text!r} cannot be used as a variable name", line, name.col
-            )
-        i = 2
-        deg = wt = None
-        dexpr_toks = None
-        while i < len(toks):
-            key = _expect_ident(toks, i, line, "deg, wt or d")
-            if key.text == "deg":
-                deg = _expect_int(toks, i + 1, line, "degree")
-                i += 1 + _int_width(toks, i + 1)
-            elif key.text == "wt":
-                wt = _expect_int(toks, i + 1, line, "weight")
-                i += 1 + _int_width(toks, i + 1)
-            elif key.text == "d":
-                dexpr_toks = toks[i + 1 :]
-                break
-            else:
-                raise ParseError(f"unexpected {key.text!r}", line, key.col)
-        if deg is None or wt is None:
-            raise ParseError("var needs deg and wt", line, toks[0].col)
-        target = None
-        if dexpr_toks:
-            resolve, constant = self.tower_resolver()
-            target = ExprEval(dexpr_toks, resolve, constant, line).parse()
+            cur.error(f"{name.text!r} cannot be used as a variable name", name)
+        kw = cur.keywords(("deg", "wt"))
+        target = ExprEval(cur, _Names(self.tower)).parse() if cur.take("d") else None
+        if "deg" not in kw or "wt" not in kw:
+            cur.error("var needs deg and wt", head)
         try:
-            self.tower = self.tower.adjoin(name.text, deg, wt, target)
+            self.tower = self.tower.adjoin(name.text, kw["deg"], kw["wt"], target)
         except TowerError as exc:
-            raise ParseError(str(exc), line, name.col) from None
+            cur.error(str(exc), name)
 
-    def do_module(self, toks, line):
-        self.ensure_tower(line)
+    def do_module(self, cur, head):
+        self.ensure_tower()
         self.flush_module()
-        name = _expect_ident(toks, 1, line, "module name")
+        name = cur.ident("module name")
         if name.text in KEYWORDS or name.text in self.modules:
-            raise ParseError(f"bad module name {name.text!r}", line, name.col)
+            cur.error(f"bad module name {name.text!r}", name)
         self.cur_name = name.text
-        self.cur_line = line
+        self.cur_line = cur.line
 
-    def do_gen(self, toks, line):
+    def do_gen(self, cur, head):
         if self.cur_name is None:
-            raise ParseError("gen outside a module section", line, toks[0].col)
-        name = _expect_ident(toks, 1, line, "generator name")
+            cur.error("gen outside a module section", head)
+        name = cur.ident("generator name")
         taken = {g for g, _, _ in self.cur_gens}
         if name.text in KEYWORDS or name.text in taken:
-            raise ParseError(f"bad generator name {name.text!r}", line, name.col)
-        resolve, _ = self.tower_resolver()
-        if resolve(name.text) is not None:
-            raise ParseError(
-                f"{name.text!r} already names a ring element", line, name.col
-            )
-        i = 2
-        deg = wt = None
-        while i + 1 < len(toks):
-            key = _expect_ident(toks, i, line, "deg or wt")
-            if key.text == "deg":
-                deg = _expect_int(toks, i + 1, line, "degree")
-            elif key.text == "wt":
-                wt = _expect_int(toks, i + 1, line, "weight")
-            else:
-                raise ParseError(f"unexpected {key.text!r}", line, key.col)
-            i += 1 + _int_width(toks, i + 1)
-        if deg is None or wt is None:
-            raise ParseError("gen needs deg and wt", line, toks[0].col)
-        self.cur_gens.append((name.text, deg, wt))
+            cur.error(f"bad generator name {name.text!r}", name)
+        if _Names(self.tower).lookup(name.text) is not None:
+            cur.error(f"{name.text!r} already names a ring element", name)
+        kw = cur.keywords(("deg", "wt"))
+        if "deg" not in kw or "wt" not in kw:
+            cur.error("gen needs deg and wt", head)
+        self.cur_gens.append((name.text, kw["deg"], kw["wt"]))
 
-    def do_diff(self, toks, line):
+    def do_diff(self, cur, head):
         if self.cur_name is None:
-            raise ParseError("d outside a module section", line, toks[0].col)
-        name = _expect_ident(toks, 1, line, "generator name")
-        gen_index = {g: i for i, (g, _, _) in enumerate(self.cur_gens)}
-        if name.text not in gen_index:
-            raise ParseError(f"unknown generator {name.text!r}", line, name.col)
-        if len(toks) < 3 or toks[2].text != "=":
-            raise ParseError("expected '=' after the generator", line, name.col)
-        from .dg_module import BasisElement
-
+            cur.error("d outside a module section", head)
+        name = cur.ident("generator name")
         specs = [BasisElement(g, dg, w) for g, dg, w in self.cur_gens]
-        resolve, constant = self.module_resolver(gen_index, specs)
-        val = ExprEval(toks[3:], resolve, constant, line).parse()
+        names = _ModuleNames(self.tower, specs)
+        beta = names.gen_index.get(name.text)
+        if beta is None:
+            cur.error(f"unknown generator {name.text!r}", name)
+        if beta in self.cur_diffs:
+            cur.error(f"differential of {name.text} already given", name)
+        cur.expect("=", "expected '=' after the generator")
+        start = cur.peek()
+        val = ExprEval(cur, names).parse()
         if not isinstance(val, _ModElem):
-            raise ParseError("differential must be a module element", line, toks[3].col)
-        beta = gen_index[name.text]
-        for alpha, coeff in sorted(val.terms.items()):
-            self.cur_diffs[(alpha, beta)] = coeff
+            cur.error("differential must be a module element", start)
+        self.cur_diffs[beta] = val.terms
 
-    def do_run(self, toks, line):
-        self.ensure_tower(line)
+    def do_run(self, cur, head):
+        self.ensure_tower()
         self.flush_module()
-        cmd = _expect_ident(toks, 1, line, "command name")
+        cmd = cur.ident("command name")
         name = cmd.text
-        if name == "naive" or name == "check" or name == "envelope" or name == "filtration":
-            # hyphenated command names arrive as IDENT OP(-) IDENT
-            if len(toks) > 3 and toks[2].text == "-" and toks[3].kind == "IDENT":
-                name = f"{name}-{toks[3].text}"
-                rest = toks[4:]
-            else:
-                raise ParseError(f"unknown command {name!r}", line, cmd.col)
-        else:
-            rest = toks[2:]
+        # hyphenated command names arrive as IDENT OP(-) IDENT
+        if name in ("naive", "check", "envelope", "filtration") and cur.take("-"):
+            name = f"{name}-{cur.ident('command name').text}"
         handler = {
             "check-axioms": self.cmd_check_axioms,
             "eval": self.cmd_eval,
             "envelope-basis": self.cmd_envelope_basis,
-            "omega": self.cmd_omega,
-            "filtration-level": self.cmd_filtration,
+            "omega": self.cmd_envelope_expr,
+            "filtration-level": self.cmd_envelope_expr,
             "ext": self.cmd_ext,
             "naive-lift": self.cmd_naive_lift,
             "tate": self.cmd_tate,
         }.get(name)
         if handler is None:
-            raise ParseError(f"unknown command {name!r}", line, cmd.col)
-        handler(rest, line)
+            cur.error(f"unknown command {name!r}", cmd)
+        handler(cur, name)
 
-    def _check_prefix(self, k: int, line: int, col: int) -> int:
+    def _over(self, cur: _Cursor, at: Token) -> int:
+        """The `over` keyword: a prefix length of the tower, 0 by default;
+        a bad one is reported at `at`."""
+        k = cur.keywords(("over",)).get("over", 0)
         if not (0 <= k <= self.tower.n):
-            raise ParseError(
-               f"over takes a prefix length in [0, {self.tower.n}]", line, col
-            )
+            cur.error(f"over takes a prefix length in [0, {self.tower.n}]", at)
         return k
 
-    def cmd_check_axioms(self, toks, line):
-        _, kw = _keyword_split(toks)
+    def cmd_check_axioms(self, cur, kind):
+        kw = cur.keywords(("budget", "wbound"))
         self.commands.append(Command(
-            "check-axioms",
-            {"budget": kw.get("budget"), "wbound": kw.get("wbound")},
-            line,
+            kind, {"budget": kw.get("budget"), "wbound": kw.get("wbound")}, cur.line
         ))
 
-    def cmd_eval(self, toks, line):
-        if not toks:
-            raise ParseError("eval needs an expression", line, 1)
-        resolve, constant = self.tower_resolver()
-        val = ExprEval(toks, resolve, constant, line).parse()
-        if isinstance(val, _ModElem):
-            raise ParseError("eval works on ring elements", line, toks[0].col)
-        self.commands.append(Command("eval", {"expr": val}, line))
+    def cmd_eval(self, cur, kind):
+        if cur.peek() is None:
+            cur.error("eval needs an expression")
+        val = ExprEval(cur, _Names(self.tower)).parse()
+        self.commands.append(Command(kind, {"expr": val}, cur.line))
 
-    def cmd_envelope_basis(self, toks, line):
-        head, kw = _keyword_split(toks)
-        if not head:
-            raise ParseError("envelope-basis needs a window", line, 1)
-        window, i = _parse_window(head, 0, line)
-        over = self._check_prefix(kw.get("over", 0), line, head[0].col)
-        self.commands.append(Command(
-            "envelope-basis", {"window": window, "over": over}, line
-        ))
+    def cmd_envelope_basis(self, cur, kind):
+        start = cur.peek()
+        if start is None:
+            cur.error("envelope-basis needs a window")
+        window = cur.window()
+        over = self._over(cur, start)
+        self.commands.append(Command(kind, {"window": window, "over": over}, cur.line))
 
-    def _envelope_expr_cmd(self, kind: str, toks, line):
-        head, kw = _keyword_split(toks)
-        if not head:
-            raise ParseError(f"{kind} needs an expression", line, 1)
-        over = self._check_prefix(kw.get("over", 0), line, head[0].col)
-        env = EnvelopeAlgebra(self.tower, over)
-        resolve, constant = self.envelope_resolver(env)
-        val = ExprEval(head, resolve, constant, line).parse()
+    def cmd_envelope_expr(self, cur, kind):
+        # the value depends on the prefix, so `over` is read before the
+        # expression in front of it is evaluated
+        expr = cur.until(KEYWORDS)
+        start = expr.peek()
+        if start is None:
+            cur.error(f"{kind} needs an expression")
+        env = EnvelopeAlgebra(self.tower, self._over(cur, start))
+        val = ExprEval(expr, _EnvelopeNames(env)).parse()
+        expr.done()
         if not isinstance(val, EnvelopeElement):
-            raise ParseError("expected an envelope element", line, head[0].col)
-        self.commands.append(Command(kind, {"expr": val, "over": over}, line))
+            cur.error("expected an envelope element", start)
+        self.commands.append(Command(kind, {"expr": val, "over": env.a_prefix}, cur.line))
 
-    def cmd_omega(self, toks, line):
-        self._envelope_expr_cmd("omega", toks, line)
-
-    def cmd_filtration(self, toks, line):
-        self._envelope_expr_cmd("filtration-level", toks, line)
-
-    def cmd_ext(self, toks, line):
-        m = _expect_ident(toks, 0, line, "module name")
-        l = _expect_ident(toks, 1, line, "module name")
+    def cmd_ext(self, cur, kind):
+        m = cur.ident("module name")
+        l = cur.ident("module name")
         for t in (m, l):
             if t.text not in self.modules:
-                raise ParseError(f"unknown module {t.text!r}", line, t.col)
-        i0 = _expect_int(toks, 2, line, "i range start")
-        j = 2 + _int_width(toks, 2)
-        if j >= len(toks) or toks[j].text != "..":
-            raise ParseError("i range looks like 0..3", line, toks[j - 1].col)
-        i1 = _expect_int(toks, j + 1, line, "i range end")
-        j += 1 + _int_width(toks, j + 1)
-        window = None
-        if j < len(toks):
-            window, j = _parse_window(toks, j, line)
+                cur.error(f"unknown module {t.text!r}", t)
+        i0 = cur.int("i range start")
+        cur.expect("..", "i range looks like 0..3")
+        i1 = cur.int("i range end")
+        window = cur.window() if cur.peek() is not None else None
         self.commands.append(Command(
-            "ext",
-            {"m": m.text, "l": l.text, "i0": i0, "i1": i1, "window": window},
-            line,
+            kind, {"m": m.text, "l": l.text, "i0": i0, "i1": i1, "window": window}, cur.line
         ))
 
-    def cmd_naive_lift(self, toks, line):
-        head, kw = _keyword_split(toks)
-        name = _expect_ident(head, 0, line, "module name")
+    def cmd_naive_lift(self, cur, kind):
+        name = cur.ident("module name")
         if name.text not in self.modules:
-            raise ParseError(f"unknown module {name.text!r}", line, name.col)
-        over = self._check_prefix(kw.get("over", 0), line, name.col)
-        self.commands.append(Command(
-            "naive-lift", {"module": name.text, "over": over}, line
-        ))
+            cur.error(f"unknown module {name.text!r}", name)
+        over = self._over(cur, name)
+        self.commands.append(Command(kind, {"module": name.text, "over": over}, cur.line))
 
-    def cmd_tate(self, toks, line):
-        head, kw = _keyword_split(toks)
-        if "hbound" not in kw or "wbound" not in kw:
-            raise ParseError("tate needs hbound and wbound", line,
-                             toks[0].col if toks else 1)
-        tower_vars = {v.name for v in self.tower.variables}
-        gens = []
-        i = 0
-        while i < len(head):
-            seg = []
-            while i < len(head) and head[i].text != ",":
-                seg.append(head[i])
-                i += 1
-            if not seg:
-                raise ParseError("empty ideal generator", line, head[i].col)
-            for tok in seg:
-                if tok.kind == "IDENT" and tok.text in tower_vars:
-                    raise ParseError(f"unknown identifier {tok.text!r}: ideal generators "
-                                     "live in the base ring", line, tok.col)
-            bare = TowerAlgebra(self.ring, self.flavor or DIVIDED)
-
-            def resolve(name, _bare=bare):
-                if name in _bare.base.names:
-                    return _bare.from_poly(_bare.base.var(name))
-                return None
-
-            def constant(q, _bare=bare):
-                return _bare.constant(_bare.base.field.of(q.numerator, q.denominator))
-
-            val = ExprEval(seg, resolve, constant, line).parse()
+    def cmd_tate(self, cur, kind):
+        # the generators are the tokens before the first keyword, as the
+        # expression of `run omega` is
+        args = cur.until(KEYWORDS)
+        first = args.peek()
+        if first is None:
+            cur.error("tate needs at least one generator")
+        names = _Names(self.tower, base_only=True)
+        gens, comma = [], None
+        while not gens or comma:
+            start = args.peek()
+            if start is None or start.text == ",":
+                args.error("empty ideal generator", start or comma)
+            val = ExprEval(args, names).parse()
             if val.is_zero():
-                raise ParseError("ideal generator is zero", line, seg[0].col)
-            poly = val.terms[()]  # `bare` has no tower variables
+                args.error("ideal generator is zero", start)
+            (poly,) = val.terms.values()  # no tower variable occurs
             if poly.weight() is None:
-                raise ParseError("ideal generators must be weight-homogeneous",
-                                 line, seg[0].col)
+                args.error("ideal generators must be weight-homogeneous", start)
             gens.append(poly)
-            if i == len(head) - 1:
-                raise ParseError("empty ideal generator", line, head[i].col)
-            i += 1  # skip the comma
-        if not gens:
-            raise ParseError("tate needs at least one generator", line, 1)
+            comma = args.take(",")
+        args.done()
+        kw = cur.keywords(("hbound", "wbound"))
+        if "hbound" not in kw or "wbound" not in kw:
+            cur.error("tate needs hbound and wbound", first)
         self.commands.append(Command(
-            "tate", {"gens": gens, "hbound": kw["hbound"], "wbound": kw["wbound"]},
-            line,
+            kind, {"gens": gens, "hbound": kw["hbound"], "wbound": kw["wbound"]}, cur.line
         ))
 
 
@@ -889,10 +837,9 @@ def parse_session(text: str) -> Session:
     builder = _Builder()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = tokenize_line(raw, line_no)
-        if not toks:
-            continue
-        builder.stmt(toks, line_no)
-    builder.ensure_tower(0)
+        if toks:
+            builder.stmt(_Cursor(toks, line_no))
+    builder.ensure_tower()
     builder.flush_module()
     return Session(
         field=builder.field,

@@ -3,8 +3,10 @@ layers never import the parser or the command line, and `render` imports no
 dglift module, so that every layer can use it; only `base_ring`, which holds
 the one elimination kernel, inverts field scalars; in `homological` only
 `HomComplex` reads a module's differential, so the Hom differential has one
-home; and in `dg_algebra` only `TowerAlgebra.monomial_diff` applies the
-Leibniz rule, so every differential of a tower element goes through its memo."""
+home; in `dg_algebra` only `TowerAlgebra.monomial_diff` applies the
+Leibniz rule, so every differential of a tower element goes through its memo;
+and in `session` only `_Cursor` turns token text into an integer, so bounds on
+the numbers of a session have one place to go."""
 
 from __future__ import annotations
 
@@ -73,4 +75,15 @@ def test_only_monomial_diff_applies_the_leibniz_rule():
     calls = [node for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "variable_diff"]
+    assert calls and all(id(node) in inside for node in calls)
+
+
+def test_only_the_cursor_reads_integers():
+    tree = ast.parse((SRC / "session.py").read_text(encoding="utf-8"))
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "_Cursor"
+              for node in ast.walk(cls)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "int"]
     assert calls and all(id(node) in inside for node in calls)

@@ -92,6 +92,25 @@ d f = e·(x + x^2)
         parse_session(text)
 
 
+def test_second_differential_line_is_an_error():
+    text = """\
+field Q
+base x:1 y:1
+tower divided
+module N
+gen e deg 0 wt 0
+gen g deg 0 wt 0
+gen f deg 1 wt 1
+d f = e·x + g·y
+d f = e·y
+"""
+    with pytest.raises(ParseError, match="differential of f already given") as err:
+        parse_session(text)
+    assert (err.value.line, err.value.col) == (9, 3)
+    n = parse_session(text.rsplit("d f", 1)[0]).modules["N"]
+    assert set(n.diff) == {(0, 2), (1, 2)}
+
+
 def test_module_left_coefficient_flip():
     text = """\
 field Q
