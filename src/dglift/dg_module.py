@@ -15,7 +15,12 @@ from .render import monomial_text
 
 
 class ModuleError(ValueError):
-    pass
+    """A module refused; `generator` is the index of the basis element whose
+    differential is at fault, when the refusal comes from one."""
+
+    def __init__(self, message: str, generator: int | None = None):
+        super().__init__(message)
+        self.generator = generator
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class SemifreeModule:
             if a >= b:
                 raise ModuleError(
                     f"differential of {self.basis[b].name} hits {self.basis[a].name}: "
-                    "not strictly lower-triangular in the basis order"
+                    "not strictly lower-triangular in the basis order", b
                 )
             if entry.tower is not self.tower and entry.tower != self.tower:
                 raise ModuleError("differential entry lives in the wrong tower")
@@ -95,12 +100,12 @@ class SemifreeModule:
             if entry.degree() != want_deg:
                 raise ModuleError(
                     f"entry ({self.basis[a].name},{self.basis[b].name}) must be "
-                    f"homogeneous of degree {want_deg}"
+                    f"homogeneous of degree {want_deg}", b
                 )
             if entry.weight() != want_wt:
                 raise ModuleError(
                     f"entry ({self.basis[a].name},{self.basis[b].name}) must have "
-                    f"weight {want_wt}"
+                    f"weight {want_wt}", b
                 )
         for b in range(r):
             dd = self.apply_diff(self.apply_diff({b: self.tower.one()}))
@@ -108,7 +113,7 @@ class SemifreeModule:
                 g = min(dd)
                 raise ModuleError(
                     f"d^2 ({self.basis[b].name}) != 0, component at "
-                    f"{self.basis[g].name}: {dd[g]!r}"
+                    f"{self.basis[g].name}: {dd[g]!r}", b
                 )
 
     # --- elements ---------------------------------------------------------

@@ -30,6 +30,11 @@ class HomComplex:
     The (d, w) slice is spanned by maps sending one basis element e_a of M to
     one field-basis vector of L at bidegree (|e_a|+d, wt(e_a)+w); the
     differential is D(phi) = dL 。phi - (-1)^{|phi|} phi 。dM.
+
+    D is assembled from blocks (the twisted differential of Hom out of a
+    semifree module): the column of phi: e_a -> v is d_L(v) at a, plus
+    -(-1)^{|phi|} v·dM[a, b] at each b with an entry dM[a, b].  The blocks
+    are memoised here, and die with the complex.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -40,6 +45,18 @@ class HomComplex:
         self._slices: dict[tuple[int, int], list] = {}
         self._matrices: dict[tuple[int, int], list] = {}
         self._ranks: dict[tuple[int, int], int] = {}
+        # dM by row a: [(b, dM[a, b])]; dL by column i: [(a, dL[a, i])]
+        self._m_rows: dict[int, list] = {}
+        for (a, b), entry in m.diff.items():
+            self._m_rows.setdefault(a, []).append((b, entry))
+        self._l_cols: dict[int, list] = {}
+        for (a, i), entry in l.diff.items():
+            self._l_cols.setdefault(i, []).append((a, entry))
+        # (h, w) -> [(label, column of d_L)] on that slice of L, in
+        # slice_labels order
+        self._dl: dict[tuple[int, int], list] = {}
+        # (a, b, exps, bex) -> coordinates of X^exps x^bex · dM[a, b]
+        self._products: dict[tuple, list] = {}
 
     def require_complete(self, d: int, w: int):
         for e in self.m.basis:
@@ -63,20 +80,35 @@ class HomComplex:
     def dim(self, d: int, w: int) -> int:
         return len(self.slice_labels(d, w))
 
-    def map_image(self, alpha: int, lab, d: int) -> dict:
-        """D(phi) for the basis map phi: e_alpha -> label, as {beta: L-element}."""
-        m, l = self.m, self.l
-        v = l.label_elem(lab)
-        out: dict = {alpha: l.apply_diff(v)}
-        sign = -1 if d % 2 else 1
-        for (a, b), entry in m.diff.items():
-            if a != alpha:
+    def _dl_columns(self, h: int, w: int) -> list[tuple]:
+        """d_L on the (h, w) slice of L as (label, column) pairs: for the
+        label e_i X^e x^b, the tower's column of X^e x^b at i with sign
+        (-1)^|e_i|, and e_a·(dL[a, i]·X^e x^b) for each entry of dL in
+        column i; keys (a, exps, bex)."""
+        key = (h, w)
+        cols = self._dl.get(key)
+        if cols is not None:
+            return cols
+        tower = self.l.tower
+        neg = tower.base.field.neg
+        cols = []
+        for i, e in enumerate(self.l.basis):
+            hi, wi = h - e.degree, w - e.weight
+            basis = tower.slice_basis(hi, wi)
+            if not basis:
                 continue
-            img = l.mul_elem(v, entry.scale_int(-sign))
-            if img:
-                prev = out.get(b)
-                out[b] = img if prev is None else l.add_elem(prev, img)
-        return {b: e for b, e in out.items() if e}
+            odd = e.degree % 2
+            entries = self._l_cols.get(i, ())
+            for (exps, bex), own in zip(basis, tower.slice_images(hi, wi)):
+                col = {(i,) + k: neg(s) if odd else s for k, s in own.items()}
+                if entries:
+                    mono = tower.monomial(exps, tower.base.monomial(bex))
+                    for a, entry in entries:
+                        for k, s in (entry * mono).coordinates().items():
+                            col[(a,) + k] = s
+                cols.append(((i, exps, bex), col))
+        self._dl[key] = cols
+        return cols
 
     def matrix_columns(self, d: int, w: int) -> list[dict]:
         """Columns of D restricted to the (d, w) slice, rows labelled by the
@@ -84,14 +116,24 @@ class HomComplex:
         key = (d, w)
         if key in self._matrices:
             return self._matrices[key]
+        tower = self.l.tower
+        neg = tower.base.field.neg
+        even = d % 2 == 0  # the dM blocks carry -(-1)^d
         cols = []
-        for alpha, lab in self.slice_labels(d, w):
-            img = self.map_image(alpha, lab, d)
-            col = {}
-            for beta, elem in img.items():
-                for clab, scalar in self.l.elem_coords(elem).items():
-                    col[(beta, clab)] = scalar
-            cols.append(col)
+        for alpha, e in enumerate(self.m.basis):
+            row = self._m_rows.get(alpha, ())
+            for (i, exps, bex), dl in self._dl_columns(e.degree + d, e.weight + w):
+                col = {(alpha, k): s for k, s in dl.items()}
+                for b, entry in row:
+                    # X^e x^b · dM[alpha, b] is the same for every generator e_i
+                    pkey = (alpha, b, exps, bex)
+                    coords = self._products.get(pkey)
+                    if coords is None:
+                        mono = tower.monomial(exps, tower.base.monomial(bex))
+                        coords = self._products[pkey] = (mono * entry).coordinates()
+                    for (pex, pbex), s in coords.items():
+                        col[(b, (i, pex, pbex))] = neg(s) if even else s
+                cols.append(col)
         self._matrices[key] = cols
         return cols
 

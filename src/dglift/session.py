@@ -50,6 +50,9 @@ KEYWORDS = {
     "deg", "wt", "over", "hbound", "wbound", "budget",
 }
 
+# the least value of each command bound, checked where the number is read
+LEAST = {"budget": 0, "wbound": 0, "hbound": 1}
+
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -179,14 +182,19 @@ class _Cursor:
 
     def keywords(self, allowed: tuple[str, ...]) -> dict[str, int]:
         """`<word> <int>` pairs for the words in `allowed`, in any order and
-        each at most once, up to the first other token."""
+        each at most once, up to the first other token; a value below its
+        LEAST is refused at the number."""
         out: dict[str, int] = {}
         while (tok := self.peek()) is not None and tok.kind == "IDENT" and tok.text in allowed:
             if tok.text in out:
                 self.error(f"{tok.text!r} given twice", tok)
             self.i += 1
+            at = self.peek()
             out[tok.text] = self.int({"deg": "degree", "wt": "weight"}.get(
                 tok.text, f"integer after {tok.text!r}"))
+            least = LEAST.get(tok.text)
+            if least is not None and out[tok.text] < least:
+                self.error(f"{tok.text} must be >= {least}", at)
         return out
 
     def until(self, words) -> "_Cursor":
@@ -569,10 +577,12 @@ class _Builder:
         self.module_order: list[str] = []
         self.commands: list[Command] = []
         # module under construction; cur_diffs maps a generator's index to
-        # the terms of its differential
+        # the terms of its differential, cur_diff_at to the (line, col) of
+        # its name on its `d` line
         self.cur_name: str | None = None
         self.cur_gens: list[tuple[str, int, int]] = []
         self.cur_diffs: dict[int, dict] = {}
+        self.cur_diff_at: dict[int, tuple[int, int]] = {}
         self.cur_line = 0
 
     def ensure_tower(self):
@@ -591,12 +601,15 @@ class _Builder:
         try:
             module = make_semifree(self.tower, self.cur_gens, diffs)
         except ModuleError as exc:
-            raise ParseError(str(exc), self.cur_line, 1) from None
+            # at the `d` line of the generator at fault, else at `module`
+            line, col = self.cur_diff_at.get(exc.generator, (self.cur_line, 1))
+            raise ParseError(str(exc), line, col) from None
         self.modules[self.cur_name] = module
         self.module_order.append(self.cur_name)
         self.cur_name = None
         self.cur_gens = []
         self.cur_diffs = {}
+        self.cur_diff_at = {}
 
     # --- statements ---------------------------------------------------------
 
@@ -716,6 +729,7 @@ class _Builder:
         if not isinstance(val, _ModElem):
             cur.error("differential must be a module element", start)
         self.cur_diffs[beta] = val.terms
+        self.cur_diff_at[beta] = (cur.line, name.col)
 
     def do_run(self, cur, head):
         self.ensure_tower()

@@ -117,6 +117,22 @@ def test_nesting_below_the_limit_evaluates(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["result"]["value"] == "-x"
 
 
+@pytest.mark.parametrize("command,col,message", [
+    ("run check-axioms budget -3", 25, "budget must be >= 0"),
+    ("run check-axioms wbound -2", 25, "wbound must be >= 0"),
+    ("run tate x^2 hbound -1 wbound 3", 21, "hbound must be >= 1"),
+])
+def test_negative_command_bounds_are_refused(tmp_path, command, col, message):
+    # refused where the number is read, before any command runs
+    session = tmp_path / "bound.session"
+    session.write_text(f"field Q\nbase x:1\ntower divided\nvar X deg 1 wt 1 d x\n{command}\n")
+    out = tmp_path / "r.json"
+    assert main([str(session), "--report", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["error"] == {"line": 5, "col": col, "message": message}
+    assert doc["reports"] == []
+
+
 def test_check_axioms_budget_zero_is_not_the_default(tmp_path):
     # budget 0 draws the minimum of one random sample, like budget 1; it used
     # to fall back to the default budget of 200

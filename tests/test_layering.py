@@ -3,7 +3,8 @@ layers never import the parser or the command line, and `render` imports no
 dglift module, so that every layer can use it; only `base_ring`, which holds
 the one elimination kernel, inverts field scalars; in `homological` only
 `HomComplex` reads a module's differential, so the Hom differential has one
-home; in `dg_algebra` only `TowerAlgebra.monomial_diff` applies the
+home, and it assembles D from blocks without module-element operations; in
+`dg_algebra` only `TowerAlgebra.monomial_diff` applies the
 Leibniz rule, so every differential of a tower element goes through its memo;
 and in `session` only `_Cursor` turns token text into an integer, so bounds on
 the numbers of a session have one place to go."""
@@ -61,6 +62,17 @@ def test_only_hom_complex_reads_module_differentials():
     reads = [node for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "diff"]
     assert reads and all(id(node) in inside for node in reads)
+
+
+def test_hom_complex_uses_no_module_element_operations():
+    # D comes from cached blocks; the element route is left to the oracle of
+    # the tests and to the re-verification of SPLIT
+    tree = ast.parse((SRC / "homological.py").read_text(encoding="utf-8"))
+    hom = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "HomComplex")
+    calls = [node.func.attr for node in ast.walk(hom)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert calls and not set(calls) & {"apply_diff", "mul_elem", "elem_coords"}
 
 
 def test_only_monomial_diff_applies_the_leibniz_rule():

@@ -98,6 +98,9 @@ PROBES = [
     "d g = e + x",
     "d g = e·(x) junk",
     "d g = e·(x) / 2",
+    "d e = g",
+    "d g = e·(x y)",
+    "d g = e·(X1)",
     # run: the command word
     "run",
     "run frobnicate",
@@ -129,6 +132,9 @@ PROBES = [
     "run check-axioms budget",
     "run check-axioms budget 3 budget 4",
     "run check-axioms over 1",
+    "run check-axioms budget -3",
+    "run check-axioms wbound -2",
+    "run check-axioms budget 0 wbound 0",
     # run ext
     "run ext B1 B1 0..3 0:3:3",
     "run ext N N 0..2",
@@ -182,6 +188,7 @@ PROBES = [
     "run tate x^2 + hbound 2 wbound 3",
     "run tate x^2) hbound 2 wbound 3",
     "run tate x^2 hbound -1 wbound 3",
+    "run tate x^2 hbound 0 wbound 3",
 ]
 
 
