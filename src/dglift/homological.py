@@ -56,7 +56,7 @@ class HomComplex:
         # slice_labels order
         self._dl: dict[tuple[int, int], list] = {}
         # (a, b, exps, bex) -> coordinates of X^exps x^bex · dM[a, b]
-        self._products: dict[tuple, list] = {}
+        self._products: dict[tuple, dict] = {}
 
     def require_complete(self, d: int, w: int):
         for e in self.m.basis:
