@@ -38,6 +38,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def homogeneous(grades: set[int]) -> int | None:
+    """The one grade of an element from the set of its terms' grades: 0 for
+    the zero element, which is homogeneous of any grade; None when there are
+    several."""
+    if len(grades) > 1:
+        return None
+    return next(iter(grades), 0)
+
+
 class Field:
     """The rationals (p is None) or the prime field F_p.
 
@@ -255,12 +264,7 @@ class BasePoly:
 
     def weight(self) -> int | None:
         """Weight if homogeneous (zero counts as homogeneous of any weight)."""
-        ws = self.weights()
-        if not ws:
-            return 0
-        if len(ws) > 1:
-            return None
-        return ws.pop()
+        return homogeneous(self.weights())
 
     def sorted_terms(self):
         return sorted(self.terms.items())

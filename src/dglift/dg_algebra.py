@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, factorial
 import random
 
-from .base_ring import BasePoly, PolyRing, matrix_rank
+from .base_ring import BasePoly, PolyRing, homogeneous, matrix_rank
 from .render import monomial_text
 
 DIVIDED = "divided"
@@ -324,12 +324,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for exps, p in other.terms.items():
-            s = out.get(exps)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+            add_term(out, exps, p)
         return AlgebraElement(self.tower, out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -372,15 +367,7 @@ class AlgebraElement:
                     coeff = -coeff
                 if coeff != 1:
                     p = p.scale_int(coeff)
-                if p.is_zero():
-                    continue
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                s = out.get(exps)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
+                add_term(out, tuple(a + b for a, b in zip(ea, eb)), p)
         return AlgebraElement(tower, out)
 
     def scale(self, scalar) -> "AlgebraElement":
@@ -410,12 +397,7 @@ class AlgebraElement:
 
     def degree(self) -> int | None:
         """Homological degree if homogeneous (zero counts as any degree)."""
-        ds = self.degrees()
-        if not ds:
-            return 0
-        if len(ds) > 1:
-            return None
-        return ds.pop()
+        return homogeneous(self.degrees())
 
     def weights(self) -> set[int]:
         t = self.tower
@@ -426,12 +408,7 @@ class AlgebraElement:
         return out
 
     def weight(self) -> int | None:
-        ws = self.weights()
-        if not ws:
-            return 0
-        if len(ws) > 1:
-            return None
-        return ws.pop()
+        return homogeneous(self.weights())
 
     def split_by_degree(self) -> dict[int, "AlgebraElement"]:
         t = self.tower
@@ -522,6 +499,18 @@ class AlgebraElement:
             mono = monomial_text(names, exps, divided, "*")
             bits.append(f"({p!r})*{mono}" if mono else f"({p!r})")
         return " + ".join(bits)
+
+
+def add_term(out: dict, key, value) -> None:
+    """Add a ring element into a sparse map in place; a key whose sum is
+    zero is dropped, so no sparse map of ring elements holds a zero."""
+    prev = out.get(key)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
 
 
 def ring_power(x, m: int, one, error):

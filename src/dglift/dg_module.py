@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dg_algebra import DIVIDED, AlgebraElement, TowerAlgebra
+from .dg_algebra import DIVIDED, AlgebraElement, TowerAlgebra, add_term
 from .render import monomial_text
 
 
@@ -127,12 +127,7 @@ class SemifreeModule:
     def add_elem(self, x: dict, y: dict) -> dict:
         out = dict(x)
         for i, c in y.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
+            add_term(out, i, c)
         return out
 
     def neg_elem(self, x: dict) -> dict:
@@ -160,26 +155,12 @@ class SemifreeModule:
     def apply_diff(self, x: dict) -> dict:
         """d(sum e_b c_b) = sum_a e_a (diff[a,b] c_b) + (-1)^|e_b| e_b d(c_b)."""
         out: dict = {}
-
-        def acc(i, elem):
-            if elem.is_zero():
-                return
-            s = out.get(i)
-            s = elem if s is None else s + elem
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-
         for b, c in x.items():
             for (a, bb), entry in self.diff.items():
                 if bb == b:
-                    acc(a, entry * c)
+                    add_term(out, a, entry * c)
             dc = c.differential()
-            if not dc.is_zero():
-                if self.basis[b].degree % 2:
-                    dc = -dc
-                acc(b, dc)
+            add_term(out, b, -dc if self.basis[b].degree % 2 else dc)
         return out
 
     # --- bidegree slices ----------------------------------------------------
@@ -423,12 +404,7 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
                     raise ModuleError(
                         "window too small: differential leaves the window"
                     )
-                prev = diff.get((j, idx))
-                a = a if prev is None else prev + a
-                if a.is_zero():
-                    diff.pop((j, idx), None)
-                else:
-                    diff[(j, idx)] = a
+                add_term(diff, (j, idx), a)
         pi_entries[idx] = {alpha: g_elem}
 
     p = SemifreeModule(
@@ -476,15 +452,6 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
     ]
 
     diff: dict = {}
-
-    def add_entry(i, j, elem):
-        prev = diff.get((i, j))
-        elem = elem if prev is None else prev + elem
-        if elem.is_zero():
-            diff.pop((i, j), None)
-        else:
-            diff[(i, j)] = elem
-
     for (b, k), j in pos.items():
         for (a, bb), entry in n.diff.items():
             if bb != b:
@@ -495,7 +462,7 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
                     raise ModuleError(
                         "tensor window cuts a differential component; enlarge it"
                     )
-                add_entry(i, j, c)
+                add_term(diff, (i, j), c)
         sign_n = -1 if n.basis[b].degree % 2 else 1
         for (k2, kk), entry in q.diff.items():
             if kk != k:
@@ -505,7 +472,7 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
                 raise ModuleError(
                     "tensor window cuts a differential component; enlarge it"
                 )
-            add_entry(i, j, entry.scale_int(sign_n))
+            add_term(diff, (i, j), entry.scale_int(sign_n))
 
     ch = cw = None
     if q.complete_hmax is not None:

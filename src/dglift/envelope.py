@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .base_ring import matrix_rank
-from .dg_algebra import ORDINARY, AlgebraElement, TowerAlgebra, ring_power, sum_divided_power
+from .base_ring import homogeneous, matrix_rank
+from .dg_algebra import (ORDINARY, AlgebraElement, TowerAlgebra, add_term, ring_power,
+                         sum_divided_power)
 from .dg_module import (BasisElement, BidegreeWindow, ModuleError, SemifreeModule,
                         split_over_prefix)
 from .render import omega_name
@@ -84,15 +85,7 @@ class EnvelopeAlgebra:
         """Canonicalize b1^o (x) b2 by moving A-parts across the tensor."""
         out: dict = {}
         for lex, a in split_over_prefix(self.tower, b1.terms.items(), self.a_prefix):
-            r = a * b2
-            if r.is_zero():
-                continue
-            prev = out.get(lex)
-            r = r if prev is None else prev + r
-            if r.is_zero():
-                out.pop(lex, None)
-            else:
-                out[lex] = r
+            add_term(out, lex, a * b2)
         return EnvelopeElement(self, out)
 
     def include_left(self, b: AlgebraElement) -> "EnvelopeElement":
@@ -261,10 +254,8 @@ class EnvelopeAlgebra:
             out = {}
             for deg_b, part in b.split_by_degree().items():
                 sign = -1 if (deg_b * basis[k].degree) % 2 else 1
-                piece = part.scale_int(sign)
-                prev = out.get(k)
-                out[k] = piece if prev is None else prev + piece
-            return {i: c for i, c in out.items() if not c.is_zero()}
+                add_term(out, k, part.scale_int(sign))
+            return out
 
         module.left_action_fn = left_action
         return module
@@ -351,12 +342,7 @@ class EnvelopeElement:
         self._check(other)
         out = dict(self.terms)
         for lex, r in other.terms.items():
-            s = out.get(lex)
-            s = r if s is None else s + r
-            if s.is_zero():
-                out.pop(lex, None)
-            else:
-                out[lex] = s
+            add_term(out, lex, r)
         return EnvelopeElement(self.env, out)
 
     def __neg__(self) -> "EnvelopeElement":
@@ -378,7 +364,7 @@ class EnvelopeElement:
         self._check(other)
         env = self.env
         k = env.a_prefix
-        out = env.zero()
+        out: dict = {}
         for l1, r1 in self.terms.items():
             d1 = env.ext_degree(l1)
             e1 = env.ext_elem(l1)
@@ -393,11 +379,8 @@ class EnvelopeElement:
                     r = r1h * r2
                     if (d2 * (d1 + h)) % 2:
                         r = -r
-                    r = r.scale(scalar)
-                    if r.is_zero():
-                        continue
-                    out = out + EnvelopeElement(env, {exps[k:]: r})
-        return out
+                    add_term(out, exps[k:], r.scale(scalar))
+        return EnvelopeElement(env, out)
 
     def power(self, m: int) -> "EnvelopeElement":
         return ring_power(self, m, self.env.one(), EnvelopeError)
@@ -436,12 +419,7 @@ class EnvelopeElement:
         return out
 
     def degree(self) -> int | None:
-        ds = self.degrees()
-        if not ds:
-            return 0
-        if len(ds) > 1:
-            return None
-        return ds.pop()
+        return homogeneous(self.degrees())
 
     def weights(self) -> set[int]:
         out = set()
@@ -451,12 +429,7 @@ class EnvelopeElement:
         return out
 
     def weight(self) -> int | None:
-        ws = self.weights()
-        if not ws:
-            return 0
-        if len(ws) > 1:
-            return None
-        return ws.pop()
+        return homogeneous(self.weights())
 
     # --- divided powers -----------------------------------------------------------
 
@@ -516,13 +489,7 @@ class EnvelopeElement:
             for exps, poly in r.terms.items():
                 aex = exps[:k] + (0,) * (tower.n - k)
                 mex = exps[k:]
-                coeff = lelem * tower.monomial(aex, poly)
-                prev = out.get(mex)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff.is_zero():
-                    out.pop(mex, None)
-                else:
-                    out[mex] = coeff
+                add_term(out, mex, lelem * tower.monomial(aex, poly))
         return out
 
     def to_omega(self) -> "OmegaCoordinates":
@@ -567,13 +534,12 @@ class EnvelopeElement:
             sub = env.zero()
             for lex in sorted(l for l in work.terms if sum(l) == lmax):
                 c = work.terms[lex]
-                prev = coords.get(lex)
-                coords[lex] = c if prev is None else prev + c
+                add_term(coords, lex, c)
                 sub = sub + env.omega_monomial(lex) * env.include_right(c)
             work = work - sub
             if not work.is_zero() and max(sum(l) for l in work.terms) >= lmax:
                 raise EnvelopeError("internal error: right-coordinate elimination stalled")
-        return {l: c for l, c in coords.items() if not c.is_zero()}
+        return coords
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -42,7 +42,6 @@ class HomComplex:
             raise HomologicalError("Hom between modules over different towers")
         self.m = m
         self.l = l
-        self._slices: dict[tuple[int, int], list] = {}
         self._matrices: dict[tuple[int, int], list] = {}
         self._ranks: dict[tuple[int, int], int] = {}
         # dM by row a: [(b, dM[a, b])]; dL by column i: [(a, dL[a, i])]
@@ -52,8 +51,8 @@ class HomComplex:
         self._l_cols: dict[int, list] = {}
         for (a, i), entry in l.diff.items():
             self._l_cols.setdefault(i, []).append((a, entry))
-        # (h, w) -> [(label, column of d_L)] on that slice of L, in
-        # slice_labels order
+        # (h, w) -> [(label, column of d_L)] on that slice of L, in the
+        # order of SemifreeModule.slice_labels
         self._dl: dict[tuple[int, int], list] = {}
         # (a, b, exps, bex) -> coordinates of X^exps x^bex · dM[a, b]
         self._products: dict[tuple, dict] = {}
@@ -68,14 +67,10 @@ class HomComplex:
                 )
 
     def slice_labels(self, d: int, w: int) -> list:
-        key = (d, w)
-        if key not in self._slices:
-            out = []
-            for alpha, e in enumerate(self.m.basis):
-                for lab in self.l.slice_labels(e.degree + d, e.weight + w):
-                    out.append((alpha, lab))
-            self._slices[key] = out
-        return self._slices[key]
+        """The basis maps e_alpha -> lab of the (d, w) slice, read off the
+        d_L blocks."""
+        return [(alpha, lab) for alpha, e in enumerate(self.m.basis)
+                for lab, _ in self._dl_columns(e.degree + d, e.weight + w)]
 
     def dim(self, d: int, w: int) -> int:
         return len(self.slice_labels(d, w))

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NoReturn
 
 from .base_ring import Field, PolyRing
-from .dg_algebra import DIVIDED, ORDINARY, TowerAlgebra, TowerError
+from .dg_algebra import DIVIDED, ORDINARY, TowerAlgebra, TowerError, add_term
 from .dg_module import (
     BasisElement, BidegreeWindow, ModuleError, SemifreeModule, make_semifree,
 )
@@ -425,12 +425,7 @@ class ExprEval:
         if isinstance(a, _ModElem) and isinstance(b, _ModElem):
             out = dict(a.terms)
             for i, c in b.terms.items():
-                s = out.get(i)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+                add_term(out, i, c)
             return _ModElem(a.ctx, out)
         if isinstance(a, _ModElem) or isinstance(b, _ModElem):
             self.cur.error("cannot add a module element and a ring element", tok)
@@ -466,13 +461,7 @@ class ExprEval:
                     for i, c in b.terms.items():
                         for dc, cpart in c.split_by_degree().items():
                             sign = -1 if (da * (gens[i].degree + dc)) % 2 else 1
-                            p = cpart * part.scale_int(sign)
-                            prev = out.get(i)
-                            p = p if prev is None else prev + p
-                            if p.is_zero():
-                                out.pop(i, None)
-                            else:
-                                out[i] = p
+                            add_term(out, i, cpart * part.scale_int(sign))
                 return _ModElem(b.ctx, out)
             return a * b
         except (TowerError, EnvelopeError) as exc:
@@ -835,6 +824,8 @@ class _Builder:
             (poly,) = val.terms.values()  # no tower variable occurs
             if poly.weight() is None:
                 args.error("ideal generators must be weight-homogeneous", start)
+            if poly.weight() == 0:
+                args.error("ideal generators must have positive weight", start)
             gens.append(poly)
             comma = args.take(",")
         args.done()

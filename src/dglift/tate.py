@@ -150,6 +150,8 @@ def tate_resolution(ring: PolyRing, generators: list[BasePoly], hbound: int,
         w = g.weight()
         if w is None:
             raise TateError("ideal generators must be weight-homogeneous")
+        if w == 0:
+            raise TateError("ideal generators must have positive weight")
         name, counter = _fresh_name(tower, counter)
         tower = tower.adjoin(name, 1, w, tower.from_poly(g))
         names.append(name)

@@ -1,4 +1,6 @@
+import operator
 import random
+from functools import reduce
 from math import comb, factorial
 
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from dglift import (
     DGVariable,
+    EnvelopeAlgebra,
     Field,
     PolyRing,
     TowerAlgebra,
     TowerError,
     check_axioms,
+    make_semifree,
 )
 
 from oracle import leibniz_differential
@@ -255,3 +259,51 @@ def test_differential_matches_leibniz_oracle(warmed, flavor, p, which, terms):
     assert fresh.differential() == leibniz_differential(fresh)
     warm = _element(warmed[(flavor, p)][which], terms)
     assert warm.differential() == leibniz_differential(warm) == fresh.differential()
+
+
+def _assert_sparse(terms: dict):
+    """No value of a sparse map is zero, at any depth: ring elements hold
+    nonzero ring elements, base polynomials nonzero scalars."""
+    for value in terms.values():
+        if hasattr(value, "terms"):
+            assert value.terms, terms
+            _assert_sparse(value.terms)
+        else:
+            assert value, terms
+
+
+@pytest.mark.parametrize("p", [None, 5])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(a=TERMS, b=TERMS, a_prefix=st.integers(0, 1))
+def test_sums_products_and_differentials_hold_no_zero(p, a, b, a_prefix):
+    # sums of ring elements go through add_term, which drops a key whose sum
+    # is zero; the cases force cancellations
+    tower = _oracle_towers("divided", p)[0]
+    u, v = _element(tower, a), _element(tower, b)
+    odd = tower.zero()
+    for h, part in u.split_by_degree().items():
+        if h % 2:
+            odd = odd + part
+    five = reduce(operator.add, [u] * 5)
+    assert five.is_zero() == (p == 5 or u.is_zero())
+    elems = [u + (-u), five, odd * odd, u * v, v * u + u * v, (u * v).differential(),
+             u.differential() + v.differential()]
+    assert elems[0].is_zero() and elems[2].is_zero()
+
+    env = EnvelopeAlgebra(tower, a_prefix)
+    xi = env.xi(0)  # X1 or X2, both odd
+    e = env.from_tensor(u, v) + env.include_right(v) + xi
+    envs = [e + (-e), e * e, e * xi + xi * e, xi * xi, e.differential(),
+            env.from_tensor(odd, odd), reduce(operator.add, [e] * 5)]
+    assert envs[0].is_zero() and envs[3].is_zero()
+    assert envs[6].is_zero() == (p == 5 or e.is_zero())
+
+    m = make_semifree(tower, [("a", 0, 0), ("b", 1, 1)], {("a", "b"): tower.gen("x")})
+    x = {i: c for i, c in enumerate((u, v)) if not c.is_zero()}
+    mods = [m.add_elem(x, m.neg_elem(x)), reduce(m.add_elem, [x] * 5),
+            m.mul_elem({0: odd, 1: u}, odd), m.apply_diff(x), m.apply_diff(m.apply_diff(x))]
+    assert not mods[0] and not mods[4] and (not mods[1]) == (p == 5 or not x)
+    for elem in elems + envs:
+        _assert_sparse(elem.terms)
+    for elem in mods:
+        _assert_sparse(elem)

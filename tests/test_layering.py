@@ -6,8 +6,11 @@ the one elimination kernel, inverts field scalars; in `homological` only
 home, and it assembles D from blocks without module-element operations; in
 `dg_algebra` only `TowerAlgebra.monomial_diff` applies the
 Leibniz rule, so every differential of a tower element goes through its memo;
-and in `session` only `_Cursor` turns token text into an integer, so bounds on
-the numbers of a session have one place to go."""
+in `session` only `_Cursor` turns token text into an integer, so bounds on
+the numbers of a session have one place to go; no module adds a ring element
+into a sparse map by hand, since `dg_algebra.add_term` holds the rule that
+such a map keeps no zero; and every grading of a ring element is read by
+`base_ring.homogeneous`."""
 
 from __future__ import annotations
 
@@ -99,3 +102,46 @@ def test_only_the_cursor_reads_integers():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "int"]
     assert calls and all(id(node) in inside for node in calls)
+
+
+def is_hand_written_sum(node: ast.AST) -> bool:
+    """Whether a node is `v if prev is None else prev + v`, the add of a
+    value into a sparse map that `add_term` holds."""
+    if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
+            and isinstance(node.body, ast.Name)):
+        return False
+    test, other = node.test, node.orelse
+    return (len(test.ops) == 1 and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+            and isinstance(other, ast.BinOp) and isinstance(other.op, ast.Add)
+            and isinstance(other.right, ast.Name) and other.right.id == node.body.id)
+
+
+def test_sparse_sums_go_through_add_term():
+    def expr(text):
+        return ast.parse(text).body[0].value
+
+    assert is_hand_written_sum(expr("p if s is None else s + p"))
+    assert not is_hand_written_sum(expr("None if h is None else h + i"))  # `shift`
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sums = [node.lineno for node in ast.walk(tree) if is_hand_written_sum(node)]
+        assert not sums, (path.name, sums)
+
+
+def test_gradings_are_read_by_homogeneous():
+    methods = {("base_ring.py", "BasePoly"): ("weight",),
+               ("dg_algebra.py", "AlgebraElement"): ("degree", "weight"),
+               ("envelope.py", "EnvelopeElement"): ("degree", "weight")}
+    for (name, cls_name), names in methods.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        cls = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == cls_name)
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                ret = fn.body[-1]
+                assert isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call) \
+                    and isinstance(ret.value.func, ast.Name) \
+                    and ret.value.func.id == "homogeneous", (cls_name, fn.name)
+        assert {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)} >= set(names)

@@ -189,6 +189,8 @@ PROBES = [
     "run tate x^2) hbound 2 wbound 3",
     "run tate x^2 hbound -1 wbound 3",
     "run tate x^2 hbound 0 wbound 3",
+    "run tate 1 hbound 2 wbound 3",
+    "run tate x^2, 2 hbound 2 wbound 3",
 ]
 
 

@@ -194,6 +194,13 @@ def test_tate_rejects_inhomogeneous_generator(ring_xy):
         tate_resolution(ring_xy, [x * x + y], 2, 4)
 
 
+def test_tate_rejects_constant_generator(ring_xy):
+    # refused before the tower sees a variable of weight 0
+    x = ring_xy.var("x")
+    with pytest.raises(TateError, match="ideal generators must have positive weight"):
+        tate_resolution(ring_xy, [x * x, ring_xy.constant(ring_xy.field.of(2))], 2, 4)
+
+
 def _fresh(tower, counter):
     used = set(tower.base.names) | {v.name for v in tower.variables}
     while True:
