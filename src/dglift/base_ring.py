@@ -215,11 +215,16 @@ class BasePoly:
         field = self.ring.field
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = field.add(out.get(exps, field.zero()), c)
+            old = out.get(exps)
+            if old is None:
+                if c:
+                    out[exps] = c
+                continue
+            s = field.add(old, c)
             if s:
                 out[exps] = s
             else:
-                out.pop(exps, None)
+                del out[exps]
         return BasePoly(self.ring, out)
 
     def __neg__(self) -> "BasePoly":
@@ -237,11 +242,16 @@ class BasePoly:
             for eb, cb in other.terms.items():
                 exps = tuple(a + b for a, b in zip(ea, eb))
                 c = field.mul(ca, cb)
-                s = field.add(out.get(exps, field.zero()), c)
+                old = out.get(exps)
+                if old is None:
+                    if c:
+                        out[exps] = c
+                    continue
+                s = field.add(old, c)
                 if s:
                     out[exps] = s
                 else:
-                    out.pop(exps, None)
+                    del out[exps]
         return BasePoly(self.ring, out)
 
     def scale(self, scalar) -> "BasePoly":
@@ -320,11 +330,17 @@ class Infeasible:
         rhs = field.zero()
         for i, m in self.combo.items():
             for c, v in system.rows[i].items():
-                s = field.add(acc.get(c, field.zero()), field.mul(m, v))
+                mv = field.mul(m, v)
+                old = acc.get(c)
+                if old is None:
+                    if mv:
+                        acc[c] = mv
+                    continue
+                s = field.add(old, mv)
                 if s:
                     acc[c] = s
                 else:
-                    acc.pop(c, None)
+                    del acc[c]
             rhs = field.add(rhs, field.mul(m, system.rhs[i]))
         return not acc and rhs == self.value and bool(self.value)
 
@@ -424,9 +440,39 @@ def solve_linear(system: LinearSystem, track_witness: bool = True):
     return LinearSolution(solution)
 
 
-def matrix_rank(field: Field, rows: list[dict]) -> int:
-    _, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
+def matrix_rank(field: Field, rows: list[dict], echelon: list | None = None) -> int:
+    """Rank of the rows.  Given a list `echelon`, appends the (pivot column,
+    pivot row) pairs to it in pivot order: each row is 1 at its pivot column
+    and 0 at the pivot columns of the rows before it, and the rows span the
+    input rows."""
+    work, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
+    if echelon is not None:
+        echelon.extend((col, work[i]) for col, i in pivots.items())
     return len(pivots)
+
+
+def remainder(field: Field, echelon: list, vec: dict) -> dict:
+    """`vec` reduced by the (pivot column, row) pairs of an echelon from
+    `matrix_rank`, in their order: empty exactly when `vec` lies in the span
+    of the rows."""
+    add, mul, neg = field.add, field.mul, field.neg
+    out = dict(vec)
+    for col, row in echelon:
+        m = out.get(col)
+        if m is None:
+            continue
+        m = neg(m)
+        for c, v in row.items():
+            old = out.get(c)
+            if old is None:
+                out[c] = mul(m, v)
+                continue
+            s = add(old, mul(m, v))
+            if s:
+                out[c] = s
+            else:
+                del out[c]
+    return out
 
 
 def nullspace_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, factorial
 import random
 
-from .base_ring import BasePoly, PolyRing, homogeneous, matrix_rank
+from .base_ring import BasePoly, PolyRing, homogeneous, matrix_rank, remainder
 from .render import monomial_text
 
 DIVIDED = "divided"
@@ -48,8 +48,15 @@ class TowerAlgebra:
     The constructor performs only structural checks; `adjoin` is the validated
     path that also checks the cycle condition on differential targets.  A
     tower never changes, so it memoises its monomial differentials, slice
-    bases and slice ranks.
+    bases, slice echelons and slice ranks.  A tower built by `adjoin` links
+    to its parent and inherits from it: a monomial without the new variable
+    keeps its differential, padded with a zero, and a slice is the parent's
+    slices with powers of the new variable appended, so only what holds the
+    new variable is computed.  The link runs from child to parent only, so a
+    chain of towers is in no reference cycle.
     """
+
+    _parent: "TowerAlgebra | None" = None  # set by `adjoin` only
 
     def __init__(self, base: PolyRing, flavor: str = DIVIDED,
                  variables: tuple[DGVariable, ...] = ()):
@@ -67,6 +74,7 @@ class TowerAlgebra:
         self._mono_diffs: dict[tuple, dict] = {}
         self._slices: dict[tuple[int, int], tuple] = {}
         self._slice_ranks: dict[tuple[int, int], tuple[int, int]] = {}
+        self._echelons: dict[tuple[int, int], list[tuple]] = {}
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names) or set(names) & set(base.names):
             raise TowerError("variable names must be fresh and distinct")
@@ -158,9 +166,15 @@ class TowerAlgebra:
 
     def monomial_diff(self, exps: tuple[int, ...]) -> "AlgebraElement":
         """d of the monomial X^exps with coefficient 1, by the Leibniz rule;
-        computed once per exponent vector.  Callers must not mutate it."""
+        computed once per exponent vector.  Callers must not mutate it.  A
+        tower built by `adjoin` reads a monomial without its last variable
+        off its parent, padded with a zero."""
         terms = self._mono_diffs.get(exps)
         if terms is not None:
+            return AlgebraElement(self, terms)
+        if self._parent is not None and not exps[-1]:
+            terms = {e + (0,): p for e, p in self._parent.monomial_diff(exps[:-1]).terms.items()}
+            self._mono_diffs[exps] = terms
             return AlgebraElement(self, terms)
         out = self.zero()
         prefix_deg = 0
@@ -198,33 +212,30 @@ class TowerAlgebra:
         """Exponent vectors over the given variable range, weight-bounded."""
         if indices is None:
             indices = range(self.n)
-        idx = list(indices)
-        out: list[tuple[int, ...]] = []
-
-        def rec(k: int, wt: int, deg: int, acc: dict):
-            if k == len(idx):
-                exps = tuple(acc.get(i, 0) for i in range(self.n))
-                out.append(exps)
-                return
-            i = idx[k]
+        # (exps, weight, degree) of the vectors so far, one variable at a time;
+        # a loop, not a recursive closure, which would be a reference cycle
+        # holding the tower
+        partial = [((0,) * self.n, 0, 0)]
+        for i in indices:
             wi, di = self._weights[i], self._degrees[i]
-            top = 1 if self._odd[i] else (max_weight - wt) // wi
-            for m in range(top + 1):
-                if wt + m * wi > max_weight:
-                    break
-                if max_degree is not None and deg + m * di > max_degree:
-                    break
-                acc[i] = m
-                rec(k + 1, wt + m * wi, deg + m * di, acc)
-            acc.pop(i, None)
-
-        rec(0, 0, 0, {})
-        out.sort()
-        return out
+            top = 1 if self._odd[i] else max_weight // wi
+            grown = []
+            for exps, wt, deg in partial:
+                for m in range(top + 1):
+                    if wt + m * wi > max_weight:
+                        break
+                    if max_degree is not None and deg + m * di > max_degree:
+                        break
+                    grown.append((exps[:i] + (m,) + exps[i + 1:], wt + m * wi, deg + m * di))
+            partial = grown
+        return sorted(exps for exps, _, _ in partial)
 
     def slice_basis(self, hdeg: int, weight: int) -> tuple[tuple[tuple, tuple], ...]:
         """Field basis of the (hdeg, weight) bidegree piece: (var exps, base
-        exps), sorted; computed once per slice."""
+        exps), sorted; computed once per slice.  A tower built by `adjoin`
+        takes the union over m >= 0 of its parent's (hdeg - m*d, weight - m*t)
+        slices with m appended, d and t being the last variable's degree and
+        weight (m <= 1 when it is odd)."""
         if hdeg < 0 or weight < 0:
             return ()
         key = (hdeg, weight)
@@ -232,34 +243,73 @@ class TowerAlgebra:
         if cached is not None:
             return cached
         out = []
-        for exps in self.gamma_monomials(weight, hdeg):
-            h, w = self.monomial_bidegree(exps)
-            if h != hdeg or w > weight:
-                continue
-            for bex in self.base.monomials_of_weight(weight - w):
-                out.append((exps, bex))
+        if self._parent is not None:
+            last = self.variables[-1]
+            for m in range(2 if last.is_odd else min(hdeg // last.degree, weight // last.weight) + 1):
+                out += [(exps + (m,), bex) for exps, bex in
+                        self._parent.slice_basis(hdeg - m * last.degree, weight - m * last.weight)]
+        else:
+            for exps in self.gamma_monomials(weight, hdeg):
+                h, w = self.monomial_bidegree(exps)
+                if h != hdeg or w > weight:
+                    continue
+                for bex in self.base.monomials_of_weight(weight - w):
+                    out.append((exps, bex))
         out.sort()
         self._slices[key] = tuple(out)
         return self._slices[key]
 
     def slice_images(self, hdeg: int, weight: int) -> list[dict]:
         """Field coordinates of d of each (hdeg, weight) basis vector X^e x^b,
-        in basis order: the columns of d on the slice.  d(X^e x^b) is
-        d(X^e) with every base exponent shifted by b."""
+        in basis order: the columns of d on the slice."""
+        return self._images(self.slice_basis(hdeg, weight))
+
+    def _images(self, basis) -> list[dict]:
+        # d(X^e x^b) is d(X^e) with every base exponent shifted by b
         return [{(exps, tuple(a + b for a, b in zip(bex, shift))): scalar
                  for exps, poly in self.monomial_diff(mono).terms.items()
                  for bex, scalar in poly.terms.items()}
-                for mono, shift in self.slice_basis(hdeg, weight)]
+                for mono, shift in basis]
+
+    def slice_echelon(self, hdeg: int, weight: int) -> list[tuple]:
+        """(pivot column, row) pairs spanning the columns of d on the slice,
+        as `matrix_rank` leaves them; computed once per slice.  A tower built
+        by `adjoin` pads its parent's rows, reduces only the columns of the
+        basis vectors that hold the last variable against them, and ranks
+        what is left."""
+        key = (hdeg, weight)
+        cached = self._echelons.get(key)
+        if cached is not None:
+            return cached
+        field = self.base.field
+        if self._parent is None:
+            cached = []
+            matrix_rank(field, self.slice_images(hdeg, weight), cached)
+        else:
+            cached = [((col[0] + (0,), col[1]), {(e + (0,), b): v for (e, b), v in row.items()})
+                      for col, row in self._parent.slice_echelon(hdeg, weight)]
+            new = self._images([b for b in self.slice_basis(hdeg, weight) if b[0][-1]])
+            rest = [r for r in (remainder(field, cached, col) for col in new) if r]
+            if rest:
+                matrix_rank(field, rest, cached)
+        self._echelons[key] = cached
+        return cached
 
     def slice_rank(self, hdeg: int, weight: int) -> tuple[int, int]:
         """(dim, rank d) of the (hdeg, weight) slice, computed once; the
-        columns are ranked as rows, since row rank equals column rank."""
+        columns are ranked as rows, since row rank equals column rank.  The
+        last variable of a tower built by `adjoin` cannot enter a slice below
+        its own degree or weight, so there the parent's answer is read."""
         key = (hdeg, weight)
-        if key not in self._slice_ranks:
-            images = self.slice_images(hdeg, weight)
-            rank = matrix_rank(self.base.field, images) if images else 0
-            self._slice_ranks[key] = (len(images), rank)
-        return self._slice_ranks[key]
+        cached = self._slice_ranks.get(key)
+        if cached is None:
+            parent = self._parent
+            if parent is not None and (hdeg < self._degrees[-1] or weight < self._weights[-1]):
+                cached = parent.slice_rank(hdeg, weight)
+            else:
+                cached = (len(self.slice_basis(hdeg, weight)), len(self.slice_echelon(hdeg, weight)))
+            self._slice_ranks[key] = cached
+        return cached
 
     def adjoin(self, name: str, degree: int, weight: int,
                target: "AlgebraElement | None" = None) -> "TowerAlgebra":
@@ -284,7 +334,9 @@ class TowerAlgebra:
                 raise TowerError(f"target of {name} is not a cycle")
             raw = tuple(sorted(target.terms.items()))
         var = DGVariable(name=name, degree=degree, weight=weight, target=raw)
-        return TowerAlgebra(self.base, self.flavor, self.variables + (var,))
+        child = TowerAlgebra(self.base, self.flavor, self.variables + (var,))
+        child._parent = self
+        return child
 
     def embed(self, elem: "AlgebraElement") -> "AlgebraElement":
         """Embed an element of a prefix tower into this tower."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .base_ring import BasePoly, PolyRing, matrix_rank, nullspace_basis
+from .base_ring import BasePoly, PolyRing, nullspace_basis, remainder
 from .dg_algebra import AlgebraElement, TowerAlgebra
 
 
@@ -52,7 +52,8 @@ def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | Non
     """A cycle of the (hdeg, w) slice that is not a boundary, or None when
     H_hdeg vanishes there: the first kernel vector of d_hdeg outside the span
     of the boundaries (the kernel basis is read off the elimination kernel, so
-    the choice is deterministic)."""
+    the choice is deterministic), found by reducing each kernel vector against
+    the boundary echelon of the tower."""
     field = tower.base.field
     basis = tower.slice_basis(hdeg, w)
     rows: dict = {}
@@ -60,10 +61,9 @@ def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | Non
         for key, scalar in image.items():
             rows.setdefault(key, {})[j] = scalar
     # boundaries and kernel vectors are both keyed by (hdeg, w) basis vectors
-    boundaries = tower.slice_images(hdeg + 1, w)
-    rank = tower.slice_rank(hdeg + 1, w)[1]
+    boundaries = tower.slice_echelon(hdeg + 1, w)
     for vec in nullspace_basis(field, [rows[k] for k in sorted(rows)], len(basis)):
-        if matrix_rank(field, boundaries + [{basis[j]: v for j, v in vec.items()}]) > rank:
+        if remainder(field, boundaries, {basis[j]: v for j, v in vec.items()}):
             elem = tower.zero()
             for j, v in sorted(vec.items()):
                 exps, bex = basis[j]
@@ -87,11 +87,13 @@ def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra
     Classes are killed one at a time, lowest weight first, recomputing homology
     after each adjunction: multiples of an already-killed class become
     boundaries, so this adjoins one variable per module generator of H_hdeg
-    rather than one per weight-slice basis vector.  The recomputation is
-    incremental: a degree-(hdeg+1) variable never enters a (hdeg, w) slice,
-    so d_hdeg is ranked once, and one of weight w leaves the (hdeg+1, v)
-    slices with v < w alone, so only rank d_(hdeg+1) at weights >= w is
-    recomputed.
+    rather than one per weight-slice basis vector.  Each tower inherits from
+    the one it was adjoined to, so the recomputation is incremental: a
+    degree-(hdeg+1) variable never enters a (hdeg, w) slice, so rank d_hdeg
+    is read off the first tower; one of weight w leaves the (hdeg+1, v)
+    slices with v < w alone, so their ranks are read off the parent; and at
+    weights >= w only the columns that hold the new variable are reduced
+    against the parent's echelon.
 
     Requires H_j = 0 for 1 <= j < hdeg within the bound (checked).
     """
@@ -104,25 +106,17 @@ def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra
                 f"H_{j} is not yet zero below weight {weight_bound}; "
                 f"kill it before degree {hdeg}"
             )
-    weights = range(weight_bound + 1)
-    down = [tower.slice_rank(hdeg, w) for w in weights]
-    up = [0] * len(weights)
-    out = tower
     counter = len(tower.variables)
-    lo = 0
     while True:
-        for w in weights[lo:]:
-            if down[w][0]:
-                up[w] = out.slice_rank(hdeg + 1, w)[1]
-        live = [w for w in weights if down[w][0] - down[w][1] - up[w]]
-        if not live:
-            return out
-        lo = live[0]
-        rep = homology_rep(out, hdeg, lo)
+        dims = homology_dims(tower, hdeg, weight_bound).dims
+        lo = next((w for w, d in dims.items() if d), None)
+        if lo is None:
+            return tower
+        rep = homology_rep(tower, hdeg, lo)
         if rep is None:
             raise TateError(f"H_{hdeg} at weight {lo} has no representative; this is a bug")
-        name, counter = _fresh_name(out, counter)
-        out = out.adjoin(name, hdeg + 1, lo, rep)
+        name, counter = _fresh_name(tower, counter)
+        tower = tower.adjoin(name, hdeg + 1, lo, rep)
 
 
 @dataclass

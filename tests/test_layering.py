@@ -9,8 +9,9 @@ Leibniz rule, so every differential of a tower element goes through its memo;
 in `session` only `_Cursor` turns token text into an integer, so bounds on
 the numbers of a session have one place to go; no module adds a ring element
 into a sparse map by hand, since `dg_algebra.add_term` holds the rule that
-such a map keeps no zero; and every grading of a ring element is read by
-`base_ring.homogeneous`."""
+such a map keeps no zero; every grading of a ring element is read by
+`base_ring.homogeneous`; and only `TowerAlgebra.adjoin` links a tower to the
+parent whose memos it inherits."""
 
 from __future__ import annotations
 
@@ -145,3 +146,21 @@ def test_gradings_are_read_by_homogeneous():
                     and isinstance(ret.value.func, ast.Name) \
                     and ret.value.func.id == "homogeneous", (cls_name, fn.name)
         assert {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)} >= set(names)
+
+
+def test_only_adjoin_sets_the_parent_link():
+    # a tower inherits its parent's memos through the link, which is sound
+    # only for the tower one validated variable longer that adjoin builds
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    tower = next(node for node in trees["dg_algebra.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "TowerAlgebra")
+    adjoin = next(node for node in tower.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "adjoin")
+    inside = {id(node) for node in ast.walk(adjoin)}
+    sets = [node for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_parent"
+            and not isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr")]
+    assert sets and all(id(node) in inside for node in sets)

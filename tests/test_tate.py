@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -201,6 +203,25 @@ def test_tate_rejects_constant_generator(ring_xy):
         tate_resolution(ring_xy, [x * x, ring_xy.constant(ring_xy.field.of(2))], 2, 4)
 
 
+def test_towers_of_a_resolution_are_freed_without_the_cycle_collector(ring_xy):
+    # each tower links to the one it was adjoined to and its memos hold term
+    # maps, so no tower of the chain is in a reference cycle: with the cycle
+    # collector off, all of them die with the last reference to the result
+    x, y = ring_xy.var("x"), ring_xy.var("y")
+    gc.disable()
+    try:
+        res = tate_resolution(ring_xy, [x * x, x * y], 3, 6)
+        towers = [res.tower]
+        while towers[-1].variables:
+            towers.append(towers[-1]._parent)
+        refs = [weakref.ref(t) for t in towers]
+        assert towers[-1]._parent is None and len(refs) == len(res.tower.variables) + 1 > 3
+        del res, towers
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def _fresh(tower, counter):
     used = set(tower.base.names) | {v.name for v in tower.variables}
     while True:
@@ -212,12 +233,18 @@ def _fresh(tower, counter):
 def reference_tate_resolution(ring, gens, hbound, wbound, flavor):
     """Tate's construction with the full-recompute loop: after each adjunction
     the homology of every weight is computed again on the new tower, then the
-    lowest weight with a class gets a variable killing `homology_rep`."""
+    lowest weight with a class gets a variable killing `homology_rep`.  Each
+    tower is rebuilt through the constructor, so it inherits no memo from the
+    tower before it and shares none with the code under test."""
     tower = TowerAlgebra(ring, flavor)
+
+    def adjoin(name, degree, weight, target):
+        return TowerAlgebra(ring, flavor, tower.adjoin(name, degree, weight, target).variables)
+
     counter = 0
     for g in gens:
         name, counter = _fresh(tower, counter)
-        tower = tower.adjoin(name, 1, g.weight(), tower.from_poly(g))
+        tower = adjoin(name, 1, g.weight(), tower.from_poly(g))
     for hdeg in range(1, hbound):
         counter = len(tower.variables)
         while True:
@@ -226,7 +253,7 @@ def reference_tate_resolution(ring, gens, hbound, wbound, flavor):
                 break
             w = min(w for w, d in table.dims.items() if d)
             name, counter = _fresh(tower, counter)
-            tower = tower.adjoin(name, hdeg + 1, w, homology_rep(tower, hdeg, w))
+            tower = adjoin(name, hdeg + 1, w, homology_rep(tower, hdeg, w))
     return tower, homology_dims(tower, 0, wbound)
 
 
