@@ -6,10 +6,13 @@ homology dimensions, and Ext tables computed by the library.  The Hom
 differential is applied to maps with module-element operations, not with the
 library's Hom-complex code, and the differential of a tower element is
 expanded by the Leibniz rule over its variable powers, not with the library's
-memoised monomial differentials.
+memoised monomial differentials.  Envelope elements are checked against
+`TensorOracle`, which writes B^o (x)_A B out in its tensor form.
 """
 
 from __future__ import annotations
+
+from math import comb, factorial
 
 from dglift import ChainMap
 
@@ -131,3 +134,133 @@ def brute_ext_dim(m, l, i: int, w: int) -> int:
     mat_up = matrix(above, src, d + 1)
     rank_up = dense_rank(field, mat_up) if mat_up else 0
     return cycles - rank_up
+
+
+class TensorOracle:
+    """B^o (x)_A B as sparse maps {L: r}: L the exponents of a monomial in the
+    extension variables, r in B, and A the first k variables of B.  The
+    product, the differential and the divided powers are stated on this form
+    with the arithmetic of B alone, and B's differential is the Leibniz rule
+    of `leibniz_differential`, so nothing here goes through the envelope."""
+
+    def __init__(self, tower, k: int):
+        self.tower, self.k = tower, k
+        self.ext = tower.variables[k:]
+        self.ordinary = tower.flavor == "ordinary"
+
+    def mono(self, lex):
+        return self.tower.monomial((0,) * self.k + tuple(lex))
+
+    def degree(self, lex) -> int:
+        return sum(m * v.degree for m, v in zip(lex, self.ext))
+
+    @staticmethod
+    def add(*xs) -> dict:
+        out = {}
+        for x in xs:
+            for lex, r in x.items():
+                s = out[lex] + r if lex in out else r
+                if s.is_zero():
+                    out.pop(lex, None)
+                else:
+                    out[lex] = s
+        return out
+
+    def one(self) -> dict:
+        return {(0,) * len(self.ext): self.tower.one()}
+
+    def tensor(self, b1, b2) -> dict:
+        """b1^o (x) b2: a term a·L of b1, with a the part over A written
+        first, is (-1)^{|a||L|} L·a, and a crosses to the right factor."""
+        tower, k = self.tower, self.k
+        out = {}
+        for exps, poly in b1.terms.items():
+            a = tower.monomial(exps[:k] + (0,) * (tower.n - k), poly)
+            r = a * b2
+            out = self.add(out, {exps[k:]: -r if a.degree() * self.degree(exps[k:]) % 2 else r})
+        return out
+
+    def mul(self, x: dict, y: dict) -> dict:
+        """(L1^o (x) r1)(L2^o (x) r2) = (-1)^{|L2|(|L1|+|r1|)} (L2 L1)^o (x) r1 r2."""
+        out = {}
+        for l1, r1 in x.items():
+            for h, r1h in r1.split_by_degree().items():
+                for l2, r2 in y.items():
+                    r = r1h * r2
+                    if self.degree(l2) * (self.degree(l1) + h) % 2:
+                        r = -r
+                    out = self.add(out, self.tensor(self.mono(l2) * self.mono(l1), r))
+        return out
+
+    def d(self, x: dict) -> dict:
+        """d(L^o (x) r) = d(L)^o (x) r + (-1)^{|L|} L^o (x) d(r)."""
+        out = {}
+        for lex, r in x.items():
+            dr = leibniz_differential(r)
+            out = self.add(out, self.tensor(leibniz_differential(self.mono(lex)), r),
+                           {lex: -dr if self.degree(lex) % 2 else dr})
+        return out
+
+    def pi(self, x: dict):
+        out = self.tower.zero()
+        for lex, r in x.items():
+            out = out + self.mono(lex) * r
+        return out
+
+    def xi_power(self, i: int, m: int) -> dict:
+        """xi_i^(m) = sum_j (-1)^(m-j) (X_i^(j))^o (x) X_i^(m-j), each term
+        times binom(m, j) in the ordinary flavor; zero for m > 1 when X_i is
+        odd."""
+        if m > 1 and self.ext[i].degree % 2:
+            return {}
+        out = {}
+        for j in range(m + 1):
+            lex = tuple(j if t == i else 0 for t in range(len(self.ext)))
+            c = (-1) ** (m - j) * (comb(m, j) if self.ordinary else 1)
+            out = self.add(out, {lex: self.mono(lex[:i] + (m - j,) + lex[i + 1:]).scale_int(c)})
+        return out
+
+    def xi_monomial(self, exps) -> dict:
+        out = self.one()
+        for i, m in enumerate(exps):
+            out = self.mul(out, self.xi_power(i, m))
+        return out
+
+    def divided_power(self, x: dict, m: int) -> dict:
+        """x^(m) for x of positive even degree: x^m/m! in the ordinary flavor
+        over Q; in the divided flavor the sum rule over the single terms
+        c·L^o (x) M of x, where (L^o (x) M)^(i) is (L^(i))^o (x) M^i when
+        |M| = 0, (L^i)^o (x) M^(i) when L and M hold no odd variable, and 0
+        for i > 1 otherwise."""
+        tower = self.tower
+        if self.ordinary:
+            out = self.one()
+            for _ in range(m):
+                out = self.mul(out, x)
+            return {lex: r.scale(tower.base.field.of(1, factorial(m))) for lex, r in out.items()}
+        pieces = [(lex, tower.monomial(exps, tower.base.monomial(bex, c)))
+                  for lex, r in sorted(x.items()) for exps, poly in sorted(r.terms.items())
+                  for bex, c in sorted(poly.terms.items())]
+
+        def piece_power(piece, i):
+            lex, r = piece
+            if i < 2:
+                return self.one() if i == 0 else {lex: r}
+            odd = [v.degree % 2 for v in tower.variables]
+            (exps,) = r.terms
+            if any(m and o for m, o in zip((0,) * self.k + lex, odd)) \
+                    or any(m and o for m, o in zip(exps, odd)):
+                return {}
+            if not r.degree():
+                return self.tensor(self.mono(lex).divided_power(i), r.power(i))
+            return self.tensor(self.mono(lex).power(i), r.divided_power(i))
+
+        def rule(pieces, m):
+            if len(pieces) < 2:
+                return piece_power(pieces[0], m) if pieces else {}
+            out = {}
+            for j in range(m + 1):
+                out = self.add(out, self.mul(piece_power(pieces[0], j), rule(pieces[1:], m - j)))
+            return out
+
+        return rule(pieces, m)
