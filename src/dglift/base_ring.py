@@ -173,22 +173,13 @@ class PolyRing:
         """All exponent vectors of weight exactly w, lexicographically sorted."""
         if w < 0:
             return []
-        out: list[tuple[int, ...]] = []
-
-        def rec(i: int, left: int, acc: list[int]):
-            if i == len(self.names):
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            wi = self.weights[i]
-            for e in range(left // wi + 1):
-                acc.append(e)
-                rec(i + 1, left - e * wi, acc)
-                acc.pop()
-
-        rec(0, w, [])
-        out.sort()
-        return out
+        # (exps, weight left) one variable at a time; a loop, not a recursive
+        # closure, which would be a reference cycle holding the ring
+        partial = [((), w)]
+        for wi in self.weights:
+            partial = [(exps + (e,), left - e * wi)
+                       for exps, left in partial for e in range(left // wi + 1)]
+        return sorted(exps for exps, left in partial if left == 0)
 
 
 class BasePoly:

@@ -338,6 +338,23 @@ class TowerAlgebra:
         child._parent = self
         return child
 
+    def substitute(self, elem: "AlgebraElement", images) -> "AlgebraElement":
+        """The image of `elem` under the algebra map into this tower that
+        sends variable i of elem's tower to images[i] and keeps the base
+        coefficients; X_i^(m) goes to images[i]^(m) (images[i]^m in the
+        ordinary flavor).  Each image has its variable's degree, so the
+        Koszul signs are kept.  This is the one change of generators."""
+        power = AlgebraElement.divided_power if self.flavor == DIVIDED else AlgebraElement.power
+        out: dict = {}
+        for exps, poly in sorted(elem.terms.items()):
+            term = self.from_poly(poly)
+            for i, m in enumerate(exps):
+                if m:
+                    term = term * power(images[i], m)
+            for e, p in term.terms.items():
+                add_term(out, e, p)
+        return AlgebraElement(self, out)
+
     def embed(self, elem: "AlgebraElement") -> "AlgebraElement":
         """Embed an element of a prefix tower into this tower."""
         src = elem.tower
@@ -439,7 +456,12 @@ class AlgebraElement:
         return AlgebraElement(self.tower, out)
 
     def power(self, m: int) -> "AlgebraElement":
-        return ring_power(self, m, self.tower.one(), TowerError)
+        if m < 0:
+            raise TowerError("negative power")
+        out = self.tower.one()
+        for _ in range(m):
+            out = out * self
+        return out
 
     # --- grading ----------------------------------------------------------
 
@@ -507,8 +529,20 @@ class AlgebraElement:
                     "ordinary-flavor divided powers u^m/m! need rational coefficients"
                 )
             return self.power(m).scale(self.tower.base.field.of(1, factorial(m)))
-        return sum_divided_power(sorted(self.terms.items()), m, self._term_power,
-                                 self.tower.zero())
+        return self._sum_divided_power(sorted(self.terms.items()), m)
+
+    def _sum_divided_power(self, terms: list, m: int) -> "AlgebraElement":
+        """(t_1 + ... + t_k)^(m) for a nonempty list of terms, by the sum rule
+        (u + v)^(m) = sum_j u^(j) v^(m-j)."""
+        if len(terms) == 1:
+            return self._term_power(terms[0], m)
+        head, rest = terms[0], terms[1:]
+        out = self.tower.zero()
+        for j in range(m + 1):
+            a = self._term_power(head, j)
+            if not a.is_zero():
+                out = out + a * self._sum_divided_power(rest, m - j)
+        return out
 
     def _term_power(self, term, i: int) -> "AlgebraElement":
         """(M*c)^(i) = c^i * M^(i) for a single monomial term."""
@@ -563,32 +597,6 @@ def add_term(out: dict, key, value) -> None:
         out.pop(key, None)
     else:
         out[key] = value
-
-
-def ring_power(x, m: int, one, error):
-    """x^m by repeated multiplication from the ring's one; a negative m
-    raises the given error type."""
-    if m < 0:
-        raise error("negative power")
-    out = one
-    for _ in range(m):
-        out = out * x
-    return out
-
-
-def sum_divided_power(pieces: list, m: int, piece_power, zero):
-    """(p_1 + ... + p_k)^(m) for a nonempty list of pieces, by the sum rule
-    (u + v)^(m) = sum_j u^(j) v^(m-j); piece_power(p, j) gives p^(j), and zero
-    is the zero of the ring the pieces live in."""
-    if len(pieces) == 1:
-        return piece_power(pieces[0], m)
-    head, rest = pieces[0], pieces[1:]
-    out = zero
-    for j in range(m + 1):
-        a = piece_power(head, j)
-        if not a.is_zero():
-            out = out + a * sum_divided_power(rest, m - j, piece_power, zero)
-    return out
 
 
 # ---------------------------------------------------------------------------

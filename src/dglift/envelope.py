@@ -1,21 +1,27 @@
 """The enveloping algebra B^e = B^o (x)_A B of a tower B over a prefix subtower A.
 
-Canonical form: every element is written sum_L L^o (x) r_L where L runs over
-monomials in the extension variables and r_L is an arbitrary element of B (all
-A-coefficients pushed into the right factor).  The diagonals xi_i and their
-(divided) powers give the second basis Mon(Omega) over B^o, which drives the
-filtration-level computation and the quotient DG B-modules.
+For B = A<X_{k+1}..X_n> the envelope is itself a tower, `algebra` =
+B<xi_{k+1}..xi_n>: the variables of B, then one diagonal xi_i per extension
+variable, of the degree and weight of X_i, with d(xi_i) = phi(dX_i) - dX_i,
+where phi sends X_i to X_i + xi_i and fixes A.  The element L^o (x) r is
+phi(L)·r, so B is a prefix of the tower and 1^o (x) b is b itself.  The
+diagonal ideal J is (xi), J^(l) is spanned by the xi-monomials of level at
+least l, and pi_B keeps the terms without xi.
+
+A term X^a xi^w p of the tower reads as b·xi^w with b = X^a p in B, and as
+xi^w·b with the sign (-1)^{|b||w|}; that one reader gives the right
+coordinates, the quotients J^(l)/J^(l+1) and the ideal J as DG B-modules.
+Each change of generators is one `TowerAlgebra.substitute`: phi; the flip
+X -> X + xi, xi -> -xi, which exchanges the two factors and so gives the
+left Mon(Omega) coordinates; and xi -> X^o - X into B<X^o>, which gives
+the tensor form L^o (x) r that reports print.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
-
-from .base_ring import homogeneous, matrix_rank
-from .dg_algebra import (ORDINARY, AlgebraElement, TowerAlgebra, add_term, ring_power,
-                         sum_divided_power)
-from .dg_module import (BasisElement, BidegreeWindow, ModuleError, SemifreeModule,
-                        split_over_prefix)
+from .base_ring import matrix_rank
+from .dg_algebra import AlgebraElement, DGVariable, TowerAlgebra, add_term
+from .dg_module import BasisElement, BidegreeWindow, ModuleError, SemifreeModule
 from .render import omega_name
 
 
@@ -32,7 +38,34 @@ class EnvelopeAlgebra:
         self.tower = tower
         self.a_prefix = a_prefix
         self.n_ext = tower.n - a_prefix
-        self._omega_cache: dict[tuple, EnvelopeElement] = {}
+        n, ext = tower.n, tower.variables[a_prefix:]
+        # xi_i is adjoined to the tower of the diagonals before it, in which
+        # phi(dX_i) is computed; dX_i holds no X_j with j >= i
+        algebra = TowerAlgebra(tower.base, tower.flavor, tower.variables)
+        for v in ext:
+            dx = tower.gen(v.name).differential()
+            target = algebra.substitute(dx, self._phi(algebra)) - algebra.embed(dx)
+            xi = DGVariable(f"ξ({v.name})", v.degree, v.weight,
+                            tuple(sorted(target.terms.items())) or None)
+            algebra = TowerAlgebra(tower.base, tower.flavor, algebra.variables + (xi,))
+        self.algebra = algebra
+        self._phi_images = self._phi(algebra)
+        self._flip_images = self._phi_images + [-algebra.variable_power(j, 1)
+                                                for j in range(n, algebra.n)]
+        # B<X^o> only holds the tensor form, so its X^o need no differential
+        self._opposite = TowerAlgebra(tower.base, tower.flavor, tower.variables + tuple(
+            DGVariable(v.name + "^o", v.degree, v.weight, None) for v in ext))
+        xo = [self._opposite.variable_power(j, 1) for j in range(self._opposite.n)]
+        self._tensor_images = xo[:n] + [xo[j] - xo[j - n + a_prefix] for j in range(n, len(xo))]
+
+    def _phi(self, algebra: TowerAlgebra) -> list[AlgebraElement]:
+        """The images X_i + xi_i of phi in a tower of the diagonals of the
+        first extension variables, X_i where xi_i is not there yet."""
+        n, k = self.tower.n, self.a_prefix
+        images = [algebra.variable_power(i, 1) for i in range(n)]
+        for j in range(n, algebra.n):
+            images[j - n + k] = images[j - n + k] + algebra.variable_power(j, 1)
+        return images
 
     def signature(self):
         return (self.tower.signature(), self.a_prefix)
@@ -49,11 +82,8 @@ class EnvelopeAlgebra:
     def ext_var(self, k: int):
         return self.tower.variables[self.a_prefix + k]
 
-    def _full(self, lexps: tuple) -> tuple:
-        return (0,) * self.a_prefix + tuple(lexps)
-
     def ext_elem(self, lexps: tuple) -> AlgebraElement:
-        return self.tower.monomial(self._full(lexps))
+        return self.tower.monomial((0,) * self.a_prefix + tuple(lexps))
 
     def ext_degree(self, lexps: tuple) -> int:
         return sum(m * self.ext_var(k).degree for k, m in enumerate(lexps))
@@ -67,30 +97,39 @@ class EnvelopeAlgebra:
         )
         return [e[self.a_prefix:] for e in full]
 
+    def _suffixes(self, t: AlgebraElement, right: bool) -> dict:
+        """{w: b in B} with t = sum b·S^w, or with `right`, t = sum S^w·b:
+        S^w is the monomial in the variables after those of B (the diagonals,
+        or the X^o of the tensor form), and a term X^a S^w p is b·S^w with
+        b = X^a p, which is (-1)^{|b||w|} S^w·b."""
+        n = self.tower.n
+        out: dict = {}
+        for exps, p in t.terms.items():
+            if right and self.tower.monomial_bidegree(exps[:n])[0] * self.ext_degree(exps[n:]) % 2:
+                p = -p
+            out.setdefault(exps[n:], {})[exps[:n]] = p
+        return {w: AlgebraElement(self.tower, terms) for w, terms in out.items()}
+
     # --- constructors --------------------------------------------------------
 
     def zero(self) -> "EnvelopeElement":
-        return EnvelopeElement(self, {})
+        return EnvelopeElement(self, self.algebra.zero())
 
     def one(self) -> "EnvelopeElement":
-        return EnvelopeElement(self, {(0,) * self.n_ext: self.tower.one()})
+        return EnvelopeElement(self, self.algebra.one())
 
     def include_right(self, b: AlgebraElement) -> "EnvelopeElement":
         """1^o (x) b."""
-        if b.is_zero():
-            return self.zero()
-        return EnvelopeElement(self, {(0,) * self.n_ext: b})
+        return EnvelopeElement(self, self.algebra.embed(b))
 
     def from_tensor(self, b1: AlgebraElement, b2: AlgebraElement) -> "EnvelopeElement":
-        """Canonicalize b1^o (x) b2 by moving A-parts across the tensor."""
-        out: dict = {}
-        for lex, a in split_over_prefix(self.tower, b1.terms.items(), self.a_prefix):
-            add_term(out, lex, a * b2)
-        return EnvelopeElement(self, out)
+        """b1^o (x) b2, which is phi(b1)·b2."""
+        return EnvelopeElement(
+            self, self.algebra.substitute(b1, self._phi_images) * self.algebra.embed(b2))
 
     def include_left(self, b: AlgebraElement) -> "EnvelopeElement":
         """b^o (x) 1."""
-        return self.from_tensor(b, self.tower.one())
+        return EnvelopeElement(self, self.algebra.substitute(b, self._phi_images))
 
     # --- diagonals -------------------------------------------------------------
 
@@ -104,57 +143,24 @@ class EnvelopeAlgebra:
             raise EnvelopeError(f"extension variable index {k} out of range")
         if m < 0:
             raise EnvelopeError("negative power of a diagonal")
-        if m == 0:
-            return self.one()
-        var = self.ext_var(k)
-        if var.is_odd and m > 1:
-            return self.zero()
-        tower = self.tower
-        abs_k = self.a_prefix + k
-        terms: dict = {}
-        for j in range(m + 1):
-            lexps = tuple(j if i == k else 0 for i in range(self.n_ext))
-            right = tower.variable_power(abs_k, m - j)
-            c = 1 if (m - j) % 2 == 0 else -1
-            if tower.flavor == ORDINARY:
-                c *= comb(m, j)
-            terms[lexps] = right.scale_int(c)
-        return EnvelopeElement(self, terms)
+        return EnvelopeElement(self, self.algebra.variable_power(self.tower.n + k, m))
+
+    def _omega(self, exps: tuple) -> AlgebraElement:
+        return self.algebra.monomial((0,) * self.tower.n + tuple(exps))
 
     def omega_monomial(self, exps: tuple) -> "EnvelopeElement":
         """The Mon(Omega) element xi_1^(m_1) ... xi_t^(m_t)."""
-        exps = tuple(exps)
-        cached = self._omega_cache.get(exps)
-        if cached is not None:
-            return cached
-        out = self.one()
-        for k, m in enumerate(exps):
-            if m:
-                out = out * self.xi_power(k, m)
-        self._omega_cache[exps] = out
-        return out
+        return EnvelopeElement(self, self._omega(exps))
+
+    def _omegas(self, max_weight: int) -> list[tuple]:
+        """Every Mon(Omega) exponent vector within the weight bound, sorted."""
+        n = self.tower.n
+        return [e[n:] for e in self.algebra.gamma_monomials(max_weight, None,
+                                                             range(n, self.algebra.n))]
 
     def omega_exponents(self, level: int, max_weight: int) -> list[tuple]:
         """Mon_level(Omega) exponent vectors within the weight bound."""
-        out: list[tuple] = []
-
-        def rec(k: int, left: int, wt: int, acc: list[int]):
-            if k == self.n_ext:
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            var = self.ext_var(k)
-            top = 1 if var.is_odd else left
-            for m in range(min(top, left) + 1):
-                if wt + m * var.weight > max_weight:
-                    break
-                acc.append(m)
-                rec(k + 1, left - m, wt + m * var.weight, acc)
-                acc.pop()
-
-        rec(0, level, 0, [])
-        out.sort()
-        return out
+        return [e for e in self._omegas(max_weight) if sum(e) == level]
 
     def basis_tables(self, window: BidegreeWindow) -> tuple[list, list]:
         """The Mon(Omega) monomials in the window and the exactness check of
@@ -166,11 +172,10 @@ class EnvelopeAlgebra:
         """
         tower = self.tower
         omega_rows = []
-        for level in range(0, window.wmax + 1):
-            for exps in self.omega_exponents(level, window.wmax):
-                h, w = self.ext_degree(exps), self.ext_weight(exps)
-                if window.contains(h, w):
-                    omega_rows.append([omega_name(self, exps, "xi_", "·"), h, w, level])
+        for exps in self._omegas(window.wmax):
+            h, w = self.ext_degree(exps), self.ext_weight(exps)
+            if window.contains(h, w):
+                omega_rows.append([omega_name(self, exps, "xi_", "·"), h, w, sum(exps)])
         omega_rows.sort(key=lambda r: (r[1], r[2], r[0]))
 
         dims = []
@@ -187,8 +192,8 @@ class EnvelopeAlgebra:
                     continue
                 rows: dict = {}
                 for j, (lex, (exps, bex)) in enumerate(labels):
-                    r = tower.monomial(exps, tower.base.monomial(bex))
-                    img = EnvelopeElement(self, {lex: r}).pi()
+                    # pi_B(L^o (x) r) = L·r
+                    img = self.ext_elem(lex) * tower.monomial(exps, tower.base.monomial(bex))
                     for key, scalar in img.coordinates().items():
                         rows.setdefault(key, {})[j] = scalar
                 rank = matrix_rank(tower.base.field, list(rows.values()))
@@ -201,12 +206,11 @@ class EnvelopeAlgebra:
         """The DG B-module J^(level)/J^(level+1) restricted to the window.
 
         Semifree basis = Mon_level(Omega) monomials inside the window; the
-        differential is the envelope differential reduced mod J^(level+1),
-        converted from left B^o-coefficients to the right B-action.
+        differential of a basis monomial is the level-`level` part of its
+        differential in the envelope tower, read in right coordinates.
         """
         if level < 0:
             raise EnvelopeError("filtration level must be >= 0")
-        tower = self.tower
         cands = []
         for exps in self.omega_exponents(level, window.wmax):
             h = self.ext_degree(exps)
@@ -219,18 +223,10 @@ class EnvelopeAlgebra:
         basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]
         diff: dict = {}
         for (h, exps, w) in cands:
-            d = self.omega_monomial(exps).differential()
-            if d.is_zero():
-                continue
-            coords = d.to_omega().coords
             j = pos[exps]
-            for oexps, b in sorted(coords.items()):
-                lvl = sum(oexps)
-                if lvl < level:
-                    raise EnvelopeError(
-                        "internal error: differential dropped filtration level"
-                    )
-                if lvl != level:
+            d = self.algebra.monomial_diff((0,) * self.tower.n + exps)
+            for oexps, c in sorted(self._suffixes(d, True).items()):
+                if sum(oexps) != level:
                     continue
                 i = pos.get(oexps)
                 if i is None:
@@ -238,14 +234,10 @@ class EnvelopeAlgebra:
                         f"window {window.format()} cuts the differential of "
                         f"{omega_name(self, exps)}"
                     )
-                deg_b = b.degree()
-                if deg_b is None:
-                    raise EnvelopeError("inhomogeneous quotient coefficient")
-                sign = -1 if (deg_b * self.ext_degree(oexps)) % 2 else 1
-                diff[(i, j)] = b.scale_int(sign)
+                diff[(i, j)] = c
 
         module = SemifreeModule(
-            tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
+            self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
         )
 
         def left_action(b: AlgebraElement, k: int) -> dict:
@@ -267,23 +259,17 @@ class EnvelopeAlgebra:
         Basis = all of Mon_{>=1}(Omega) with monomial weight <= max_weight
         (homological degree is then bounded automatically); the right B-action
         is through the right tensor factor, so the differential and the left
-        action are expanded in right coordinates over Mon(Omega).
+        action are read in right coordinates over Mon(Omega).
         """
-        tower = self.tower
-        cands = []
-        for level in range(1, max_weight + 1):
-            for exps in self.omega_exponents(level, max_weight):
-                h = self.ext_degree(exps)
-                w = self.ext_weight(exps)
-                cands.append((h, exps, w))
-        cands.sort()
+        cands = sorted((self.ext_degree(exps), exps, self.ext_weight(exps))
+                       for exps in self._omegas(max_weight) if any(exps))
         pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
 
         basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]
 
-        def coords_to_elem(e: EnvelopeElement, what: str) -> dict:
+        def coords_to_elem(t: AlgebraElement, what: str) -> dict:
             out = {}
-            for oexps, c in sorted(e.right_coordinates().items()):
+            for oexps, c in sorted(self._suffixes(t, True).items()):
                 i = pos.get(oexps)
                 if i is None:
                     raise ModuleError(
@@ -295,20 +281,18 @@ class EnvelopeAlgebra:
 
         diff: dict = {}
         for (h, exps, w) in cands:
-            d = self.omega_monomial(exps).differential()
-            if d.is_zero():
-                continue
             j = pos[exps]
+            d = self.algebra.monomial_diff((0,) * self.tower.n + exps)
             for i, c in coords_to_elem(d, f"d({omega_name(self, exps)})").items():
                 diff[(i, j)] = c
 
         module = SemifreeModule(
-            tower, basis, diff,
+            self.tower, basis, diff,
             complete_hmax=None, complete_wmax=max_weight,
         )
 
         def left_action(b: AlgebraElement, k: int) -> dict:
-            prod = self.include_left(b) * self.omega_monomial(cands[k][1])
+            prod = self.algebra.substitute(b, self._phi_images) * self._omega(cands[k][1])
             return coords_to_elem(prod, "a left multiple")
 
         module.left_action_fn = left_action
@@ -316,236 +300,85 @@ class EnvelopeAlgebra:
 
 
 class EnvelopeElement:
-    """Element of B^e in canonical form {extension monomial L -> r in B}."""
+    """Element of B^e, held as an element of the envelope tower B<xi>."""
 
-    __slots__ = ("env", "terms")
+    __slots__ = ("env", "elem")
 
-    def __init__(self, env: EnvelopeAlgebra, terms: dict):
+    def __init__(self, env: EnvelopeAlgebra, elem: AlgebraElement):
         self.env = env
-        self.terms = terms
-
-    def _check(self, other: "EnvelopeElement"):
-        if self.env is not other.env and self.env != other.env:
-            raise EnvelopeError("elements of different envelopes")
+        self.elem = elem
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.elem.is_zero()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, EnvelopeElement)
-            and self.env.signature() == other.env.signature()
-            and self.terms == other.terms
-        )
+        return isinstance(other, EnvelopeElement) and self.elem == other.elem
 
     def __add__(self, other: "EnvelopeElement") -> "EnvelopeElement":
-        self._check(other)
-        out = dict(self.terms)
-        for lex, r in other.terms.items():
-            add_term(out, lex, r)
-        return EnvelopeElement(self.env, out)
+        return EnvelopeElement(self.env, self.elem + other.elem)
 
     def __neg__(self) -> "EnvelopeElement":
-        return EnvelopeElement(self.env, {l: -r for l, r in self.terms.items()})
+        return EnvelopeElement(self.env, -self.elem)
 
     def __sub__(self, other: "EnvelopeElement") -> "EnvelopeElement":
-        return self + (-other)
+        return EnvelopeElement(self.env, self.elem - other.elem)
 
     def scale(self, scalar) -> "EnvelopeElement":
-        if not scalar:
-            return self.env.zero()
-        return EnvelopeElement(self.env, {l: r.scale(scalar) for l, r in self.terms.items()})
+        return EnvelopeElement(self.env, self.elem.scale(scalar))
 
     def scale_int(self, n: int) -> "EnvelopeElement":
-        return self.scale(self.env.tower.base.field.of(n))
+        return EnvelopeElement(self.env, self.elem.scale_int(n))
 
     def __mul__(self, other: "EnvelopeElement") -> "EnvelopeElement":
-        """(b1^o (x) b2)(b1'^o (x) b2') = (-1)^{|b1'|(|b1|+|b2|)} (b1' b1)^o (x) b2 b2'."""
-        self._check(other)
-        env = self.env
-        k = env.a_prefix
-        out: dict = {}
-        for l1, r1 in self.terms.items():
-            d1 = env.ext_degree(l1)
-            e1 = env.ext_elem(l1)
-            for h, r1h in r1.split_by_degree().items():
-                for l2, r2 in other.terms.items():
-                    d2 = env.ext_degree(l2)
-                    left = env.ext_elem(l2) * e1
-                    if left.is_zero():
-                        continue
-                    ((exps, poly),) = left.terms.items()
-                    scalar = poly.terms[(0,) * len(env.tower.base.names)]
-                    r = r1h * r2
-                    if (d2 * (d1 + h)) % 2:
-                        r = -r
-                    add_term(out, exps[k:], r.scale(scalar))
-        return EnvelopeElement(env, out)
+        return EnvelopeElement(self.env, self.elem * other.elem)
 
     def power(self, m: int) -> "EnvelopeElement":
-        return ring_power(self, m, self.env.one(), EnvelopeError)
-
-    # --- DG structure ---------------------------------------------------------
+        return EnvelopeElement(self.env, self.elem.power(m))
 
     def differential(self) -> "EnvelopeElement":
-        """d(L^o (x) r) = d(L)^o (x) r + (-1)^{|L|} L^o (x) d(r)."""
-        env = self.env
-        out = env.zero()
-        for lex, r in sorted(self.terms.items()):
-            dl = env.ext_elem(lex).differential()
-            if not dl.is_zero():
-                out = out + env.from_tensor(dl, r)
-            dr = r.differential()
-            if not dr.is_zero():
-                if env.ext_degree(lex) % 2:
-                    dr = -dr
-                out = out + EnvelopeElement(env, {lex: dr})
-        return out
-
-    def pi(self) -> AlgebraElement:
-        """The multiplication map pi_B: b1^o (x) b2 -> b1 b2."""
-        out = self.env.tower.zero()
-        for lex, r in sorted(self.terms.items()):
-            out = out + self.env.ext_elem(lex) * r
-        return out
-
-    # --- grading ----------------------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        out = set()
-        for lex, r in self.terms.items():
-            d = self.env.ext_degree(lex)
-            out.update(d + h for h in r.degrees())
-        return out
-
-    def degree(self) -> int | None:
-        return homogeneous(self.degrees())
-
-    def weights(self) -> set[int]:
-        out = set()
-        for lex, r in self.terms.items():
-            w = self.env.ext_weight(lex)
-            out.update(w + v for v in r.weights())
-        return out
-
-    def weight(self) -> int | None:
-        return homogeneous(self.weights())
-
-    # --- divided powers -----------------------------------------------------------
+        return EnvelopeElement(self.env, self.elem.differential())
 
     def divided_power(self, m: int) -> "EnvelopeElement":
-        """Divided power in B^e (well defined by B^e = B^o<xi_1..xi_n>)."""
-        if m < 0:
-            raise EnvelopeError("negative divided power")
-        if m == 0:
-            return self.env.one()
-        if self.is_zero():
-            return self.env.zero()
-        if m == 1:
-            return EnvelopeElement(self.env, dict(self.terms))
-        deg = self.degree()
-        if deg is None or deg <= 0 or deg % 2:
-            raise EnvelopeError("divided powers need homogeneous positive even degree")
-        if self.env.tower.flavor == ORDINARY:
-            if not self.env.tower.base.field.is_rational:
-                raise EnvelopeError(
-                    "ordinary-flavor divided powers u^m/m! need rational coefficients"
-                )
-            return self.power(m).scale(self.env.tower.base.field.of(1, factorial(m)))
-        pieces = []
-        for lex, r in sorted(self.terms.items()):
-            for h, rh in r.split_by_degree().items():
-                pieces.append((lex, h, rh))
-        return sum_divided_power(pieces, m, self._piece_power, self.env.zero())
+        return EnvelopeElement(self.env, self.elem.divided_power(m))
 
-    def _piece_power(self, piece, i: int) -> "EnvelopeElement":
-        env = self.env
-        lex, h, r = piece
-        if i == 0:
-            return env.one()
-        if i == 1:
-            return EnvelopeElement(env, {lex: r})
-        dl = env.ext_degree(lex)
-        if dl % 2:  # with |L| odd the right part is odd too: power vanishes
-            return env.zero()
-        lelem = env.ext_elem(lex)
-        if not any(lex):
-            return env.include_right(r.divided_power(i))
-        if h == 0:
-            return env.from_tensor(lelem.divided_power(i), r.power(i))
-        return env.from_tensor(lelem.power(i), r.divided_power(i))
+    def degree(self) -> int | None:
+        return self.elem.degree()
+
+    def weight(self) -> int | None:
+        return self.elem.weight()
+
+    def pi(self) -> AlgebraElement:
+        """The multiplication map pi_B: b1^o (x) b2 -> b1 b2, which sets xi to 0."""
+        return self.env._suffixes(self.elem, False).get((0,) * self.env.n_ext,
+                                                         self.env.tower.zero())
 
     # --- the Omega basis -------------------------------------------------------------
 
-    def gamma_coordinates(self) -> dict:
-        """Left B^o-coordinates over Mon(Gamma) = {1^o (x) M}: {M -> b} with
-        the element equal to sum b^o (x) M."""
-        env = self.env
-        tower = env.tower
-        k = env.a_prefix
-        out: dict = {}
-        for lex, r in sorted(self.terms.items()):
-            lelem = env.ext_elem(lex)
-            for exps, poly in r.terms.items():
-                aex = exps[:k] + (0,) * (tower.n - k)
-                mex = exps[k:]
-                add_term(out, mex, lelem * tower.monomial(aex, poly))
-        return out
-
     def to_omega(self) -> "OmegaCoordinates":
-        """Unique B^o-coordinates over Mon(Omega), by triangular elimination
-        of the highest filtration level first."""
+        """Unique B^o-coordinates over Mon(Omega): the flip sends b^o·xi^(w)
+        to (-1)^{|w|} b·xi^(w), |w| being the level."""
         env = self.env
-        coords: dict = {}
-        work = self
-        while not work.is_zero():
-            g = work.gamma_coordinates()
-            lmax = max(sum(m) for m in g)
-            sub = env.zero()
-            for mex in sorted(m for m in g if sum(m) == lmax):
-                b = g[mex]
-                if lmax % 2:
-                    b = -b
-                coords[mex] = b
-                sub = sub + env.include_left(b) * env.omega_monomial(mex)
-            work = work - sub
-            if not work.is_zero():
-                g2 = work.gamma_coordinates()
-                if max(sum(m) for m in g2) >= lmax:
-                    raise EnvelopeError("internal error: Omega elimination stalled")
-        return OmegaCoordinates(env, coords)
+        flipped = env.algebra.substitute(self.elem, env._flip_images)
+        return OmegaCoordinates(env, {w: -b if sum(w) % 2 else b
+                                      for w, b in env._suffixes(flipped, False).items()})
 
     def filtration_level(self) -> int | None:
         """Largest l with the element in J^(l); None means +infinity (zero)."""
-        return self.to_omega().min_level()
+        return min((sum(w) for w in self.env._suffixes(self.elem, False)), default=None)
 
     def right_coordinates(self) -> dict:
         """Coordinates over Mon(Omega) with coefficients in the right copy of
-        B: the element equals sum omega_hat * (1^o (x) c_omega).
-
-        Works by eliminating the highest left-monomial level first; the
-        leading left coefficient of every Omega monomial is +1.
-        """
-        env = self.env
-        coords: dict = {}
-        work = self
-        while not work.is_zero():
-            lmax = max(sum(l) for l in work.terms)
-            sub = env.zero()
-            for lex in sorted(l for l in work.terms if sum(l) == lmax):
-                c = work.terms[lex]
-                add_term(coords, lex, c)
-                sub = sub + env.omega_monomial(lex) * env.include_right(c)
-            work = work - sub
-            if not work.is_zero() and max(sum(l) for l in work.terms) >= lmax:
-                raise EnvelopeError("internal error: right-coordinate elimination stalled")
-        return coords
+        B: the element equals sum omega_hat * (1^o (x) c_omega)."""
+        return self.env._suffixes(self.elem, True)
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """The tensor form: sorted pairs (L, r) with the element sum L^o (x) r."""
+        env = self.env
+        tensor = env._opposite.substitute(self.elem, env._tensor_images)
+        return sorted(env._suffixes(tensor, True).items())
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         bits = []
         for lex, r in self.sorted_terms():

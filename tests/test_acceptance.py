@@ -35,7 +35,6 @@ from dglift import (
 )
 from dglift.base_ring import matrix_rank
 from dglift.cli import main
-from dglift.envelope import EnvelopeElement
 
 from oracle import brute_ext_dim
 
@@ -86,7 +85,8 @@ def _random_envelope(env, rng, max_wt=4):
         bex = rng.choice(tower.base.monomials_of_weight(rng.randrange(2))) \
             if tower.base.names else ()
         c = tower.base.field.of(rng.randrange(-3, 4))
-        out = out + EnvelopeElement(env, {lex: tower.monomial(exps, tower.base.monomial(bex, c))})
+        r = tower.monomial(exps, tower.base.monomial(bex, c))
+        out = out + env.from_tensor(env.ext_elem(lex), r)
     return out
 
 
@@ -128,10 +128,10 @@ def test_criterion_2_pi_kernel_roundtrip():
     while done < 200:
         e = _random_envelope(env3, rng, 3)
         parts = {}
-        for lex, r in e.terms.items():
+        for lex, r in e.sorted_terms():
             for h, rh in r.split_by_degree().items():
                 d = env3.ext_degree(lex) + h
-                parts[d] = parts.get(d, env3.zero()) + EnvelopeElement(env3, {lex: rh})
+                parts[d] = parts.get(d, env3.zero()) + env3.from_tensor(env3.ext_elem(lex), rh)
         evens = [p for d, p in parts.items() if d > 0 and d % 2 == 0 and not p.is_zero()]
         if not evens:
             continue
@@ -156,7 +156,7 @@ def test_criterion_2_pi_kernel_roundtrip():
     count = 0
     for env in envs:
         for lex in env.ext_monomials(10):
-            e = EnvelopeElement(env, {lex: env.tower.one()})
+            e = env.from_tensor(env.ext_elem(lex), env.tower.one())
             assert e.to_omega().expand() == e
             count += 1
     elapsed = time.time() - start

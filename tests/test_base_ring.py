@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -155,3 +156,17 @@ def test_rational_scalars_stay_fractions():
 def test_rank(QQ):
     rows = [{0: QQ.of(1), 1: QQ.of(2)}, {0: QQ.of(2), 1: QQ.of(4)}]
     assert matrix_rank(QQ, rows) == 1
+
+
+def test_monomials_of_weight_leave_nothing_for_the_cycle_collector(QQ):
+    # a recursive closure per call would be a reference cycle holding the
+    # ring and the result until the cycle collector runs
+    ring = PolyRing(QQ, ("a", "b", "c", "d"), (1, 1, 2, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert len(ring.monomials_of_weight(3)) == 13
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -304,8 +304,10 @@ def test_sums_products_and_differentials_hold_no_zero(p, a, b, a_prefix):
     mods = [m.add_elem(x, m.neg_elem(x)), reduce(m.add_elem, [x] * 5),
             m.mul_elem({0: odd, 1: u}, odd), m.apply_diff(x), m.apply_diff(m.apply_diff(x))]
     assert not mods[0] and not mods[4] and (not mods[1]) == (p == 5 or not x)
-    for elem in elems + envs:
+    for elem in elems:
         _assert_sparse(elem.terms)
+    for elem in envs:
+        _assert_sparse(dict(elem.sorted_terms()))
     for elem in mods:
         _assert_sparse(elem)
 

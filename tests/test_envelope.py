@@ -1,11 +1,12 @@
+import gc
 import random
+import weakref
 from math import comb
 
 import pytest
 
 from dglift import BidegreeWindow, EnvelopeAlgebra, PolyRing, TowerAlgebra
 from dglift.base_ring import matrix_rank
-from dglift.envelope import EnvelopeElement
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ def _random_envelope(env, rng, max_wt=4):
             if tower.base.names else ()
         c = tower.base.field.of(rng.randrange(-3, 4))
         r = tower.monomial(exps, tower.base.monomial(bex, c))
-        out = out + EnvelopeElement(env, {lex: r})
+        out = out + env.from_tensor(env.ext_elem(lex), r)
     return out
 
 
@@ -79,10 +80,10 @@ def test_graded_commutative_random(env_mixed):
 
 def _split(e):
     out = {}
-    for lex, r in e.terms.items():
+    for lex, r in e.sorted_terms():
         for h, rh in r.split_by_degree().items():
             d = e.env.ext_degree(lex) + h
-            piece = EnvelopeElement(e.env, {lex: rh})
+            piece = e.env.from_tensor(e.env.ext_elem(lex), rh)
             out[d] = out.get(d, e.env.zero()) + piece
     return out
 
@@ -397,7 +398,7 @@ def test_exactness_dimensions(env_mixed, mixed_tower):
             rows = {}
             for col, (lex, exps, bex) in enumerate(labels):
                 r = mixed_tower.monomial(exps, mixed_tower.base.monomial(bex))
-                img = EnvelopeElement(env_mixed, {lex: r}).pi()
+                img = env_mixed.from_tensor(env_mixed.ext_elem(lex), r).pi()
                 for key, scalar in [((e2, b2), s) for e2, p in img.terms.items()
                                     for b2, s in p.terms.items()]:
                     rows.setdefault(key, {})[col] = scalar
@@ -431,3 +432,18 @@ def test_nontrivial_a_prefix(mixed_tower):
     assert [b.name for b in q.basis] == ["ξ_Y"]
     q3 = env.quotient_module(3, BidegreeWindow(0, 8, 6))
     assert [b.name for b in q3.basis] == ["ξ_Y^(3)"]
+
+
+def test_envelope_is_freed_without_the_cycle_collector(mixed_tower):
+    # the envelope holds its towers and the images of its substitutions, and
+    # none of them refers back to it
+    gc.disable()
+    try:
+        env = EnvelopeAlgebra(mixed_tower, 1)
+        q = env.quotient_module(1, BidegreeWindow(0, 4, 4))
+        refs = [weakref.ref(env), weakref.ref(env.algebra)]
+        assert env.xi(1).differential().to_omega().coords
+        del env, q
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

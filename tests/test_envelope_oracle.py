@@ -16,22 +16,24 @@ from hypothesis import given, settings, strategies as st
 from dglift import EnvelopeAlgebra, Field, PolyRing, TowerAlgebra
 from oracle import TensorOracle
 
-_ENVS: dict = {}
+@pytest.fixture(scope="module")
+def envs():
+    """The envelope and its reference per case, built once, so that later
+    examples meet the memos that earlier ones filled."""
+    return {}
 
 
-def _env(flavor, p, k):
-    """The envelope and its reference, built once per case: later examples
-    meet the memos that earlier ones filled."""
+def _env(envs, flavor, p, k):
     key = (flavor, p, k)
-    if key not in _ENVS:
+    if key not in envs:
         ring = PolyRing(Field(p), ("x", "y"), (1, 1))
         t = TowerAlgebra(ring, flavor)
         t = t.adjoin("X1", 1, 1, t.gen("x"))
         t = t.adjoin("X2", 1, 1, t.gen("y"))
         t = t.adjoin("Y", 2, 2, t.gen("X1") * t.gen("y") - t.gen("X2") * t.gen("x"))
         t = t.adjoin("Z", 2, 1)
-        _ENVS[key] = EnvelopeAlgebra(t, k), TensorOracle(t, k)
-    return _ENVS[key]
+        envs[key] = EnvelopeAlgebra(t, k), TensorOracle(t, k)
+    return envs[key]
 
 
 TERM = st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 1),
@@ -69,8 +71,8 @@ def form(e) -> dict:
 @CASES
 @SETTINGS
 @given(a=TERMS, b=TERMS, u=TERMS, v=TERMS)
-def test_ring_operations_match_the_tensor_form(flavor, p, k, a, b, u, v):
-    env, ref = _env(flavor, p, k)
+def test_ring_operations_match_the_tensor_form(envs, flavor, p, k, a, b, u, v):
+    env, ref = _env(envs, flavor, p, k)
     (e1, x1), (e2, x2) = _pair(env, ref, a), _pair(env, ref, b)
     assert form(e1) == x1 and form(e2) == x2
     assert form(e1 + e2) == ref.add(x1, x2)
@@ -88,8 +90,8 @@ def test_ring_operations_match_the_tensor_form(flavor, p, k, a, b, u, v):
 @CASES
 @SETTINGS
 @given(a=TERMS, i=st.integers(0, 3), m=st.integers(0, 3))
-def test_diagonal_powers_match_the_tensor_form(flavor, p, k, a, i, m):
-    env, ref = _env(flavor, p, k)
+def test_diagonal_powers_match_the_tensor_form(envs, flavor, p, k, a, i, m):
+    env, ref = _env(envs, flavor, p, k)
     i %= env.n_ext
     e, x = _pair(env, ref, a)
     xi = env.xi_power(i, m)
@@ -101,8 +103,8 @@ def test_diagonal_powers_match_the_tensor_form(flavor, p, k, a, i, m):
 @CASES
 @SETTINGS
 @given(a=TERMS, b=TERMS)
-def test_coordinates_and_level_match_the_tensor_form(flavor, p, k, a, b):
-    env, ref = _env(flavor, p, k)
+def test_coordinates_and_level_match_the_tensor_form(envs, flavor, p, k, a, b):
+    env, ref = _env(envs, flavor, p, k)
     e1, x1 = _pair(env, ref, a)
     e = e1 * _pair(env, ref, b)[0] + e1
     x = form(e)
@@ -124,8 +126,8 @@ def test_coordinates_and_level_match_the_tensor_form(flavor, p, k, a, b):
 @SETTINGS
 @given(a=st.lists(TERM, min_size=1, max_size=4),
        h=st.sampled_from((2, 4)), m=st.integers(2, 3))
-def test_divided_powers_match_the_tensor_form(flavor, p, k, a, h, m):
-    env, ref = _env(flavor, p, k)
+def test_divided_powers_match_the_tensor_form(envs, flavor, p, k, a, h, m):
+    env, ref = _env(envs, flavor, p, k)
     e, x = _pair(env, ref, a, h)
     if flavor == "ordinary" and p is not None and not e.is_zero():
         with pytest.raises(ValueError, match="need rational coefficients"):

@@ -20,7 +20,6 @@ from dglift import (
     parse_session,
     ParseError,
 )
-from dglift.envelope import EnvelopeElement
 from dglift.homological import HomologicalError
 
 
@@ -73,7 +72,7 @@ def test_pi_n_is_pi_b_for_the_free_module(even_tower):
                     gex = lex
                     break
             assert gex is not None
-            via_pi_b = EnvelopeElement(env, {gex: c}).pi()
+            via_pi_b = env.from_tensor(env.ext_elem(gex), c).pi()
             assert n.elem_eq(img, {0: via_pi_b})
 
 

@@ -10,8 +10,10 @@ in `session` only `_Cursor` turns token text into an integer, so bounds on
 the numbers of a session have one place to go; no module adds a ring element
 into a sparse map by hand, since `dg_algebra.add_term` holds the rule that
 such a map keeps no zero; every grading of a ring element is read by
-`base_ring.homogeneous`; and only `TowerAlgebra.adjoin` links a tower to the
-parent whose memos it inherits."""
+`base_ring.homogeneous`; only `TowerAlgebra.adjoin` links a tower to the
+parent whose memos it inherits; the envelope has no arithmetic of its own,
+and `TowerAlgebra.substitute` is its one change of generators; and every
+name the benchmark's tracer wraps is defined where the tracer looks."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dglift"
+TRACING = SRC.parent.parent / "bench" / "tracing.py"
 
 
 def dglift_imports(path: pathlib.Path) -> set[str]:
@@ -133,8 +136,7 @@ def test_sparse_sums_go_through_add_term():
 
 def test_gradings_are_read_by_homogeneous():
     methods = {("base_ring.py", "BasePoly"): ("weight",),
-               ("dg_algebra.py", "AlgebraElement"): ("degree", "weight"),
-               ("envelope.py", "EnvelopeElement"): ("degree", "weight")}
+               ("dg_algebra.py", "AlgebraElement"): ("degree", "weight")}
     for (name, cls_name), names in methods.items():
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         cls = next(node for node in tree.body
@@ -164,3 +166,69 @@ def test_only_adjoin_sets_the_parent_link():
             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("setattr", "delattr")]
     assert sets and all(id(node) in inside for node in sets)
+
+
+def test_envelope_has_no_arithmetic_of_its_own():
+    # B^e is the tower B<xi>: an envelope element delegates every operation
+    # to its AlgebraElement, and the envelope writes tower elements from raw
+    # terms only in its one suffix reader
+    tree = ast.parse((SRC / "envelope.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for a in node.names}
+    assert "math" not in modules
+    assert not names & {"ring_power", "sum_divided_power", "split_over_prefix"}
+    powers = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("power", "divided_power")]
+    assert powers and all(ast.unparse(node.func.value) == "self.elem" for node in powers)
+    reader = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_suffixes")
+    inside = {id(node) for node in ast.walk(reader)}
+    builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "AlgebraElement"]
+    assert builds and all(id(node) in inside for node in builds)
+
+
+def test_only_substitute_changes_generators():
+    # phi, the flip and the tensor form of the envelope are algebra maps
+    # given by the images of the variables; one function applies them
+    defs = [(path.name, cls.name) for path in sorted(SRC.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "substitute"]
+    assert defs == [("dg_algebra.py", "TowerAlgebra")]
+    tops = [path.name for path in sorted(SRC.glob("*.py"))
+            for fn in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "substitute"]
+    assert not tops
+    tree = ast.parse((SRC / "envelope.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "substitute"]
+    assert len(calls) >= 3
+
+
+def test_traced_names_are_defined_where_the_tracer_looks():
+    # the benchmark's tracer re-binds each traced name through its owner's
+    # __dict__: a method must be defined on its own class, not inherited, and
+    # a function must be defined or imported in its own module
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    assert traced
+    for module, qual in traced:
+        body = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")).body
+        *classes, name = qual.split(".")
+        for cls in classes:
+            owners = [node for node in body if isinstance(node, ast.ClassDef) and node.name == cls]
+            assert owners, (module, qual)
+            body = owners[0].body
+        bound = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        if not classes:
+            bound |= {a.asname or a.name for node in body if isinstance(node, ast.ImportFrom)
+                      for a in node.names}
+        assert name in bound, (module, qual)
