@@ -2,7 +2,9 @@
 
 Deliberately separate from dglift.base_ring: plain dense Gaussian elimination
 over Fraction/int scalars, no pivoting strategy, used to cross-check ranks,
-homology dimensions, and Ext tables computed by the library.  The Hom
+homology dimensions, and Ext tables computed by the library.  The product of
+tower elements is checked against `symbol_product`, which sorts words of
+variable symbols by adjacent swaps.  The Hom
 differential is applied to maps with module-element operations, not with the
 library's Hom-complex code, and the differential of a tower element is
 expanded by the Leibniz rule over its variable powers, not with the library's
@@ -66,6 +68,51 @@ def leibniz_differential(elem):
                 piece = piece * (factor.scale_int(m) if tower.flavor == "ordinary" else factor)
             prefix = sum(exps[j] * tower.variables[j].degree for j in range(i))
             out = out + (-piece if prefix % 2 else piece)
+    return out
+
+
+def symbol_product(u, v) -> dict:
+    """The field coordinates {(variable exps, base exps): scalar} of u·v,
+    from words of symbols: each term of u, then each term of v, is written
+    as the word of its variables (X_i^(m) one symbol), and the word is
+    sorted by adjacent swaps, a swap of two odd symbols flipping the sign.
+    Then equal neighbours merge: two odd symbols give zero, two even ones
+    X_i^(a) X_i^(b) give binom(a+b, a) X_i^(a+b) in the divided flavor and
+    X_i^(a+b) in the ordinary one.  Base coefficients multiply term by term."""
+    tower = u.tower
+    field = tower.base.field
+    odd = [var.degree % 2 == 1 for var in tower.variables]
+    divided = tower.flavor == "divided"
+    out: dict = {}
+    for ea, pa in u.terms.items():
+        for eb, pb in v.terms.items():
+            word = [[i, m] for i, m in enumerate(ea) if m] + [[i, m] for i, m in enumerate(eb) if m]
+            sign = 1
+            for end in range(len(word) - 1, 0, -1):
+                for k in range(end):
+                    if word[k][0] > word[k + 1][0]:
+                        if odd[word[k][0]] and odd[word[k + 1][0]]:
+                            sign = -sign
+                        word[k], word[k + 1] = word[k + 1], word[k]
+            coeff, exps, dead = sign, [0] * tower.n, False
+            for i, m in word:
+                if exps[i]:
+                    if odd[i]:
+                        dead = True
+                    elif divided:
+                        coeff *= comb(exps[i] + m, m)
+                exps[i] += m
+            if dead:
+                continue
+            scalar = field.of(coeff)
+            for ba, ca in pa.terms.items():
+                for bb, cb in pb.terms.items():
+                    key = (tuple(exps), tuple(a + b for a, b in zip(ba, bb)))
+                    s = field.add(out.get(key, field.zero()), field.mul(scalar, field.mul(ca, cb)))
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
     return out
 
 

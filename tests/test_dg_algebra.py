@@ -18,7 +18,7 @@ from dglift import (
 )
 
 from dglift.base_ring import remainder
-from oracle import leibniz_differential
+from oracle import leibniz_differential, symbol_product
 
 
 def test_divided_product_rule(even_tower):
@@ -362,3 +362,17 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
             echelon = tower.slice_echelon(h, w)
             assert len(echelon) == ref.slice_rank(h, w)[1]
             assert not any(remainder(field, echelon, col) for col in ref.slice_images(h, w))
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 1), z=st.sampled_from((None, "even", "odd")),
+       a=TERMS, b=TERMS)
+def test_products_match_the_symbol_oracle(flavor, p, which, z, a, b):
+    # every tower of an adjoin chain, the mixed tower Q[x,y]<X1,X2,Y> among
+    # them, and each product twice, so that a memoised product is read back
+    for tower in _chain(flavor, p, which, z):
+        u, v = _element(tower, a), _element(tower, b)
+        for left, right in ((u, v), (v, u), (u, u), (u, v)):
+            assert (left * right).coordinates() == symbol_product(left, right)
