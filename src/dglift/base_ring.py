@@ -1,13 +1,15 @@
 """Exact coefficient fields, weighted polynomial rings, and exact linear solving.
 
 Everything downstream (homology ranks, Ext tables, splitting certificates)
-depends on this layer being exact: scalars are `fractions.Fraction` over Q or
-machine ints in [0, p) over a prime field, never floats.
+depends on this layer being exact: scalars are ints, or `fractions.Fraction`
+where a rational is not integral, over Q, and machine ints in [0, p) over a
+prime field, never floats.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,54 +49,72 @@ def homogeneous(grades: set[int]) -> int | None:
     return next(iter(grades), 0)
 
 
+def _integral(q: Fraction):
+    """q as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _rational(numer, denom=1):
+    if denom == 1 and type(numer) is int:
+        return numer
+    return _integral(Fraction(numer, denom))
+
+
+def _rational_inverse(a):
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    return _integral(1 / Fraction(a))
+
+
 class Field:
     """The rationals (p is None) or the prime field F_p.
 
-    Scalars are raw values: Fraction over Q, int in [0, p) over F_p.
+    Scalars are raw values.  Over F_p they are ints in [0, p).  Over Q an
+    integral scalar is an int: `of(n)`, `zero()` and `one()` give ints, and
+    only `of(n, d)`, `inv` and `div` make a `Fraction`, giving an int when
+    the denominator is 1.  A sum or product may leave an integral Fraction,
+    which equals the int, hashes as it and prints as it.  The operations
+    are bound once per field in the constructor, so none of them asks which
+    field it is in.
     """
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        if p is None:
+            self.add, self.sub, self.mul, self.neg = operator.add, operator.sub, operator.mul, operator.neg
+            self.of, self.inv = _rational, _rational_inverse
+            self.div = lambda a, b: _integral(Fraction(a) * _rational_inverse(b))
+            return
+        self.add = lambda a, b: (a + b) % p
+        self.sub = lambda a, b: (a - b) % p
+        self.mul = lambda a, b: a * b % p
+        self.neg = lambda a: -a % p
+
+        def of(numer, denom=1):
+            """Build a scalar from integers."""
+            if denom % p == 0:
+                raise ZeroDivisionError(f"denominator {denom} is 0 mod {p}")
+            return numer * pow(denom, -1, p) % p
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return pow(a, -1, p)
+
+        self.of, self.inv = of, inv
+        self.div = lambda a, b: a * inv(b) % p
 
     @property
     def is_rational(self) -> bool:
         return self.p is None
 
-    def of(self, numer, denom=1):
-        """Build a scalar from integers (or a Fraction)."""
-        if self.p is None:
-            return Fraction(numer, denom)
-        if denom % self.p == 0:
-            raise ZeroDivisionError(f"denominator {denom} is 0 mod {self.p}")
-        return numer * pow(denom % self.p, -1, self.p) % self.p
-
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else a * b % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1, a) if self.p is None else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return 1
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -228,17 +248,29 @@ class BasePoly:
     def __mul__(self, other: "BasePoly") -> "BasePoly":
         self._check(other)
         field = self.ring.field
+        mul = field.mul
+        many, one = self.terms, other.terms
+        if len(many) == 1:
+            many, one = one, many
+        if len(one) == 1:
+            # a one-term factor shifts exponents: no two terms collide, and a
+            # product of nonzero scalars is nonzero
+            ((eb, cb),) = one.items()
+            if not any(eb):
+                return BasePoly(self.ring, {ea: mul(ca, cb) for ea, ca in many.items()})
+            return BasePoly(self.ring, {tuple([a + b for a, b in zip(ea, eb)]): mul(ca, cb)
+                                        for ea, ca in many.items()})
+        add = field.add
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                c = field.mul(ca, cb)
+                exps = tuple([a + b for a, b in zip(ea, eb)])
+                c = mul(ca, cb)
                 old = out.get(exps)
                 if old is None:
-                    if c:
-                        out[exps] = c
+                    out[exps] = c
                     continue
-                s = field.add(old, c)
+                s = add(old, c)
                 if s:
                     out[exps] = s
                 else:

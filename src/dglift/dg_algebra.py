@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, factorial
 import random
 
-from .base_ring import BasePoly, PolyRing, homogeneous, matrix_rank, remainder
+from .base_ring import BasePoly, PolyRing, homogeneous, matrix_rank, nullspace_basis, remainder
 from .render import monomial_text
 
 DIVIDED = "divided"
@@ -47,13 +47,14 @@ class TowerAlgebra:
 
     The constructor performs only structural checks; `adjoin` is the validated
     path that also checks the cycle condition on differential targets.  A
-    tower never changes, so it memoises its monomial differentials, slice
-    bases, slice echelons and slice ranks.  A tower built by `adjoin` links
-    to its parent and inherits from it: a monomial without the new variable
-    keeps its differential, padded with a zero, and a slice is the parent's
-    slices with powers of the new variable appended, so only what holds the
-    new variable is computed.  The link runs from child to parent only, so a
-    chain of towers is in no reference cycle.
+    tower never changes, so it memoises its monomial products, monomial
+    differentials, slice bases, slice echelons, slice kernels and slice
+    ranks.  A tower built by `adjoin` links to its parent and inherits from
+    it: a monomial without the new variable keeps its differential, padded
+    with a zero, and a slice is the parent's slices with powers of the new
+    variable appended, so only what holds the new variable is computed.
+    The link runs from child to parent only, so a chain of towers is in no
+    reference cycle.
     """
 
     _parent: "TowerAlgebra | None" = None  # set by `adjoin` only
@@ -71,10 +72,12 @@ class TowerAlgebra:
         # the memos hold term maps, not elements, so that a tower is in no
         # reference cycle and is freed as soon as it is dropped
         self._diff_cache: dict[int, dict] = {}
+        self._products: dict[tuple, tuple] = {}
         self._mono_diffs: dict[tuple, dict] = {}
         self._slices: dict[tuple[int, int], tuple] = {}
         self._slice_ranks: dict[tuple[int, int], tuple[int, int]] = {}
         self._echelons: dict[tuple[int, int], list[tuple]] = {}
+        self._kernels: dict[tuple[int, int], list[dict]] = {}
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names) or set(names) & set(base.names):
             raise TowerError("variable names must be fresh and distinct")
@@ -176,24 +179,68 @@ class TowerAlgebra:
             terms = {e + (0,): p for e, p in self._parent.monomial_diff(exps[:-1]).terms.items()}
             self._mono_diffs[exps] = terms
             return AlgebraElement(self, terms)
-        out = self.zero()
+        field = self.base.field
+        terms = {}
         prefix_deg = 0
         for i, m in enumerate(exps):
             if m:
                 t = self.variable_diff(i)
-                if not t.is_zero():
-                    head = list(exps[: i + 1]) + [0] * (self.n - i - 1)
-                    head[i] = m - 1
-                    piece = self.monomial(tuple(head)) * t
-                    tail = (0,) * (i + 1) + exps[i + 1 :]
-                    piece = piece * self.monomial(tail)
-                    k = m if self.flavor == ORDINARY else 1
-                    if prefix_deg % 2:
-                        k = -k
-                    out = out + piece.scale_int(k)
+                k = field.of(m if self.flavor == ORDINARY else 1)
+                if t.terms and k:
+                    # ±k X^head · dX_i · X^tail, head holding X_i^(m-1)
+                    head = exps[:i] + (m - 1,) + (0,) * (self.n - i - 1)
+                    tail = (0,) * (i + 1) + exps[i + 1:]
+                    k = self.base.constant(field.neg(k) if prefix_deg % 2 else k)
+                    piece = self.monomial_times(head, self.monomial_times(tail, t, right=True), k)
+                    for e, p in piece.terms.items():
+                        add_term(terms, e, p)
                 prefix_deg += m * self._degrees[i]
-        self._mono_diffs[exps] = out.terms
-        return out
+        self._mono_diffs[exps] = terms
+        return AlgebraElement(self, terms)
+
+    def monomial_product(self, ea: tuple, eb: tuple) -> tuple:
+        """X^ea · X^eb as (exps, c): c is the field scalar, an int, of the
+        Koszul sign of the odd variables of eb passing those of ea and, in
+        the divided flavor, of the binomials binom(a+b, a) of the even
+        variables they share.  (None, 0) when an odd variable meets itself;
+        c is also 0 when a binomial vanishes in the field.  Computed once
+        per pair; the memo holds tuples and ints only."""
+        key = (ea, eb)
+        hit = self._products.get(key)
+        if hit is not None:
+            return hit
+        odd, divided = self._odd, self.flavor == DIVIDED
+        sign, coeff, seen = 0, 1, 0  # seen: odd variables of eb so far
+        for i, (a, b) in enumerate(zip(ea, eb)):
+            if odd[i]:
+                if a and b:
+                    hit = self._products[key] = (None, 0)
+                    return hit
+                if a:
+                    sign += seen
+                if b:
+                    seen += 1
+            elif divided and a and b:
+                coeff *= comb(a + b, a)
+        hit = (tuple([a + b for a, b in zip(ea, eb)]),
+               self.base.field.of(-coeff if sign % 2 else coeff))
+        self._products[key] = hit
+        return hit
+
+    def monomial_times(self, exps: tuple, u: "AlgebraElement", coeff: BasePoly | None = None,
+                       right: bool = False) -> "AlgebraElement":
+        """X^exps·c·u, or u·X^exps·c with `right`, for a nonzero one-term
+        base polynomial c (1 when None): each term of u moves to one monomial
+        product, so no two terms collide and no sum is formed."""
+        product = self.monomial_product
+        out = {}
+        for e, p in u.terms.items():
+            key, c = product(e, exps) if right else product(exps, e)
+            if c:
+                if coeff is not None:
+                    p = p * coeff
+                out[key] = p if c == 1 else p.scale(c)
+        return AlgebraElement(self, out)
 
     # --- structure -------------------------------------------------------
 
@@ -293,6 +340,30 @@ class TowerAlgebra:
             if rest:
                 matrix_rank(field, rest, cached)
         self._echelons[key] = cached
+        return cached
+
+    def slice_kernel(self, hdeg: int, weight: int) -> list[dict]:
+        """A basis of the kernel of d on the (hdeg, weight) slice, as
+        {basis vector: scalar} maps in the order of `nullspace_basis`;
+        computed once per slice.  The last variable of a tower built by
+        `adjoin` enters neither the slice nor its image below its own degree
+        or weight, so there the parent's kernel is read, padded with a zero."""
+        key = (hdeg, weight)
+        cached = self._kernels.get(key)
+        if cached is None:
+            parent = self._parent
+            if parent is not None and (hdeg < self._degrees[-1] or weight < self._weights[-1]):
+                cached = [{(e + (0,), b): v for (e, b), v in vec.items()}
+                          for vec in parent.slice_kernel(hdeg, weight)]
+            else:
+                basis = self.slice_basis(hdeg, weight)
+                rows: dict = {}
+                for j, image in enumerate(self.slice_images(hdeg, weight)):
+                    for k, scalar in image.items():
+                        rows.setdefault(k, {})[j] = scalar
+                cached = [{basis[j]: v for j, v in vec.items()} for vec in
+                          nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)], len(basis))]
+            self._kernels[key] = cached
         return cached
 
     def slice_rank(self, hdeg: int, weight: int) -> tuple[int, int]:
@@ -403,40 +474,18 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Graded-commutative product with Koszul signs and divided binomials."""
+        """Graded-commutative product: the Koszul signs and divided binomials
+        of each pair of monomials are read off `TowerAlgebra.monomial_product`."""
         self._check(other)
         tower = self.tower
-        odd = tower._odd
-        divided = tower.flavor == DIVIDED
-        n = tower.n
+        memo, product = tower._products, tower.monomial_product
         out: dict = {}
         for ea, pa in self.terms.items():
             for eb, pb in other.terms.items():
-                sign = 0
-                coeff = 1
-                cum = 0  # odd factors of eb seen so far
-                ok = True
-                for i in range(n):
-                    ai = ea[i]
-                    bi = eb[i]
-                    if odd[i]:
-                        if ai:
-                            if bi:
-                                ok = False
-                                break
-                            sign += cum
-                        if bi:
-                            cum += 1
-                    elif divided and ai and bi:
-                        coeff *= comb(ai + bi, ai)
-                if not ok:
-                    continue
-                p = pa * pb
-                if sign % 2:
-                    coeff = -coeff
-                if coeff != 1:
-                    p = p.scale_int(coeff)
-                add_term(out, tuple(a + b for a, b in zip(ea, eb)), p)
+                exps, c = memo.get((ea, eb)) or product(ea, eb)
+                if c:
+                    p = pa * pb
+                    add_term(out, exps, p if c == 1 else p.scale(c))
         return AlgebraElement(tower, out)
 
     def scale(self, scalar) -> "AlgebraElement":
@@ -446,14 +495,6 @@ class AlgebraElement:
 
     def scale_int(self, n: int) -> "AlgebraElement":
         return self.scale(self.tower.base.field.of(n))
-
-    def scale_poly(self, p: BasePoly) -> "AlgebraElement":
-        out = {}
-        for e, q in self.terms.items():
-            r = q * p
-            if not r.is_zero():
-                out[e] = r
-        return AlgebraElement(self.tower, out)
 
     def power(self, m: int) -> "AlgebraElement":
         if m < 0:
@@ -498,10 +539,11 @@ class AlgebraElement:
         """Leibniz differential; base-ring coefficients are constants (d = 0),
         so d(X^e p) = d(X^e) p."""
         tower = self.tower
-        out = tower.zero()
+        out: dict = {}
         for exps, poly in sorted(self.terms.items()):
-            out = out + tower.monomial_diff(exps).scale_poly(poly)
-        return out
+            for e, q in tower.monomial_diff(exps).terms.items():
+                add_term(out, e, q * poly)
+        return AlgebraElement(tower, out)
 
     # --- divided powers ------------------------------------------------------
 
@@ -557,15 +599,15 @@ class AlgebraElement:
         coeff = poly
         for _ in range(i - 1):
             coeff = coeff * poly
-        # M = F_1...F_k: repeatedly apply (v w)^(i) = v^i w^(i)
-        factors = [(k, m) for k, m in enumerate(exps) if m]
-        out = tower.from_poly(coeff)
-        for k, m in factors[:-1]:
-            out = out * tower.variable_power(k, m).power(i)
-        k, m = factors[-1]
-        c = factorial(m * i) // (factorial(i) * factorial(m) ** i)
-        out = out * tower.variable_power(k, m * i).scale_int(c)
-        return out
+        # M = F_1...F_k: repeatedly apply (v w)^(i) = v^i w^(i), so M^(i) =
+        # F_1^i...F_(k-1)^i F_k^(i), where (X^(m))^i = (mi)!/(m!)^i X^(mi)
+        # and (X^(m))^(i) is that divided by i!
+        c = 1
+        for m in exps:
+            if m:
+                c *= factorial(m * i) // factorial(m) ** i
+        power = AlgebraElement(tower, {tuple([m * i for m in exps]): coeff})
+        return power.scale_int(c // factorial(i))
 
     def sorted_terms(self):
         return sorted(self.terms.items())

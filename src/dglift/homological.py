@@ -97,9 +97,10 @@ class HomComplex:
             for (exps, bex), own in zip(basis, tower.slice_images(hi, wi)):
                 col = {(i,) + k: neg(s) if odd else s for k, s in own.items()}
                 if entries:
-                    mono = tower.monomial(exps, tower.base.monomial(bex))
+                    shift = tower.base.monomial(bex)
                     for a, entry in entries:
-                        for k, s in (entry * mono).coordinates().items():
+                        image = tower.monomial_times(exps, entry, shift, right=True)
+                        for k, s in image.coordinates().items():
                             col[(a,) + k] = s
                 cols.append(((i, exps, bex), col))
         self._dl[key] = cols
@@ -124,8 +125,8 @@ class HomComplex:
                     pkey = (alpha, b, exps, bex)
                     coords = self._products.get(pkey)
                     if coords is None:
-                        mono = tower.monomial(exps, tower.base.monomial(bex))
-                        coords = self._products[pkey] = (mono * entry).coordinates()
+                        coords = self._products[pkey] = tower.monomial_times(
+                            exps, entry, tower.base.monomial(bex)).coordinates()
                     for (pex, pbex), s in coords.items():
                         col[(b, (i, pex, pbex))] = neg(s) if even else s
                 cols.append(col)

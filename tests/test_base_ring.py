@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dglift import Field, Infeasible, LinearSolution, LinearSystem, PolyRing, solve_linear
+from dglift import (Field, Infeasible, LinearSolution, LinearSystem, PolyRing, TowerAlgebra,
+                    solve_linear)
 from dglift.base_ring import matrix_rank, nullspace_basis
 
 
@@ -140,17 +141,51 @@ def test_deterministic_elimination(QQ):
     assert [list(v.items()) for v in na] == [list(v.items()) for v in nb]
 
 
-def test_rational_scalars_stay_fractions():
+def _exact(x) -> bool:
+    return type(x) in (int, Fraction)
+
+
+def test_rational_scalars_are_ints_or_fractions_never_floats():
     # Fraction(1, 2) == 0.5, so the types are checked, not just the values
     q = Field()
-    assert type(q.inv(2)) is Fraction and q.inv(2) == Fraction(1, 2)
-    assert type(q.div(1, 3)) is Fraction
+    assert q.inv(2) == Fraction(1, 2) and type(q.inv(2)) is Fraction
+    assert q.div(1, 3) == Fraction(1, 3) and type(q.div(1, 3)) is Fraction
+    # an integral scalar is an int, also when a quotient makes it
+    assert [type(x) for x in (q.of(3), q.zero(), q.one(), q.of(4, 2), q.inv(-1),
+                              q.inv(Fraction(1, 3)), q.div(6, 3))] == [int] * 7
+    assert (q.of(4, 2), q.inv(-1), q.inv(Fraction(1, 3)), q.div(6, 3)) == (2, -1, 3, 2)
     res = solve_linear(LinearSystem(q, [{0: 2}], [1], 1))
     assert res.solution == [Fraction(1, 2)]
-    assert all(type(x) is Fraction for x in res.solution)
+    assert all(_exact(x) for x in res.solution)
     null = nullspace_basis(q, [{0: 2, 1: 1}], 2)
     assert null == [{0: Fraction(-1, 2), 1: Fraction(1)}]
-    assert all(type(x) is Fraction for v in null for x in v.values())
+    assert all(_exact(x) for v in null for x in v.values())
+
+
+def test_integer_elements_of_a_divided_tower_keep_int_scalars():
+    # products, differentials and divided powers of elements with integer
+    # coefficients make no Fraction and no float over Q
+    ring = PolyRing(Field(), ("x", "y"), (1, 1))
+    t = TowerAlgebra(ring, "divided")
+    t = t.adjoin("X1", 1, 1, t.gen("x"))
+    t = t.adjoin("X2", 1, 1, t.gen("y"))
+    t = t.adjoin("Y", 2, 2, t.gen("X1") * t.gen("y") - t.gen("X2") * t.gen("x"))
+    t = t.adjoin("Z", 2, 1)
+    g = t.gen
+    pool = [g("x") - g("y").scale_int(2), g("X1") * g("y").scale_int(3) + g("X2"),
+            g("Y").scale_int(-2) + g("Z") * g("Z") * g("x"), g("Z").scale_int(5) + g("X1") * g("X2"),
+            g("Y") * g("Z") - g("X1") * g("X2") * g("x").scale_int(4)]
+    walked = []
+    for u in pool:
+        walked.append(u.differential())
+        if u.degree() and u.degree() % 2 == 0:
+            walked += [u.divided_power(m) for m in (2, 3, 4)]
+            walked.append(u.divided_power(3).differential())
+        for v in pool:
+            walked += [u * v, (u * v).differential()]
+    scalars = [s for u in pool + walked for poly in u.terms.values() for s in poly.terms.values()]
+    assert len(scalars) > 100
+    assert all(type(s) is int for s in scalars), {type(s) for s in scalars}
 
 
 def test_rank(QQ):

@@ -1,9 +1,12 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
+from dglift import BasePoly, Field, PolyRing, TowerAlgebra, cli
 from dglift.cli import main
+from dglift.render import render_element, render_poly
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -147,3 +150,52 @@ def test_check_axioms_budget_zero_is_not_the_default(tmp_path):
     assert main([str(session), "--report", str(out)]) == 0
     zero, one, default = (rep["tables"]["laws"] for rep in json.loads(out.read_text())["reports"])
     assert zero == one != default
+
+
+REAL_NAIVE_LIFT = cli.naive_lift_check
+
+
+def _witness(tmp_path, monkeypatch, scalar):
+    """The naive-lift report of the obstructed golden, with every scalar of
+    the witness (value and combination) replaced by `scalar`."""
+    def patched(*args, **kwargs):
+        res = REAL_NAIVE_LIFT(*args, **kwargs)
+        res.witness.value = scalar
+        res.witness.combo = {k: scalar for k in res.witness.combo}
+        return res
+
+    monkeypatch.setattr(cli, "naive_lift_check", patched)
+    out = tmp_path / "witness.json"
+    assert main([str(GOLDENS / "obstructed.session"), "--report", str(out)]) == 10
+    text = out.read_text()
+    witness = next(rep["certificates"]["witness"] for rep in json.loads(text)["reports"]
+                   if "witness" in rep["certificates"])
+    return text, witness
+
+
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2])
+def test_integral_scalars_print_the_same_as_int_and_as_fraction(tmp_path, monkeypatch, n):
+    # over Q an integral scalar is an int, or an integral Fraction that a sum
+    # or product left: every output must spell both the same way
+    ring = PolyRing(Field(), ("x",), (1,))
+    tower = TowerAlgebra(ring, "divided").adjoin("X", 2, 1)
+    for bex in ((0,), (1,)):
+        as_int, as_frac = BasePoly(ring, {bex: n}), BasePoly(ring, {bex: Fraction(n, 1)})
+        assert render_poly(as_int) == render_poly(as_frac)
+        assert render_element(tower.monomial((1,), as_int)) \
+            == render_element(tower.monomial((1,), as_frac))
+        assert render_element(tower.from_poly(as_int)) == render_element(tower.from_poly(as_frac))
+    text, witness = _witness(tmp_path, monkeypatch, n)
+    assert (text, witness) == _witness(tmp_path, monkeypatch, Fraction(n, 1))
+    assert witness["value"] == str(n) and set(witness["combo"].values()) == {str(n)}
+
+
+def test_a_half_prints_as_a_slash(tmp_path, monkeypatch):
+    ring = PolyRing(Field(), ("x",), (1,))
+    half = Fraction(1, 2)
+    assert render_poly(BasePoly(ring, {(0,): half})) == "1/2"
+    assert render_poly(BasePoly(ring, {(1,): half})) == "1/2·x"
+    tower = TowerAlgebra(ring, "divided").adjoin("X", 2, 1)
+    assert render_element(tower.monomial((1,), BasePoly(ring, {(0,): half}))) == "1/2·X"
+    _, witness = _witness(tmp_path, monkeypatch, half)
+    assert witness["value"] == "1/2" and set(witness["combo"].values()) == {"1/2"}

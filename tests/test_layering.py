@@ -12,8 +12,12 @@ into a sparse map by hand, since `dg_algebra.add_term` holds the rule that
 such a map keeps no zero; every grading of a ring element is read by
 `base_ring.homogeneous`; only `TowerAlgebra.adjoin` links a tower to the
 parent whose memos it inherits; the envelope has no arithmetic of its own,
-and `TowerAlgebra.substitute` is its one change of generators; and every
-name the benchmark's tracer wraps is defined where the tracer looks."""
+and `TowerAlgebra.substitute` is its one change of generators; `Field` binds
+its operations once, so that no scalar operation asks which field it is in;
+the product of tower elements reads its signs and binomials off the
+monomial product memo, and the Hom blocks multiply by a monomial through
+the tower's shift routine; and every name the benchmark's tracer wraps is
+defined where the tracer looks."""
 
 from __future__ import annotations
 
@@ -232,3 +236,53 @@ def test_traced_names_are_defined_where_the_tracer_looks():
             bound |= {a.asname or a.name for node in body if isinstance(node, ast.ImportFrom)
                       for a in node.names}
         assert name in bound, (module, qual)
+
+
+def _class(module: str, name: str) -> ast.ClassDef:
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_field_operations_do_not_test_the_field():
+    # the operations are bound in the constructor; a method that reads self.p
+    # on every call would ask again which field it is in
+    field = _class("base_ring.py", "Field")
+    ops = {"add", "sub", "mul", "neg", "of", "inv", "div", "zero", "one"}
+    methods = {fn.name: fn for fn in field.body if isinstance(fn, ast.FunctionDef)}
+    init = methods["__init__"]
+    bound = {t.attr for node in ast.walk(init) if isinstance(node, ast.Assign)
+             for target in node.targets
+             for t in (target.elts if isinstance(target, ast.Tuple) else [target])
+             if isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self"}
+    assert ops <= bound | set(methods)
+    for name in ops & set(methods):
+        reads = [node for node in ast.walk(methods[name])
+                 if isinstance(node, ast.Attribute) and node.attr == "p"]
+        assert not reads, name
+
+
+def test_element_product_has_no_per_variable_loop():
+    # the Koszul sign and the binomials of a pair of monomials are computed
+    # once, by TowerAlgebra.monomial_product, and read off its memo
+    elem = _class("dg_algebra.py", "AlgebraElement")
+    mul = next(fn for fn in elem.body if isinstance(fn, ast.FunctionDef) and fn.name == "__mul__")
+    loops = [node for node in ast.walk(mul) if isinstance(node, (ast.For, ast.comprehension))]
+    assert len(loops) == 2  # the terms of each factor
+    assert all(ast.unparse(node.iter).endswith(".terms.items()") for node in loops)
+    names = {node.id for node in ast.walk(mul) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(mul) if isinstance(node, ast.Attribute)}
+    assert not names & {"comb", "zip", "range", "enumerate"}
+    assert "monomial_product" in attrs
+
+
+def test_hom_blocks_multiply_through_the_shift_routine():
+    # X^e x^b · dM[a, b] and dL[a, i] · X^e x^b only shift exponents: the
+    # block assembly builds no monomial element and multiplies no elements
+    hom = _class("homological.py", "HomComplex")
+    calls = [node for node in ast.walk(hom)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    monomials = [node for node in calls if node.func.attr == "monomial"]
+    assert all(ast.unparse(node.func.value).endswith(".base") for node in monomials)
+    assert sum(node.func.attr == "monomial_times" for node in calls) == 2
+    assert not [node for node in ast.walk(hom)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)]

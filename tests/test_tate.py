@@ -16,6 +16,8 @@ from dglift import (
     tate_step,
 )
 
+from dglift import dg_algebra
+from dglift.base_ring import nullspace_basis
 from oracle import dense_rank, leibniz_differential
 from test_tate_snapshot import cases
 
@@ -220,6 +222,29 @@ def test_towers_of_a_resolution_are_freed_without_the_cycle_collector(ring_xy):
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_homology_rep_reads_the_kernel_memo_of_the_first_tower(monkeypatch):
+    # a degree-(hdeg+1) variable enters neither the (hdeg, w) slice nor its
+    # image, so every tower of one tate_step reads the first tower's kernel:
+    # one elimination per distinct slice, (1, 3) and (2, 4), where each of
+    # the 11 homology_rep calls made its own before
+    ring = PolyRing(Field(), ("x", "y", "z", "u"), (1, 1, 1, 1))
+    x, y, z, u = (ring.var(n) for n in "xyzu")
+    calls = []
+
+    def counted(field, rows, ncols):
+        calls.append(ncols)
+        return nullspace_basis(field, rows, ncols)
+
+    monkeypatch.setattr(dg_algebra, "nullspace_basis", counted)
+    res = tate_resolution(ring, [x * y, y * z, z * u, u * x], 3, 7)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    tower, h0 = reference_tate_resolution(ring, [x * y, y * z, z * u, u * x], 3, 7, "divided")
+    assert ([(v.name, v.degree, v.weight, v.target) for v in res.tower.variables]
+            == [(v.name, v.degree, v.weight, v.target) for v in tower.variables])
+    assert res.h0.dims == h0.dims
 
 
 def _fresh(tower, counter):
