@@ -227,8 +227,8 @@ def test_towers_of_a_resolution_are_freed_without_the_cycle_collector(ring_xy):
 def test_homology_rep_reads_the_kernel_memo_of_the_first_tower(monkeypatch):
     # a degree-(hdeg+1) variable enters neither the (hdeg, w) slice nor its
     # image, so every tower of one tate_step reads the first tower's kernel:
-    # one elimination per distinct slice, (1, 3) and (2, 4), where each of
-    # the 11 homology_rep calls made its own before
+    # one elimination per distinct slice, (1, 3) and (2, 4), for the 11
+    # homology_rep calls
     ring = PolyRing(Field(), ("x", "y", "z", "u"), (1, 1, 1, 1))
     x, y, z, u = (ring.var(n) for n in "xyzu")
     calls = []
