@@ -145,21 +145,32 @@ def _exact(x) -> bool:
     return type(x) in (int, Fraction)
 
 
-def test_rational_scalars_are_ints_or_fractions_never_floats():
-    # Fraction(1, 2) == 0.5, so the types are checked, not just the values
+def test_rational_scalars_stay_fractions():
+    # a non-integral Q scalar is a Fraction; Fraction(1, 2) == 0.5, so the
+    # types are checked, not just the values
     q = Field()
     assert q.inv(2) == Fraction(1, 2) and type(q.inv(2)) is Fraction
     assert q.div(1, 3) == Fraction(1, 3) and type(q.div(1, 3)) is Fraction
+    res = solve_linear(LinearSystem(q, [{0: 2}], [1], 1))
+    assert res.solution == [Fraction(1, 2)]
+    assert all(type(x) is Fraction for x in res.solution)
+    null = nullspace_basis(q, [{0: 2, 1: 1}], 2)
+    assert null == [{0: Fraction(-1, 2), 1: Fraction(1)}]
+    assert type(null[0][0]) is Fraction
+
+
+def test_rational_scalars_are_ints_or_fractions_never_floats():
+    q = Field()
     # an integral scalar is an int, also when a quotient makes it
     assert [type(x) for x in (q.of(3), q.zero(), q.one(), q.of(4, 2), q.inv(-1),
                               q.inv(Fraction(1, 3)), q.div(6, 3))] == [int] * 7
     assert (q.of(4, 2), q.inv(-1), q.inv(Fraction(1, 3)), q.div(6, 3)) == (2, -1, 3, 2)
-    res = solve_linear(LinearSystem(q, [{0: 2}], [1], 1))
-    assert res.solution == [Fraction(1, 2)]
-    assert all(_exact(x) for x in res.solution)
     null = nullspace_basis(q, [{0: 2, 1: 1}], 2)
-    assert null == [{0: Fraction(-1, 2), 1: Fraction(1)}]
+    assert type(null[0][1]) is int
     assert all(_exact(x) for v in null for x in v.values())
+    res = solve_linear(LinearSystem(q, [{0: 2, 1: 1}, {1: 3}], [1, 6], 2))
+    assert res.solution == [Fraction(-1, 2), 2]
+    assert all(_exact(x) for x in res.solution)
 
 
 def test_integer_elements_of_a_divided_tower_keep_int_scalars():
