@@ -463,15 +463,75 @@ def solve_linear(system: LinearSystem, track_witness: bool = True):
     return LinearSolution(solution)
 
 
+def _structural_pivots(rows: list[dict]) -> tuple[int, list[dict]]:
+    """Peel off the pivots that need no arithmetic (LaMacchia-Odlyzko): a
+    column held by one row makes that row a pivot, and a row holding one
+    column is a pivot whose column is deleted from the other rows.  Returns
+    the number of pivots taken and the rows left over, which hold no pivot
+    column.  A row is copied before a column is deleted from it, so the
+    input is never changed."""
+    work = [r if all(r.values()) else {c: v for c, v in r.items() if v} for r in rows]
+    holders: dict = {}  # col -> rows that held it at the start
+    for i, r in enumerate(work):
+        for c in r:
+            held = holders.get(c)
+            if held is None:
+                holders[c] = [i]
+            else:
+                held.append(i)
+    left = {c: len(held) for c, held in holders.items()}  # col -> rows not taken
+    taken = [not r for r in work]
+    cols = [c for c, n in left.items() if n == 1]
+    singles = [i for i, r in enumerate(work) if len(r) == 1]
+    rank = 0
+    while cols or singles:
+        if cols:
+            col = cols.pop()
+            if left[col] != 1:
+                continue
+            i = next(j for j in holders[col] if not taken[j])
+            for c in work[i]:
+                n = left[c] = left[c] - 1
+                if n == 1:
+                    cols.append(c)
+        else:
+            i = singles.pop()
+            if taken[i] or len(work[i]) != 1:
+                continue
+            (col,) = work[i]
+            left[col] = 0
+            for j in holders[col]:
+                if j != i and not taken[j]:
+                    other = work[j]
+                    if other is rows[j]:
+                        other = work[j] = dict(other)
+                    del other[col]
+                    if len(other) == 1:
+                        singles.append(j)
+                    elif not other:
+                        taken[j] = True
+        taken[i] = True
+        rank += 1
+    return rank, [r for r, t in zip(work, taken) if not t]
+
+
 def matrix_rank(field: Field, rows: list[dict], echelon: list | None = None) -> int:
     """Rank of the rows.  Given a list `echelon`, appends the (pivot column,
-    pivot row) pairs to it in pivot order: each row is 1 at its pivot column
-    and 0 at the pivot columns of the rows before it, and the rows span the
-    input rows."""
+    pivot row) pairs of `_reduce` to it in pivot order: each row is 1 at its
+    pivot column and 0 at the pivot columns of the rows before it, and the
+    rows span the input rows.  Without one, the structural pivots are taken
+    first and `_reduce` ranks the rows left: the rank is the same, but the
+    pivot columns, which decide what `remainder` leaves of a vector, need
+    not be."""
+    rank = 0
+    if echelon is None:
+        rank, rows = _structural_pivots(rows)
+        if not rows:
+            return rank
     work, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
     if echelon is not None:
         echelon.extend((col, work[i]) for col, i in pivots.items())
-    return len(pivots)
+    return rank + len(pivots)
 
 
 def remainder(field: Field, echelon: list, vec: dict) -> dict:
@@ -479,7 +539,7 @@ def remainder(field: Field, echelon: list, vec: dict) -> dict:
     `matrix_rank`, in their order: empty exactly when `vec` lies in the span
     of the rows."""
     add, mul, neg = field.add, field.mul, field.neg
-    out = dict(vec)
+    out = {c: v for c, v in vec.items() if v}
     for col, row in echelon:
         m = out.get(col)
         if m is None:

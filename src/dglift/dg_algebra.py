@@ -48,11 +48,12 @@ class TowerAlgebra:
     The constructor performs only structural checks; `adjoin` is the validated
     path that also checks the cycle condition on differential targets.  A
     tower never changes, so it memoises its monomial products, monomial
-    differentials, slice bases, slice echelons, slice kernels and slice
-    ranks.  A tower built by `adjoin` links to its parent and inherits from
-    it: a monomial without the new variable keeps its differential, padded
-    with a zero, and a slice is the parent's slices with powers of the new
-    variable appended, so only what holds the new variable is computed.
+    differentials, slice bases, slice indices, slice columns, slice
+    echelons, slice kernels and slice ranks.  A tower built by `adjoin`
+    links to its parent and inherits from it: a monomial without the new
+    variable keeps its differential, padded with a zero, and a slice is the
+    parent's slices with powers of the new variable appended, so only what
+    holds the new variable is computed.
     The link runs from child to parent only, so a chain of towers is in no
     reference cycle.
     """
@@ -75,6 +76,8 @@ class TowerAlgebra:
         self._products: dict[tuple, tuple] = {}
         self._mono_diffs: dict[tuple, dict] = {}
         self._slices: dict[tuple[int, int], tuple] = {}
+        self._indices: dict[tuple[int, int], dict] = {}
+        self._columns: dict[tuple[int, int], list[dict]] = {}
         self._slice_ranks: dict[tuple[int, int], tuple[int, int]] = {}
         self._echelons: dict[tuple[int, int], list[tuple]] = {}
         self._kernels: dict[tuple[int, int], list[dict]] = {}
@@ -310,6 +313,26 @@ class TowerAlgebra:
         """Field coordinates of d of each (hdeg, weight) basis vector X^e x^b,
         in basis order: the columns of d on the slice."""
         return self._images(self.slice_basis(hdeg, weight))
+
+    def slice_index(self, hdeg: int, weight: int) -> dict:
+        """The position of each (hdeg, weight) basis vector in `slice_basis`;
+        computed once per slice."""
+        key = (hdeg, weight)
+        cached = self._indices.get(key)
+        if cached is None:
+            cached = self._indices[key] = {b: j for j, b in enumerate(self.slice_basis(hdeg, weight))}
+        return cached
+
+    def slice_columns(self, hdeg: int, weight: int) -> list[dict]:
+        """`slice_images` with each row numbered by its position in the
+        basis of the (hdeg - 1, weight) slice; computed once per slice."""
+        key = (hdeg, weight)
+        cached = self._columns.get(key)
+        if cached is None:
+            index = self.slice_index(hdeg - 1, weight)
+            cached = self._columns[key] = [{index[k]: s for k, s in image.items()}
+                                           for image in self.slice_images(hdeg, weight)]
+        return cached
 
     def _images(self, basis) -> list[dict]:
         # d(X^e x^b) is d(X^e) with every base exponent shifted by b
@@ -695,6 +718,8 @@ class _Sampler:
                 if (h, w + extra) not in self.slices:
                     self.slices.append((h, w + extra))
         self.slices.sort()
+        # (hdeg, even, positive) -> the slices `homogeneous` draws from
+        self._candidates: dict[tuple, list[tuple[int, int]]] = {}
 
     def scalar(self):
         field = self.tower.base.field
@@ -704,23 +729,24 @@ class _Sampler:
 
     def homogeneous(self, hdeg: int | None = None, even: bool = False,
                     positive: bool = False) -> AlgebraElement:
-        cand = self.slices
-        if hdeg is not None:
-            cand = [s for s in cand if s[0] == hdeg]
-        if even:
-            cand = [s for s in cand if s[0] % 2 == 0]
-        if positive:
-            cand = [s for s in cand if s[0] > 0]
+        key = (hdeg, even, positive)
+        cand = self._candidates.get(key)
+        if cand is None:
+            cand = self._candidates[key] = [
+                (h, w) for h, w in self.slices
+                if (hdeg is None or h == hdeg) and not (even and h % 2) and not (positive and h <= 0)]
+        tower = self.tower
         if not cand:
-            return self.tower.zero()
+            return tower.zero()
         h, w = self.rng.choice(cand)
-        basis = self.tower.slice_basis(h, w)
-        out = self.tower.zero()
+        basis = tower.slice_basis(h, w)
+        out: dict = {}
         for _ in range(min(3, len(basis))):
             exps, bex = self.rng.choice(basis)
-            mono = self.tower.monomial(exps, self.tower.base.monomial(bex, self.scalar()))
-            out = out + mono
-        return out
+            c = self.scalar()
+            if c:
+                add_term(out, exps, BasePoly(tower.base, {bex: c}))
+        return AlgebraElement(tower, out)
 
 
 def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,

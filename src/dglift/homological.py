@@ -9,6 +9,7 @@ solution symbolically before reporting SPLIT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .base_ring import Infeasible, LinearSolution, LinearSystem, matrix_rank, solve_linear
 from .dg_module import BidegreeWindow, ChainMap, SemifreeModule, base_change
@@ -33,8 +34,13 @@ class HomComplex:
 
     D is assembled from blocks (the twisted differential of Hom out of a
     semifree module): the column of phi: e_a -> v is d_L(v) at a, plus
-    -(-1)^{|phi|} v·dM[a, b] at each b with an entry dM[a, b].  The blocks
-    are memoised here, and die with the complex.
+    -(-1)^{|phi|} v·dM[a, b] at each b with an entry dM[a, b].  A column is
+    a sparse {row position: scalar} map, the rows numbered by position in
+    `slice_labels(d - 1, w)`: one offset per generator of M, one per
+    generator of L within it, and the tower's position of X^e x^b in its
+    slice.  That numbering is sorted label order, and `rows` maps it back to
+    labels.  The offsets, the d_L blocks and the block products are
+    memoised here, and die with the complex.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -51,10 +57,14 @@ class HomComplex:
         self._l_cols: dict[int, list] = {}
         for (a, i), entry in l.diff.items():
             self._l_cols.setdefault(i, []).append((a, entry))
+        # (h, w) -> where each generator's labels start in that slice of L,
+        # then its dimension; (d, w) -> the same for the blocks of M in Hom
+        self._l_offsets: dict[tuple[int, int], list[int]] = {}
+        self._offsets: dict[tuple[int, int], list[int]] = {}
         # (h, w) -> [(label, column of d_L)] on that slice of L, in the
         # order of SemifreeModule.slice_labels
         self._dl: dict[tuple[int, int], list] = {}
-        # (a, b, exps, bex) -> coordinates of X^exps x^bex · dM[a, b]
+        # (a, b, exps, bex) -> X^exps x^bex · dM[a, b] by tower position
         self._products: dict[tuple, dict] = {}
 
     def require_complete(self, d: int, w: int):
@@ -66,81 +76,115 @@ class HomComplex:
                     "complete range of the target module"
                 )
 
+    def _l_starts(self, h: int, w: int) -> list[int]:
+        """Where the labels of each generator of L start in its (h, w) slice,
+        and the slice's dimension last."""
+        key = (h, w)
+        if key not in self._l_offsets:
+            tower = self.l.tower
+            self._l_offsets[key] = [0, *accumulate(
+                len(tower.slice_basis(h - e.degree, w - e.weight)) for e in self.l.basis)]
+        return self._l_offsets[key]
+
+    def _starts(self, d: int, w: int) -> list[int]:
+        """Where the maps out of each generator of M start in the (d, w)
+        slice, and the slice's dimension last."""
+        key = (d, w)
+        if key not in self._offsets:
+            self._offsets[key] = [0, *accumulate(
+                self._l_starts(e.degree + d, e.weight + w)[-1] for e in self.m.basis)]
+        return self._offsets[key]
+
     def slice_labels(self, d: int, w: int) -> list:
-        """The basis maps e_alpha -> lab of the (d, w) slice, read off the
-        d_L blocks."""
-        return [(alpha, lab) for alpha, e in enumerate(self.m.basis)
-                for lab, _ in self._dl_columns(e.degree + d, e.weight + w)]
+        """The basis maps e_alpha -> (i, exps, bex) of the (d, w) slice, in
+        position order."""
+        tower = self.l.tower
+        return [(alpha, (i, exps, bex)) for alpha, e in enumerate(self.m.basis)
+                for i, f in enumerate(self.l.basis)
+                for exps, bex in tower.slice_basis(e.degree + d - f.degree, e.weight + w - f.weight)]
 
     def dim(self, d: int, w: int) -> int:
-        return len(self.slice_labels(d, w))
+        return self._starts(d, w)[-1]
 
     def _dl_columns(self, h: int, w: int) -> list[tuple]:
-        """d_L on the (h, w) slice of L as (label, column) pairs: for the
-        label e_i X^e x^b, the tower's column of X^e x^b at i with sign
-        (-1)^|e_i|, and e_a·(dL[a, i]·X^e x^b) for each entry of dL in
-        column i; keys (a, exps, bex)."""
+        """d_L on the (h, w) slice of L as (label, column) pairs, rows
+        numbered by position in the (h - 1, w) slice: for the label
+        e_i X^e x^b, the tower's column of X^e x^b in block i with sign
+        (-1)^|e_i|, and dL[a, i]·X^e x^b in block a for each entry of dL in
+        column i."""
         key = (h, w)
         cols = self._dl.get(key)
         if cols is not None:
             return cols
         tower = self.l.tower
         neg = tower.base.field.neg
+        below = self._l_starts(h - 1, w)
         cols = []
         for i, e in enumerate(self.l.basis):
             hi, wi = h - e.degree, w - e.weight
             basis = tower.slice_basis(hi, wi)
             if not basis:
                 continue
-            odd = e.degree % 2
-            entries = self._l_cols.get(i, ())
-            for (exps, bex), own in zip(basis, tower.slice_images(hi, wi)):
-                col = {(i,) + k: neg(s) if odd else s for k, s in own.items()}
+            odd, start = e.degree % 2, below[i]
+            entries = [(entry, below[a], tower.slice_index(h - 1 - g.degree, w - g.weight))
+                       for a, entry in self._l_cols.get(i, ()) for g in (self.l.basis[a],)]
+            for (exps, bex), own in zip(basis, tower.slice_columns(hi, wi)):
+                col = {start + r: neg(s) if odd else s for r, s in own.items()}
                 if entries:
                     shift = tower.base.monomial(bex)
-                    for a, entry in entries:
+                    for entry, at, index in entries:
                         image = tower.monomial_times(exps, entry, shift, right=True)
                         for k, s in image.coordinates().items():
-                            col[(a,) + k] = s
+                            col[at + index[k]] = s
                 cols.append(((i, exps, bex), col))
         self._dl[key] = cols
         return cols
 
     def matrix_columns(self, d: int, w: int) -> list[dict]:
-        """Columns of D restricted to the (d, w) slice, rows labelled by the
-        target-slice coordinates at (d-1, w)."""
+        """Columns of D restricted to the (d, w) slice, rows numbered by
+        position in `slice_labels(d - 1, w)`."""
         key = (d, w)
         if key in self._matrices:
             return self._matrices[key]
-        tower = self.l.tower
+        m, l, tower = self.m, self.l, self.l.tower
         neg = tower.base.field.neg
         even = d % 2 == 0  # the dM blocks carry -(-1)^d
+        below = self._starts(d - 1, w)
         cols = []
-        for alpha, e in enumerate(self.m.basis):
-            row = self._m_rows.get(alpha, ())
+        for alpha, e in enumerate(m.basis):
+            start = below[alpha]
+            blocks = [(b, entry, below[b], self._l_starts(g.degree + d - 1, g.weight + w),
+                       g.degree + d - 1, g.weight + w)
+                      for b, entry in self._m_rows.get(alpha, ()) for g in (m.basis[b],)]
             for (i, exps, bex), dl in self._dl_columns(e.degree + d, e.weight + w):
-                col = {(alpha, k): s for k, s in dl.items()}
-                for b, entry in row:
+                col = {start + r: s for r, s in dl.items()}
+                for b, entry, at, l_starts, hb, wb in blocks:
                     # X^e x^b · dM[alpha, b] is the same for every generator e_i
                     pkey = (alpha, b, exps, bex)
                     coords = self._products.get(pkey)
                     if coords is None:
-                        coords = self._products[pkey] = tower.monomial_times(
-                            exps, entry, tower.base.monomial(bex)).coordinates()
-                    for (pex, pbex), s in coords.items():
-                        col[(b, (i, pex, pbex))] = neg(s) if even else s
+                        f = l.basis[i]
+                        index = tower.slice_index(hb - f.degree, wb - f.weight)
+                        image = tower.monomial_times(exps, entry, tower.base.monomial(bex))
+                        coords = self._products[pkey] = {
+                            index[k]: s for k, s in image.coordinates().items()}
+                    at_i = at + l_starts[i]
+                    for r, s in coords.items():
+                        col[at_i + r] = neg(s) if even else s
                 cols.append(col)
         self._matrices[key] = cols
         return cols
 
     def rows(self, d: int, w: int) -> dict:
-        """D on the (d, w) slice by rows: {target coordinate: {column: scalar}},
-        the transpose of `matrix_columns`."""
+        """D on the (d, w) slice by rows: {target label: {column: scalar}},
+        the transpose of `matrix_columns`, in the order of
+        `slice_labels(d - 1, w)`."""
         out: dict = {}
         for j, col in enumerate(self.matrix_columns(d, w)):
-            for rkey, scalar in col.items():
-                out.setdefault(rkey, {})[j] = scalar
-        return out
+            for r, scalar in col.items():
+                out.setdefault(r, {})[j] = scalar
+        labels = self.slice_labels(d - 1, w)
+        return {labels[r]: out[r] for r in sorted(out)}
 
     def chain_map(self, d: int, labels: list, solution: list) -> ChainMap:
         """The degree-d map sum_j solution[j] * phi_j, where phi_j is the basis

@@ -1,7 +1,8 @@
 """Property tests of the sparse elimination kernel in dglift.base_ring.
 
 Random sparse systems over Q, F_5 and F_32003, with dependent rows mixed in,
-are checked against the dense oracle in tests/oracle.py and against a plain
+and ultra-sparse ones of at most two entries a row, like the Hom slices, are
+checked against the dense oracle in tests/oracle.py and against a plain
 re-statement of the pivot rule: the sparsest unused row (then the lowest
 index), and in it the column with the fewest occurrences among unused rows
 (then the lowest column).  Keeping that rule keeps the `rho` and witness
@@ -15,7 +16,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from dglift import Field, Infeasible, LinearSolution, LinearSystem, solve_linear
-from dglift.base_ring import _reduce, matrix_rank, nullspace_basis
+from dglift.base_ring import _reduce, matrix_rank, nullspace_basis, remainder
 from oracle import dense_rank
 
 FIELDS = {p: Field(p) for p in (None, 5, 32003)}
@@ -44,6 +45,32 @@ def systems(draw):
         rows.insert(draw(st.integers(0, len(rows))), acc)
     rhs = [field.of(draw(scalars)) for _ in rows]
     return field, rows, rhs, ncols
+
+
+@st.composite
+def ultra_sparse(draw):
+    """(field, rows, ncols): rows of 0-2 entries, as the Hom slices are,
+    drawn from few columns so that columns repeat, with explicit zeros,
+    copies of earlier rows and sums of two earlier rows mixed in."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS, key=str)))]
+    ncols = draw(st.integers(1, 8))
+    scalars = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "copy", "sum") if rows else ("fresh",)))
+        if kind == "fresh":
+            cols = draw(st.lists(st.integers(0, ncols - 1), max_size=2))
+            rows.append({c: field.of(draw(scalars)) for c in cols})
+        elif kind == "copy":
+            m = field.of(draw(st.sampled_from((-2, -1, 1, 3))))
+            rows.append({c: field.mul(m, v) for c, v in draw(st.sampled_from(rows)).items()})
+        else:
+            acc: dict = {}
+            for r in (draw(st.sampled_from(rows)), draw(st.sampled_from(rows))):
+                for c, v in r.items():
+                    acc[c] = field.add(acc.get(c, field.zero()), v)
+            rows.append(acc)
+    return field, rows, ncols
 
 
 def dense(rows, ncols, field):
@@ -131,6 +158,39 @@ def test_rank_matches_dense_oracle_and_transpose(case):
     rank = matrix_rank(field, rows)
     assert rank == (dense_rank(field, dense(rows, ncols, field)) if rows else 0)
     assert rank == matrix_rank(field, transpose(rows))
+
+
+@SETTINGS
+@given(ultra_sparse())
+def test_rank_of_ultra_sparse_rows(case):
+    # the structural pivots of matrix_rank carry most of these, and leave
+    # the input rows as they were
+    field, rows, ncols = case
+    before = [dict(r) for r in rows]
+    rank = matrix_rank(field, rows)
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in before]
+    assert rank == (dense_rank(field, dense(rows, ncols, field)) if rows else 0)
+    assert rank == matrix_rank(field, transpose(rows))
+
+
+@SETTINGS
+@given(st.one_of(ultra_sparse(), systems().map(lambda case: (case[0], case[1], case[3]))))
+def test_echelon_contract(case):
+    # the contract remainder and slice_echelon read: one row per pivot, each
+    # 1 at its pivot and 0 at the pivots of the rows before it, and every
+    # input row reduces to nothing; the rows are those of _reduce alone,
+    # whose pivot columns decide what remainder leaves
+    field, rows, _ = case
+    echelon: list = []
+    rank = matrix_rank(field, rows, echelon)
+    assert len(echelon) == rank
+    work, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
+    assert dict(echelon) == {col: work[i] for col, i in pivots.items()}
+    for k, (col, row) in enumerate(echelon):
+        assert row[col] == field.one()
+        assert all(v for v in row.values())
+        assert not any(earlier in row for earlier, _ in echelon[:k])
+    assert not any(remainder(field, echelon, row) for row in rows)
 
 
 @SETTINGS

@@ -92,13 +92,18 @@ def oracle_hom_complexes():
 
 def test_hom_differential_squares_to_zero():
     # the first D from matrix_columns against the element oracle, column by
-    # column; the second D with element operations only
+    # column, each row position read as its label in the (d - 1, w) slice;
+    # the second D with element operations only
     for case, hom in oracle_hom_complexes():
         m, l = hom.m, hom.l
         nonzero = 0
         for d in range(-3, 5):
             for w in range(-2, 5):
-                for (alpha, lab), col in zip(hom.slice_labels(d, w), hom.matrix_columns(d, w)):
+                below = hom.slice_labels(d - 1, w)
+                assert len(below) == hom.dim(d - 1, w)
+                for (alpha, lab), positions in zip(hom.slice_labels(d, w),
+                                                   hom.matrix_columns(d, w)):
+                    col = {below[r]: s for r, s in positions.items()}
                     want = hom_differential(ChainMap(m, l, d, {alpha: l.label_elem(lab)}))
                     assert col == {(beta, k): s for beta, elem in want.items()
                                    for k, s in l.elem_coords(elem).items()}, (case, d, w, lab)
@@ -109,6 +114,21 @@ def test_hom_differential_squares_to_zero():
                     assert not hom_differential(ChainMap(m, l, d - 1, img)), (case, d, w, lab)
                     nonzero += bool(col)
         assert nonzero, case
+
+
+def test_hom_rows_are_keyed_by_labels_in_slice_order():
+    # rows() maps the row positions of matrix_columns back to the labels of
+    # the (d - 1, w) slice, in that slice's order
+    for case, hom in oracle_hom_complexes():
+        for d in range(-1, 3):
+            for w in range(-1, 3):
+                rows = hom.rows(d, w)
+                below = hom.slice_labels(d - 1, w)
+                assert list(rows) == [lab for lab in below if lab in rows], (case, d, w)
+                assert below == sorted(below), (case, d, w)
+                for j, col in enumerate(hom.matrix_columns(d, w)):
+                    assert {below[r]: s for r, s in col.items()} == {
+                        lab: row[j] for lab, row in rows.items() if j in row}, (case, d, w)
 
 
 @pytest.mark.parametrize("name", ["negative-control", "rigid-koszul", "mixed-cone"])

@@ -16,8 +16,11 @@ and `TowerAlgebra.substitute` is its one change of generators; `Field` binds
 its operations once, so that no scalar operation asks which field it is in;
 the product of tower elements reads its signs and binomials off the
 monomial product memo, and the Hom blocks multiply by a monomial through
-the tower's shift routine; and every name the benchmark's tracer wraps is
-defined where the tracer looks."""
+the tower's shift routine; only `matrix_rank` takes structural pivots before
+`_reduce`, while `solve_linear` and `nullspace_basis`, whose certificates
+hang on `_reduce`'s pivot rule, go straight to it; `HomComplex` assembles D
+once, as columns keyed by row position; and every name the benchmark's
+tracer wraps is defined where the tracer looks."""
 
 from __future__ import annotations
 
@@ -286,3 +289,51 @@ def test_hom_blocks_multiply_through_the_shift_routine():
     assert sum(node.func.attr == "monomial_times" for node in calls) == 2
     assert not [node for node in ast.walk(hom)
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)]
+
+
+def _calls_in(fn: ast.FunctionDef) -> set[str]:
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_only_matrix_rank_takes_structural_pivots():
+    # the structural pass may reorder the pivots; solve_linear and
+    # nullspace_basis report certificates that hang on _reduce's pivot rule
+    tree = ast.parse((SRC / "base_ring.py").read_text(encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    callers = {name for name, fn in fns.items() if "_structural_pivots" in _calls_in(fn)}
+    assert callers == {"matrix_rank"}
+    for name in ("solve_linear", "nullspace_basis"):
+        assert "_reduce" in _calls_in(fns[name]), name
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "base_ring.py":
+            assert "_structural_pivots" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_hom_complex_has_one_positional_assembly():
+    # D is built once, as {row position: scalar} columns; a label-keyed
+    # column map beside it would be a second path to keep in step
+    hom = _class("homological.py", "HomComplex")
+    methods = {fn.name: fn for fn in hom.body if isinstance(fn, ast.FunctionDef)}
+
+    def is_tuple(node):
+        return isinstance(node, ast.Tuple) or isinstance(node, ast.BinOp) and (
+            isinstance(node.left, ast.Tuple) or isinstance(node.right, ast.Tuple))
+
+    tuple_keys = [node.lineno for node in ast.walk(hom)
+                  if isinstance(node, ast.DictComp) and is_tuple(node.key)
+                  or isinstance(node, ast.Dict) and any(map(is_tuple, node.keys))
+                  or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and is_tuple(node.slice)]
+    assert not tuple_keys
+    assert {name for name, fn in methods.items() if "_dl_columns" in _calls_in(fn)} \
+        == {"matrix_columns"}
+    assert {name for name, fn in methods.items() if "matrix_columns" in _calls_in(fn)} \
+        == {"rank", "rows"}
+    # the benchmark counts Hom eliminations through homological's copy of
+    # matrix_rank, called with the whole matrix
+    ranks = [node for node in ast.walk(methods["rank"]) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "matrix_rank"]
+    assert len(ranks) == 1
+    assert ast.unparse(ranks[0].args[1]) == "self.matrix_columns(d, w)"
