@@ -96,12 +96,10 @@ class HomComplex:
         return self._offsets[key]
 
     def slice_labels(self, d: int, w: int) -> list:
-        """The basis maps e_alpha -> (i, exps, bex) of the (d, w) slice, in
-        position order."""
-        tower = self.l.tower
-        return [(alpha, (i, exps, bex)) for alpha, e in enumerate(self.m.basis)
-                for i, f in enumerate(self.l.basis)
-                for exps, bex in tower.slice_basis(e.degree + d - f.degree, e.weight + w - f.weight)]
+        """The basis maps e_alpha -> lab of the (d, w) slice, in position
+        order."""
+        return [(alpha, lab) for alpha, e in enumerate(self.m.basis)
+                for lab in self.l.slice_labels(e.degree + d, e.weight + w)]
 
     def dim(self, d: int, w: int) -> int:
         return self._starts(d, w)[-1]
