@@ -352,20 +352,33 @@ class Infeasible:
         acc: dict = {}
         rhs = field.zero()
         for i, m in self.combo.items():
-            for c, v in system.rows[i].items():
-                mv = field.mul(m, v)
-                old = acc.get(c)
-                if old is None:
-                    if mv:
-                        acc[c] = mv
-                    continue
-                s = field.add(old, mv)
-                if s:
-                    acc[c] = s
-                else:
-                    del acc[c]
+            if m:
+                _axpy(field, acc, system.rows[i], m)
             rhs = field.add(rhs, field.mul(m, system.rhs[i]))
         return not acc and rhs == self.value and bool(self.value)
+
+
+def _axpy(field: Field, dst: dict, src: dict, m, index: dict | None = None, j: int = 0):
+    """dst += m·src on sparse {col: scalar} maps, storing no zero, since `src`
+    may hold explicit zeros.  Given a col -> rows `index`, keeps row j's
+    entries in it."""
+    add, mul = field.add, field.mul
+    for c, v in src.items():
+        mv = mul(m, v)
+        old = dst.get(c)
+        if old is None:
+            if mv:
+                dst[c] = mv
+                if index is not None:
+                    index.setdefault(c, set()).add(j)
+            continue
+        s = add(old, mv)
+        if s:
+            dst[c] = s
+        else:
+            del dst[c]
+            if index is not None:
+                index[c].discard(j)
 
 
 def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: bool = False):
@@ -396,22 +409,6 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
     heap = [(len(r), i) for i, r in enumerate(work) if r]
     heapq.heapify(heap)
 
-    def axpy(dst: dict, src: dict, m, index: dict | None, j: int):
-        for c, v in src.items():
-            old = dst.get(c)
-            if old is None:
-                dst[c] = mul(m, v)
-                if index is not None:
-                    index.setdefault(c, set()).add(j)
-                continue
-            s = add(old, mul(m, v))
-            if s:
-                dst[c] = s
-            else:
-                del dst[c]
-                if index is not None:
-                    index[c].discard(j)
-
     while heap:
         n, i = heapq.heappop(heap)
         row = work[i]
@@ -436,13 +433,13 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
             dst = work[j]
             m = neg(dst[col])
             before = len(dst)
-            axpy(dst, row, m, done if used[j] else live, j)
+            _axpy(field, dst, row, m, done if used[j] else live, j)
             if not used[j] and dst and len(dst) != before:
                 heapq.heappush(heap, (len(dst), j))
             if not rank_only:
                 vals[j] = add(vals[j], mul(m, vals[i]))
                 if track:
-                    axpy(combos[j], combos[i], m, None, j)
+                    _axpy(field, combos[j], combos[i], m)
 
     return work, vals, combos, used, pivots
 
@@ -463,13 +460,15 @@ def solve_linear(system: LinearSystem, track_witness: bool = True):
     return LinearSolution(solution)
 
 
-def _structural_pivots(rows: list[dict]) -> tuple[int, list[dict]]:
-    """Peel off the pivots that need no arithmetic (LaMacchia-Odlyzko): a
+def _structural_pivots(field: Field, rows: list[dict],
+                       echelon: list | None = None) -> tuple[int, list[dict]]:
+    """Peel off the pivots that need no elimination (LaMacchia-Odlyzko): a
     column held by one row makes that row a pivot, and a row holding one
     column is a pivot whose column is deleted from the other rows.  Returns
     the number of pivots taken and the rows left over, which hold no pivot
-    column.  A row is copied before a column is deleted from it, so the
-    input is never changed."""
+    column.  Given a list `echelon`, appends each (pivot column, row) pair in
+    the order taken, scaled to 1 at its pivot.  A row is copied before a
+    column is deleted from it, so the input is never changed."""
     work = [r if all(r.values()) else {c: v for c, v in r.items() if v} for r in rows]
     holders: dict = {}  # col -> rows that held it at the start
     for i, r in enumerate(work):
@@ -512,22 +511,22 @@ def _structural_pivots(rows: list[dict]) -> tuple[int, list[dict]]:
                         taken[j] = True
         taken[i] = True
         rank += 1
+        if echelon is not None:
+            inv = field.inv(work[i][col])
+            echelon.append((col, {c: field.mul(v, inv) for c, v in work[i].items()}))
     return rank, [r for r, t in zip(work, taken) if not t]
 
 
 def matrix_rank(field: Field, rows: list[dict], echelon: list | None = None) -> int:
-    """Rank of the rows.  Given a list `echelon`, appends the (pivot column,
-    pivot row) pairs of `_reduce` to it in pivot order: each row is 1 at its
+    """Rank of the rows: the structural pivots are taken first and `_reduce`
+    ranks the rows left.  Given a list `echelon`, appends (pivot column,
+    pivot row) pairs to it, those of the structural pivots in the order
+    taken and then those of `_reduce` in pivot order: each row is 1 at its
     pivot column and 0 at the pivot columns of the rows before it, and the
-    rows span the input rows.  Without one, the structural pivots are taken
-    first and `_reduce` ranks the rows left: the rank is the same, but the
-    pivot columns, which decide what `remainder` leaves of a vector, need
-    not be."""
-    rank = 0
-    if echelon is None:
-        rank, rows = _structural_pivots(rows)
-        if not rows:
-            return rank
+    rows span the input rows."""
+    rank, rows = _structural_pivots(field, rows, echelon)
+    if not rows:
+        return rank
     work, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
     if echelon is not None:
         echelon.extend((col, work[i]) for col, i in pivots.items())
@@ -538,23 +537,11 @@ def remainder(field: Field, echelon: list, vec: dict) -> dict:
     """`vec` reduced by the (pivot column, row) pairs of an echelon from
     `matrix_rank`, in their order: empty exactly when `vec` lies in the span
     of the rows."""
-    add, mul, neg = field.add, field.mul, field.neg
     out = {c: v for c, v in vec.items() if v}
     for col, row in echelon:
         m = out.get(col)
-        if m is None:
-            continue
-        m = neg(m)
-        for c, v in row.items():
-            old = out.get(c)
-            if old is None:
-                out[c] = mul(m, v)
-                continue
-            s = add(old, mul(m, v))
-            if s:
-                out[c] = s
-            else:
-                del out[c]
+        if m is not None:
+            _axpy(field, out, row, field.neg(m))
     return out
 
 

@@ -49,11 +49,12 @@ class TowerAlgebra:
     path that also checks the cycle condition on differential targets.  A
     tower never changes, so it memoises its monomial products, monomial
     differentials, slice bases, slice indices, slice columns, slice
-    echelons, slice kernels and slice ranks.  A tower built by `adjoin`
-    links to its parent and inherits from it: a monomial without the new
-    variable keeps its differential, padded with a zero, and a slice is the
-    parent's slices with powers of the new variable appended, so only what
-    holds the new variable is computed.
+    echelons, slice kernels (keyed by position in `slice_basis`) and slice
+    ranks.  A tower built by `adjoin` links to its parent and inherits from
+    it: a monomial without the new variable keeps its differential, padded
+    with a zero, a slice is the parent's slices with powers of the new
+    variable appended, and where `_inherits` holds the parent's echelon,
+    kernel and rank are read, so only what holds the new variable is computed.
     The link runs from child to parent only, so a chain of towers is in no
     reference cycle.
     """
@@ -309,11 +310,6 @@ class TowerAlgebra:
         self._slices[key] = tuple(out)
         return self._slices[key]
 
-    def slice_images(self, hdeg: int, weight: int) -> list[dict]:
-        """Field coordinates of d of each (hdeg, weight) basis vector X^e x^b,
-        in basis order: the columns of d on the slice."""
-        return self._images(self.slice_basis(hdeg, weight))
-
     def slice_index(self, hdeg: int, weight: int) -> dict:
         """The position of each (hdeg, weight) basis vector in `slice_basis`;
         computed once per slice."""
@@ -324,41 +320,51 @@ class TowerAlgebra:
         return cached
 
     def slice_columns(self, hdeg: int, weight: int) -> list[dict]:
-        """`slice_images` with each row numbered by its position in the
-        basis of the (hdeg - 1, weight) slice; computed once per slice."""
+        """The columns of d on the (hdeg, weight) slice: d of each basis
+        vector, in basis order, as a {position: scalar} map over the basis
+        of the (hdeg - 1, weight) slice; computed once per slice."""
         key = (hdeg, weight)
         cached = self._columns.get(key)
         if cached is None:
-            index = self.slice_index(hdeg - 1, weight)
-            cached = self._columns[key] = [{index[k]: s for k, s in image.items()}
-                                           for image in self.slice_images(hdeg, weight)]
+            cached = self._columns[key] = self._images(self.slice_basis(hdeg, weight), hdeg, weight)
         return cached
 
-    def _images(self, basis) -> list[dict]:
+    def _images(self, basis, hdeg: int, weight: int) -> list[dict]:
         # d(X^e x^b) is d(X^e) with every base exponent shifted by b
-        return [{(exps, tuple(a + b for a, b in zip(bex, shift))): scalar
+        index = self.slice_index(hdeg - 1, weight)
+        return [{index[exps, tuple([a + b for a, b in zip(bex, shift)])]: scalar
                  for exps, poly in self.monomial_diff(mono).terms.items()
                  for bex, scalar in poly.terms.items()}
                 for mono, shift in basis]
 
+    def _inherits(self, hdeg: int, weight: int) -> bool:
+        """Whether the last variable of a tower built by `adjoin` enters
+        neither the (hdeg, weight) slice nor the one below: both are then the
+        parent's in the same positions, and so are echelon, kernel and rank."""
+        return self._parent is not None and (hdeg < self._degrees[-1] or weight < self._weights[-1])
+
     def slice_echelon(self, hdeg: int, weight: int) -> list[tuple]:
-        """(pivot column, row) pairs spanning the columns of d on the slice,
-        as `matrix_rank` leaves them; computed once per slice.  A tower built
-        by `adjoin` pads its parent's rows, reduces only the columns of the
-        basis vectors that hold the last variable against them, and ranks
-        what is left."""
+        """(pivot position, row) pairs spanning the columns of d on the
+        slice, as `matrix_rank` leaves them; computed once per slice.  A
+        tower built by `adjoin` moves its parent's rows to its own positions,
+        reduces only the columns of the basis vectors that hold the last
+        variable against them, and ranks what is left."""
         key = (hdeg, weight)
         cached = self._echelons.get(key)
         if cached is not None:
             return cached
         field = self.base.field
-        if self._parent is None:
+        if self._inherits(hdeg, weight):
+            cached = self._parent.slice_echelon(hdeg, weight)
+        elif self._parent is None:
             cached = []
-            matrix_rank(field, self.slice_images(hdeg, weight), cached)
+            matrix_rank(field, self.slice_columns(hdeg, weight), cached)
         else:
-            cached = [((col[0] + (0,), col[1]), {(e + (0,), b): v for (e, b), v in row.items()})
+            # the parent's basis vectors, with a zero appended, in their order
+            up = [j for j, (e, _) in enumerate(self.slice_basis(hdeg - 1, weight)) if not e[-1]]
+            cached = [(up[col], {up[c]: v for c, v in row.items()})
                       for col, row in self._parent.slice_echelon(hdeg, weight)]
-            new = self._images([b for b in self.slice_basis(hdeg, weight) if b[0][-1]])
+            new = self._images([b for b in self.slice_basis(hdeg, weight) if b[0][-1]], hdeg, weight)
             rest = [r for r in (remainder(field, cached, col) for col in new) if r]
             if rest:
                 matrix_rank(field, rest, cached)
@@ -367,39 +373,31 @@ class TowerAlgebra:
 
     def slice_kernel(self, hdeg: int, weight: int) -> list[dict]:
         """A basis of the kernel of d on the (hdeg, weight) slice, as
-        {basis vector: scalar} maps in the order of `nullspace_basis`;
-        computed once per slice.  The last variable of a tower built by
-        `adjoin` enters neither the slice nor its image below its own degree
-        or weight, so there the parent's kernel is read, padded with a zero."""
+        {position: scalar} maps over `slice_basis` in the order of
+        `nullspace_basis`; computed once per slice."""
         key = (hdeg, weight)
         cached = self._kernels.get(key)
         if cached is None:
-            parent = self._parent
-            if parent is not None and (hdeg < self._degrees[-1] or weight < self._weights[-1]):
-                cached = [{(e + (0,), b): v for (e, b), v in vec.items()}
-                          for vec in parent.slice_kernel(hdeg, weight)]
+            if self._inherits(hdeg, weight):
+                cached = self._parent.slice_kernel(hdeg, weight)
             else:
-                basis = self.slice_basis(hdeg, weight)
                 rows: dict = {}
-                for j, image in enumerate(self.slice_images(hdeg, weight)):
+                for j, image in enumerate(self.slice_columns(hdeg, weight)):
                     for k, scalar in image.items():
                         rows.setdefault(k, {})[j] = scalar
-                cached = [{basis[j]: v for j, v in vec.items()} for vec in
-                          nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)], len(basis))]
+                cached = nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)],
+                                         len(self.slice_basis(hdeg, weight)))
             self._kernels[key] = cached
         return cached
 
     def slice_rank(self, hdeg: int, weight: int) -> tuple[int, int]:
         """(dim, rank d) of the (hdeg, weight) slice, computed once; the
-        columns are ranked as rows, since row rank equals column rank.  The
-        last variable of a tower built by `adjoin` cannot enter a slice below
-        its own degree or weight, so there the parent's answer is read."""
+        columns are ranked as rows, since row rank equals column rank."""
         key = (hdeg, weight)
         cached = self._slice_ranks.get(key)
         if cached is None:
-            parent = self._parent
-            if parent is not None and (hdeg < self._degrees[-1] or weight < self._weights[-1]):
-                cached = parent.slice_rank(hdeg, weight)
+            if self._inherits(hdeg, weight):
+                cached = self._parent.slice_rank(hdeg, weight)
             else:
                 cached = (len(self.slice_basis(hdeg, weight)), len(self.slice_echelon(hdeg, weight)))
             self._slice_ranks[key] = cached

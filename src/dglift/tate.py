@@ -57,14 +57,17 @@ def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | Non
     elimination kernel, so the choice is deterministic), found by reducing
     each kernel vector against the boundary echelon of the tower."""
     field = tower.base.field
-    # boundaries and kernel vectors are both keyed by (hdeg, w) basis vectors
+    # boundaries and kernel vectors are both keyed by position in the
+    # (hdeg, w) basis
     boundaries = tower.slice_echelon(hdeg + 1, w)
     for vec in tower.slice_kernel(hdeg, w):
         if remainder(field, boundaries, vec):
-            elem = tower.zero()
-            for (exps, bex), v in sorted(vec.items()):
-                elem = elem + tower.monomial(exps, tower.base.monomial(bex, v))
-            return elem
+            basis = tower.slice_basis(hdeg, w)
+            terms: dict = {}
+            for j, v in sorted(vec.items()):
+                exps, bex = basis[j]
+                terms.setdefault(exps, {})[bex] = v
+            return AlgebraElement(tower, {exps: BasePoly(tower.base, t) for exps, t in terms.items()})
     return None
 
 

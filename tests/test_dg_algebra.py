@@ -345,7 +345,7 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
     chain = _chain(flavor, p, which, z)
     assert z is None or chain[-1].variables[-1].target is None
     fresh = [TowerAlgebra(t.base, t.flavor, t.variables) for t in chain]
-    queries = [(kind, k, h, w) for kind in ("basis", "rank", "diff", "echelon")
+    queries = [(kind, k, h, w) for kind in ("basis", "rank", "diff", "echelon", "kernel")
                for k in range(len(chain)) for h in range(5) for w in range(6)]
     random.Random(seed).shuffle(queries)
     field = chain[0].base.field
@@ -358,10 +358,19 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
         elif kind == "diff":
             for exps, _ in ref.slice_basis(h, w):
                 assert tower.monomial_diff(exps).terms == ref.monomial_diff(exps).terms
-        else:
+        elif kind == "echelon":
             echelon = tower.slice_echelon(h, w)
             assert len(echelon) == ref.slice_rank(h, w)[1]
-            assert not any(remainder(field, echelon, col) for col in ref.slice_images(h, w))
+            assert not any(remainder(field, echelon, col) for col in ref.slice_columns(h, w))
+            # below the last variable's degree or weight the parent's list is
+            # read as it is, with no copy
+            if tower._inherits(h, w):
+                assert echelon is chain[k - 1].slice_echelon(h, w)
+        else:
+            kernel = tower.slice_kernel(h, w)
+            assert kernel == ref.slice_kernel(h, w)
+            if tower._inherits(h, w):
+                assert kernel is chain[k - 1].slice_kernel(h, w)
 
 
 @pytest.mark.parametrize("flavor", ["divided", "ordinary"])

@@ -176,16 +176,14 @@ def test_rank_of_ultra_sparse_rows(case):
 @SETTINGS
 @given(st.one_of(ultra_sparse(), systems().map(lambda case: (case[0], case[1], case[3]))))
 def test_echelon_contract(case):
-    # the contract remainder and slice_echelon read: one row per pivot, each
-    # 1 at its pivot and 0 at the pivots of the rows before it, and every
-    # input row reduces to nothing; the rows are those of _reduce alone,
-    # whose pivot columns decide what remainder leaves
+    # the contract remainder and slice_echelon read: one row per pivot, the
+    # structural pivots first and then those of _reduce, each 1 at its pivot
+    # and 0 at the pivots of the rows before it, and every input row reduces
+    # to nothing
     field, rows, _ = case
     echelon: list = []
     rank = matrix_rank(field, rows, echelon)
     assert len(echelon) == rank
-    work, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
-    assert dict(echelon) == {col: work[i] for col, i in pivots.items()}
     for k, (col, row) in enumerate(echelon):
         assert row[col] == field.one()
         assert all(v for v in row.values())
@@ -275,3 +273,19 @@ def test_explicit_zero_entries():
     res = solve_linear(system)
     assert isinstance(res, LinearSolution) and res.solution == [q.of(0), q.of(1)]
     assert matrix_rank(q, [{0: q.of(0)}]) == 0
+
+
+def test_infeasible_verify_with_a_zero_multiplier_over_explicit_zeros():
+    # a certificate may name a row with multiplier 0, and input rows may
+    # hold explicit zeros; neither leaves an entry in the combined row
+    for field in (Field(), Field(5)):
+        one, zero = field.one(), field.zero()
+        system = LinearSystem(field, [{0: one, 1: zero}, {0: one}, {1: zero, 2: field.of(3)}],
+                              [one, zero, field.of(2)], 3)
+        combo = {0: one, 1: field.neg(one), 2: zero}
+        assert Infeasible(combo=combo, value=one).verify(system)
+        # a forged value, or the value 0, is refused
+        assert not Infeasible(combo=combo, value=field.of(2)).verify(system)
+        assert not Infeasible(combo=combo, value=zero).verify(system)
+        # so is a combination that leaves a column
+        assert not Infeasible(combo={0: one, 2: one}, value=field.of(3)).verify(system)

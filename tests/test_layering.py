@@ -19,8 +19,11 @@ monomial product memo, and the Hom blocks multiply by a monomial through
 the tower's shift routine; only `matrix_rank` takes structural pivots before
 `_reduce`, while `solve_linear` and `nullspace_basis`, whose certificates
 hang on `_reduce`'s pivot rule, go straight to it; `HomComplex` assembles D
-once, as columns keyed by row position; and every name the benchmark's
-tracer wraps is defined where the tracer looks."""
+once, as columns keyed by row position; a tower keeps the columns of d on a
+slice in that positional format only, and one predicate, `_inherits`,
+decides where it reads its parent's echelon, kernel and rank; `_axpy` is
+the one scalar `dst += m·src`; and every name the benchmark's tracer wraps
+is defined where the tracer looks."""
 
 from __future__ import annotations
 
@@ -337,3 +340,44 @@ def test_hom_complex_has_one_positional_assembly():
              and isinstance(node.func, ast.Name) and node.func.id == "matrix_rank"]
     assert len(ranks) == 1
     assert ast.unparse(ranks[0].args[1]) == "self.matrix_columns(d, w)"
+
+
+def test_tower_slices_have_one_positional_format():
+    # the columns of d on a tower slice are kept only as {position: scalar}
+    # maps (slice_columns), which the echelon, the kernel and the Hom
+    # assembly all read; a label-keyed copy beside them would be a second
+    # format to keep in step
+    tower = _class("dg_algebra.py", "TowerAlgebra")
+    methods = {fn.name for fn in tower.body if isinstance(fn, ast.FunctionDef)}
+    assert "slice_columns" in methods and "slice_images" not in methods
+    for path in sorted(SRC.glob("*.py")):
+        assert "slice_images" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_only_inherits_asks_whether_the_last_variable_enters_a_slice():
+    # one predicate decides where a tower reads its parent's echelon, kernel
+    # and rank
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Subscript)
+                    and ast.unparse(node) in ("self._degrees[-1]", "self._weights[-1]")
+                    for node in ast.walk(fn)):
+                readers.add((path.name, fn.name))
+    assert readers == {("dg_algebra.py", "_inherits")}
+
+
+def test_scalar_axpy_has_one_home():
+    # dst += m·src, dropping the zeros it makes, is written once, in
+    # base_ring._axpy; the elimination, the echelon reduction and the
+    # certificate check call it instead of writing the loop out
+    tree = ast.parse((SRC / "base_ring.py").read_text(encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    verify = next(fn for fn in _class("base_ring.py", "Infeasible").body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "verify")
+    for fn in (fns["_reduce"], fns["remainder"], verify):
+        assert "_axpy" in _calls_in(fn), fn.name
+        deletes = [node for node in ast.walk(fn) if isinstance(node, ast.Delete)
+                   and any(isinstance(t, ast.Subscript) for t in node.targets)]
+        assert not deletes, fn.name
