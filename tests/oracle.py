@@ -55,11 +55,11 @@ def leibniz_differential(elem):
     before it."""
     tower = elem.tower
     out = tower.zero()
-    for exps, poly in elem.terms.items():
+    for (exps, bex), c in elem.coordinates().items():
         for i, m in enumerate(exps):
             if not m:
                 continue
-            piece = tower.from_poly(poly)
+            piece = tower.from_poly(tower.base.monomial(bex, c))
             for j, mj in enumerate(exps):
                 if j != i:
                     piece = piece * tower.variable_power(j, mj)
@@ -84,8 +84,8 @@ def symbol_product(u, v) -> dict:
     odd = [var.degree % 2 == 1 for var in tower.variables]
     divided = tower.flavor == "divided"
     out: dict = {}
-    for ea, pa in u.terms.items():
-        for eb, pb in v.terms.items():
+    for (ea, ba), ca in u.coordinates().items():
+        for (eb, bb), cb in v.coordinates().items():
             word = [[i, m] for i, m in enumerate(ea) if m] + [[i, m] for i, m in enumerate(eb) if m]
             sign = 1
             for end in range(len(word) - 1, 0, -1):
@@ -104,15 +104,12 @@ def symbol_product(u, v) -> dict:
                 exps[i] += m
             if dead:
                 continue
-            scalar = field.of(coeff)
-            for ba, ca in pa.terms.items():
-                for bb, cb in pb.terms.items():
-                    key = (tuple(exps), tuple(a + b for a, b in zip(ba, bb)))
-                    s = field.add(out.get(key, field.zero()), field.mul(scalar, field.mul(ca, cb)))
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+            key = (tuple(exps), tuple(a + b for a, b in zip(ba, bb)))
+            s = field.add(out.get(key, field.zero()), field.mul(field.of(coeff), field.mul(ca, cb)))
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -221,8 +218,8 @@ class TensorOracle:
         first, is (-1)^{|a||L|} L·a, and a crosses to the right factor."""
         tower, k = self.tower, self.k
         out = {}
-        for exps, poly in b1.terms.items():
-            a = tower.monomial(exps[:k] + (0,) * (tower.n - k), poly)
+        for (exps, bex), c in b1.coordinates().items():
+            a = tower.monomial(exps[:k] + (0,) * (tower.n - k), tower.base.monomial(bex, c))
             r = a * b2
             out = self.add(out, {exps[k:]: -r if a.degree() * self.degree(exps[k:]) % 2 else r})
         return out
@@ -286,15 +283,14 @@ class TensorOracle:
                 out = self.mul(out, x)
             return {lex: r.scale(tower.base.field.of(1, factorial(m))) for lex, r in out.items()}
         pieces = [(lex, tower.monomial(exps, tower.base.monomial(bex, c)))
-                  for lex, r in sorted(x.items()) for exps, poly in sorted(r.terms.items())
-                  for bex, c in sorted(poly.terms.items())]
+                  for lex, r in sorted(x.items()) for (exps, bex), c in sorted(r.coordinates().items())]
 
         def piece_power(piece, i):
             lex, r = piece
             if i < 2:
                 return self.one() if i == 0 else {lex: r}
             odd = [v.degree % 2 for v in tower.variables]
-            (exps,) = r.terms
+            ((exps, _),) = r.coordinates()
             if any(m and o for m, o in zip((0,) * self.k + lex, odd)) \
                     or any(m and o for m, o in zip(exps, odd)):
                 return {}

@@ -194,7 +194,7 @@ def test_integer_elements_of_a_divided_tower_keep_int_scalars():
             walked.append(u.divided_power(3).differential())
         for v in pool:
             walked += [u * v, (u * v).differential()]
-    scalars = [s for u in pool + walked for poly in u.terms.values() for s in poly.terms.values()]
+    scalars = [s for u in pool + walked for s in u.coordinates().values()]
     assert len(scalars) > 100
     assert all(type(s) is int for s in scalars), {type(s) for s in scalars}
 

@@ -263,12 +263,13 @@ def test_differential_matches_leibniz_oracle(warmed, flavor, p, which, terms):
 
 
 def _assert_sparse(terms: dict):
-    """No value of a sparse map is zero, at any depth: ring elements hold
-    nonzero ring elements, base polynomials nonzero scalars."""
+    """No value of a sparse map is zero, at any depth: maps of ring elements
+    hold nonzero ring elements, and the coordinates of a tower element are
+    nonzero scalars."""
     for value in terms.values():
-        if hasattr(value, "terms"):
-            assert value.terms, terms
-            _assert_sparse(value.terms)
+        if hasattr(value, "coordinates"):
+            assert value.coordinates(), terms
+            _assert_sparse(value.coordinates())
         else:
             assert value, terms
 
@@ -305,7 +306,7 @@ def test_sums_products_and_differentials_hold_no_zero(p, a, b, a_prefix):
             m.mul_elem({0: odd, 1: u}, odd), m.apply_diff(x), m.apply_diff(m.apply_diff(x))]
     assert not mods[0] and not mods[4] and (not mods[1]) == (p == 5 or not x)
     for elem in elems:
-        _assert_sparse(elem.terms)
+        _assert_sparse(elem.coordinates())
     for elem in envs:
         _assert_sparse(dict(elem.sorted_terms()))
     for elem in mods:
@@ -357,7 +358,7 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
             assert tower.slice_rank(h, w) == ref.slice_rank(h, w)
         elif kind == "diff":
             for exps, _ in ref.slice_basis(h, w):
-                assert tower.monomial_diff(exps).terms == ref.monomial_diff(exps).terms
+                assert tower.monomial_diff(exps).coordinates() == ref.monomial_diff(exps).coordinates()
         elif kind == "echelon":
             echelon = tower.slice_echelon(h, w)
             assert len(echelon) == ref.slice_rank(h, w)[1]

@@ -399,8 +399,7 @@ def test_exactness_dimensions(env_mixed, mixed_tower):
             for col, (lex, exps, bex) in enumerate(labels):
                 r = mixed_tower.monomial(exps, mixed_tower.base.monomial(bex))
                 img = env_mixed.from_tensor(env_mixed.ext_elem(lex), r).pi()
-                for key, scalar in [((e2, b2), s) for e2, p in img.terms.items()
-                                    for b2, s in p.terms.items()]:
+                for key, scalar in img.coordinates().items():
                     rows.setdefault(key, {})[col] = scalar
             rank = matrix_rank(field, list(rows.values()))
             assert rank == dim_b

@@ -72,8 +72,7 @@ def test_flavor_rescaling_over_Q(QQ, even_tower, ordinary_even):
         assert sorted(div) == sorted(ordv)
 
         def only_scalar(elem):
-            ((_, poly),) = elem.terms.items()
-            ((_, scalar),) = poly.terms.items()
+            ((_, scalar),) = elem.coordinates().items()
             return scalar
 
         for lex in div:

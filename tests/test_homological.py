@@ -402,11 +402,9 @@ def test_weight_zero_projection_of_a_splitting_splits(even_tower):
         for i, c in rho_prime.entries[beta].items():
             want = e.weight - p.basis[i].weight
             keep = c.tower.zero()
-            for exps, poly in c.terms.items():
-                var_wt = sum(m * v.weight for m, v in zip(exps, c.tower.variables))
-                part = poly.graded_component(want - var_wt)
-                if not part.is_zero():
-                    keep = keep + c.tower.monomial(exps, part)
+            for (exps, bex), s in c.coordinates().items():
+                if c.tower.term_bidegree(exps, bex)[1] == want:
+                    keep = keep + c.tower.monomial(exps, c.tower.base.monomial(bex, s))
             if not keep.is_zero():
                 out[i] = keep
         proj_entries[beta] = out

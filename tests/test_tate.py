@@ -42,10 +42,7 @@ def _brute_homology(tower, hdeg, w):
         for exps, bex in src_basis:
             mono = tower.monomial(exps, tower.base.monomial(bex))
             img = leibniz_differential(mono)
-            coords = {}
-            for e2, p in img.terms.items():
-                for b2, s in p.terms.items():
-                    coords[(e2, b2)] = s
+            coords = img.coordinates()
             cols.append(coords)
             for k in coords:
                 if k not in seen:
@@ -137,8 +134,7 @@ def test_h1_contains_syzygy_class(ring_xy, QQ):
     assert leibniz_differential(rep).is_zero()
     expect = t.gen("X1") * t.from_poly(y) - t.gen("X2") * t.from_poly(x)
     # the representative spans the same line as y X1 - x X2
-    rc = {k: s for e, p in rep.terms.items() for k, s in [((e, b), s) for b, s in p.terms.items()]}
-    ec = {k: s for e, p in expect.terms.items() for k, s in [((e, b), s) for b, s in p.terms.items()]}
+    rc, ec = rep.coordinates(), expect.coordinates()
     assert set(rc) == set(ec)
     keys = sorted(rc)
     k0 = keys[0]
