@@ -203,7 +203,11 @@ class PolyRing:
 
 
 class BasePoly:
-    """Sparse polynomial: exponent vector -> nonzero field scalar."""
+    """Sparse polynomial of the base ring: exponent vector -> nonzero field
+    scalar.  The value in which base polynomials enter a tower (`from_poly`,
+    `monomial`, the generators of `tate_resolution`) and are printed.  It
+    has no arithmetic loop of its own: its sums and products, for building
+    polynomials by hand, are those of the tower with no variables."""
 
     __slots__ = ("ring", "terms")
 
@@ -211,85 +215,36 @@ class BasePoly:
         self.ring = ring
         self.terms = terms
 
-    def _check(self, other: "BasePoly"):
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError(f"mismatched rings {self.ring!r} and {other.ring!r}")
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, BasePoly) and self.ring == other.ring and self.terms == other.terms
 
+    def _via_tower(self, op, *args) -> "BasePoly":
+        from .dg_algebra import TowerAlgebra  # the layer above holds the one product
+
+        tower = TowerAlgebra(self.ring)
+        out = op(tower.from_poly(self), *[tower.from_poly(a) for a in args])
+        return BasePoly(self.ring, {bex: s for (_, bex), s in out.coeffs.items()})
+
     def __add__(self, other: "BasePoly") -> "BasePoly":
-        self._check(other)
-        field = self.ring.field
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            old = out.get(exps)
-            if old is None:
-                if c:
-                    out[exps] = c
-                continue
-            s = field.add(old, c)
-            if s:
-                out[exps] = s
-            else:
-                del out[exps]
-        return BasePoly(self.ring, out)
+        return self._via_tower(operator.add, other)
 
     def __neg__(self) -> "BasePoly":
-        field = self.ring.field
-        return BasePoly(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
+        return self._via_tower(operator.neg)
 
     def __sub__(self, other: "BasePoly") -> "BasePoly":
-        return self + (-other)
+        return self._via_tower(operator.sub, other)
 
     def __mul__(self, other: "BasePoly") -> "BasePoly":
-        self._check(other)
-        field = self.ring.field
-        mul = field.mul
-        many, one = self.terms, other.terms
-        if len(many) == 1:
-            many, one = one, many
-        if len(one) == 1:
-            # a one-term factor shifts exponents: no two terms collide, and a
-            # product of nonzero scalars is nonzero
-            ((eb, cb),) = one.items()
-            if not any(eb):
-                return BasePoly(self.ring, {ea: mul(ca, cb) for ea, ca in many.items()})
-            return BasePoly(self.ring, {tuple([a + b for a, b in zip(ea, eb)]): mul(ca, cb)
-                                        for ea, ca in many.items()})
-        add = field.add
-        out: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple([a + b for a, b in zip(ea, eb)])
-                c = mul(ca, cb)
-                old = out.get(exps)
-                if old is None:
-                    out[exps] = c
-                    continue
-                s = add(old, c)
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return BasePoly(self.ring, out)
+        return self._via_tower(operator.mul, other)
 
     def scale(self, scalar) -> "BasePoly":
-        if not scalar:
-            return self.ring.zero()
-        field = self.ring.field
-        return BasePoly(self.ring, {e: field.mul(c, scalar) for e, c in self.terms.items()})
+        return self._via_tower(lambda u: u.scale(scalar))
 
     def scale_int(self, n: int) -> "BasePoly":
         return self.scale(self.ring.field.of(n))
-
-    def graded_component(self, w: int) -> "BasePoly":
-        """The weight-w homogeneous part; summing over all w recovers the polynomial."""
-        tw = self.ring.term_weight
-        return BasePoly(self.ring, {e: c for e, c in self.terms.items() if tw(e) == w})
 
     def weights(self) -> set[int]:
         tw = self.ring.term_weight
@@ -362,9 +317,9 @@ def _axpy(field: Field, dst: dict, src: dict, m, index: dict | None = None, j: i
     """dst += m·src on sparse {col: scalar} maps, storing no zero, since `src`
     may hold explicit zeros.  Given a col -> rows `index`, keeps row j's
     entries in it."""
-    add, mul = field.add, field.mul
+    add, mul, unit = field.add, field.mul, m == 1
     for c, v in src.items():
-        mv = mul(m, v)
+        mv = v if unit else mul(m, v)
         old = dst.get(c)
         if old is None:
             if mv:

@@ -1,10 +1,11 @@
 """Towers A<X_1..X_n> / A[X_1..X_n] over a weighted polynomial base ring.
 
-Elements are sparse maps from exponent vectors over the adjoined variables to
-base-ring polynomials, written in canonical order X_1^(m_1)...X_n^(m_n) with
-the coefficient on the right.  All Koszul signs come from counting
-transpositions of odd-degree symbols during that sorting; exponents of
-odd-degree variables never exceed 1.
+Elements are sparse maps from the labels (exps, bex) of the field basis, an
+exponent vector over the adjoined variables and one over the base ring, to
+nonzero scalars: the labels of `slice_basis`.  A label stands for the monomial
+written in canonical order X_1^(m_1)...X_n^(m_n) with the base monomial on
+the right.  All Koszul signs come from counting transpositions of odd-degree
+symbols during that sorting; exponents of odd-degree variables never exceed 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, factorial
 import random
 
-from .base_ring import BasePoly, PolyRing, homogeneous, matrix_rank, nullspace_basis, remainder
+from .base_ring import (BasePoly, PolyRing, _axpy, homogeneous, matrix_rank, nullspace_basis,
+                        remainder)
 from .render import monomial_text
 
 DIVIDED = "divided"
@@ -35,7 +37,7 @@ class DGVariable:
     name: str
     degree: int
     weight: int
-    target: tuple | None  # tuple of (exps, BasePoly) pairs, or None
+    target: tuple | None  # tuple of ((exps, bex), scalar) pairs, or None
 
     @property
     def is_odd(self) -> bool:
@@ -119,15 +121,15 @@ class TowerAlgebra:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return self.from_poly(self.base.one())
+        return self.constant(self.base.field.one())
 
     def from_poly(self, p: BasePoly) -> "AlgebraElement":
-        if p.is_zero():
-            return self.zero()
-        return AlgebraElement(self, {(0,) * self.n: p})
+        return self.monomial((0,) * self.n, p)
 
     def constant(self, scalar) -> "AlgebraElement":
-        return self.from_poly(self.base.constant(scalar))
+        if not scalar:
+            return self.zero()
+        return AlgebraElement(self, {((0,) * self.n, (0,) * len(self.base.names)): scalar})
 
     def gen(self, name: str) -> "AlgebraElement":
         """The element for a base variable or an adjoined variable."""
@@ -149,10 +151,10 @@ class TowerAlgebra:
             if m < 0 or (self._odd[i] and m > 1):
                 raise TowerError(f"invalid exponent {m} for {self.variables[i].name}")
         if coeff is None:
-            coeff = self.base.one()
-        if coeff.is_zero():
-            return self.zero()
-        return AlgebraElement(self, {exps: coeff})
+            return AlgebraElement(self, {(exps, (0,) * len(self.base.names)): self.base.field.one()})
+        if coeff.ring is not self.base and coeff.ring != self.base:
+            raise TowerError(f"coefficient over {coeff.ring!r}, not over {self.base!r}")
+        return AlgebraElement(self, {(exps, bex): s for bex, s in coeff.terms.items()})
 
     def variable_power(self, i: int, m: int) -> "AlgebraElement":
         """X_i^(m) (divided flavor) resp. X_i^m (ordinary flavor) as an element."""
@@ -167,7 +169,7 @@ class TowerAlgebra:
         terms = self._diff_cache.get(i)
         if terms is None:
             pad = (0,) * (self.n - i)
-            terms = {exps + pad: poly for exps, poly in self.variables[i].target or ()}
+            terms = {(e + pad, b): s for (e, b), s in self.variables[i].target or ()}
             self._diff_cache[i] = terms
         return AlgebraElement(self, terms)
 
@@ -180,24 +182,23 @@ class TowerAlgebra:
         if terms is not None:
             return AlgebraElement(self, terms)
         if self._parent is not None and not exps[-1]:
-            terms = {e + (0,): p for e, p in self._parent.monomial_diff(exps[:-1]).terms.items()}
+            terms = {(e + (0,), b): s
+                     for (e, b), s in self._parent.monomial_diff(exps[:-1]).coeffs.items()}
             self._mono_diffs[exps] = terms
             return AlgebraElement(self, terms)
-        field = self.base.field
+        field, base_one = self.base.field, (0,) * len(self.base.names)
         terms = {}
         prefix_deg = 0
         for i, m in enumerate(exps):
             if m:
                 t = self.variable_diff(i)
                 k = field.of(m if self.flavor == ORDINARY else 1)
-                if t.terms and k:
+                if t.coeffs and k:
                     # ±k X^head · dX_i · X^tail, head holding X_i^(m-1)
                     head = exps[:i] + (m - 1,) + (0,) * (self.n - i - 1)
                     tail = (0,) * (i + 1) + exps[i + 1:]
-                    k = self.base.constant(field.neg(k) if prefix_deg % 2 else k)
-                    piece = self.monomial_times(head, self.monomial_times(tail, t, right=True), k)
-                    for e, p in piece.terms.items():
-                        add_term(terms, e, p)
+                    piece = self.monomial_times((head, base_one), self.monomial_times((tail, base_one), t, right=True))
+                    _axpy(field, terms, piece.coeffs, field.neg(k) if prefix_deg % 2 else k)
                 prefix_deg += m * self._degrees[i]
         self._mono_diffs[exps] = terms
         return AlgebraElement(self, terms)
@@ -231,19 +232,22 @@ class TowerAlgebra:
         self._products[key] = hit
         return hit
 
-    def monomial_times(self, exps: tuple, u: "AlgebraElement", coeff: BasePoly | None = None,
-                       right: bool = False) -> "AlgebraElement":
-        """X^exps·c·u, or u·X^exps·c with `right`, for a nonzero one-term
-        base polynomial c (1 when None): each term of u moves to one monomial
-        product, so no two terms collide and no sum is formed."""
-        product = self.monomial_product
+    def monomial_times(self, label: tuple, u: "AlgebraElement", right: bool = False) -> "AlgebraElement":
+        """X^e x^b·u, or u·X^e x^b with `right`, for the label (e, b) of a
+        basis monomial: each term of u moves to one label, its Koszul sign
+        and divided binomial read off the monomial product memo, so no two
+        terms collide and no sum is formed."""
+        exps, shift = label
+        memo, product, mul = self._products, self.monomial_product, self.base.field.mul
+        moved = any(shift)
         out = {}
-        for e, p in u.terms.items():
-            key, c = product(e, exps) if right else product(exps, e)
+        for (e, b), s in u.coeffs.items():
+            key = (e, exps) if right else (exps, e)
+            prod, c = memo.get(key) or product(*key)
             if c:
-                if coeff is not None:
-                    p = p * coeff
-                out[key] = p if c == 1 else p.scale(c)
+                if moved:
+                    b = tuple([x + y for x, y in zip(b, shift)])
+                out[prod, b] = s if c == 1 else mul(s, c)
         return AlgebraElement(self, out)
 
     # --- structure -------------------------------------------------------
@@ -333,8 +337,7 @@ class TowerAlgebra:
         # d(X^e x^b) is d(X^e) with every base exponent shifted by b
         index = self.slice_index(hdeg - 1, weight)
         return [{index[exps, tuple([a + b for a, b in zip(bex, shift)])]: scalar
-                 for exps, poly in self.monomial_diff(mono).terms.items()
-                 for bex, scalar in poly.terms.items()}
+                 for (exps, bex), scalar in self.monomial_diff(mono).coeffs.items()}
                 for mono, shift in basis]
 
     def _inherits(self, hdeg: int, weight: int) -> bool:
@@ -424,7 +427,7 @@ class TowerAlgebra:
                 raise TowerError(f"target of {name} must have weight {weight}")
             if not target.differential().is_zero():
                 raise TowerError(f"target of {name} is not a cycle")
-            raw = tuple(sorted(target.terms.items()))
+            raw = tuple(sorted(target.coeffs.items()))
         var = DGVariable(name=name, degree=degree, weight=weight, target=raw)
         child = TowerAlgebra(self.base, self.flavor, self.variables + (var,))
         child._parent = self
@@ -437,14 +440,13 @@ class TowerAlgebra:
         ordinary flavor).  Each image has its variable's degree, so the
         Koszul signs are kept.  This is the one change of generators."""
         power = AlgebraElement.divided_power if self.flavor == DIVIDED else AlgebraElement.power
-        out: dict = {}
-        for exps, poly in sorted(elem.terms.items()):
+        field, out = self.base.field, {}
+        for exps, poly in elem.terms.items():
             term = self.from_poly(poly)
             for i, m in enumerate(exps):
                 if m:
                     term = term * power(images[i], m)
-            for e, p in term.terms.items():
-                add_term(out, e, p)
+            _axpy(field, out, term.coeffs, field.one())
         return AlgebraElement(self, out)
 
     def embed(self, elem: "AlgebraElement") -> "AlgebraElement":
@@ -455,64 +457,70 @@ class TowerAlgebra:
         if src.variables != self.variables[: src.n]:
             raise TowerError("not a prefix of this tower")
         pad = self.n - src.n
-        return AlgebraElement(self, {e + (0,) * pad: p for e, p in elem.terms.items()})
+        return AlgebraElement(self, {(e + (0,) * pad, b): s for (e, b), s in elem.coeffs.items()})
 
 
 class AlgebraElement:
-    """Sparse element of a tower: variable exponent vector -> base polynomial."""
+    """Sparse element of a tower: basis label (exps, bex) -> nonzero scalar."""
 
-    __slots__ = ("tower", "terms")
+    __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: TowerAlgebra, terms: dict):
+    def __init__(self, tower: TowerAlgebra, coeffs: dict):
         self.tower = tower
-        self.terms = terms
+        self.coeffs = coeffs
 
     def _check(self, other: "AlgebraElement"):
         if self.tower is not other.tower and self.tower != other.tower:
             raise TowerError("elements of different towers")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
             and self.tower.signature() == other.tower.signature()
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.terms)
-        for exps, p in other.terms.items():
-            add_term(out, exps, p)
+        field = self.tower.base.field
+        out = dict(self.coeffs)
+        _axpy(field, out, other.coeffs, field.one())
         return AlgebraElement(self.tower, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.tower, {e: -p for e, p in self.terms.items()})
+        neg = self.tower.base.field.neg
+        return AlgebraElement(self.tower, {k: neg(s) for k, s in self.coeffs.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Graded-commutative product: the Koszul signs and divided binomials
-        of each pair of monomials are read off `TowerAlgebra.monomial_product`."""
+        """Graded-commutative product: the sum over the terms c·X^e x^b of
+        the factor with fewer terms of c·(X^e x^b·other), or c·(self·X^e x^b),
+        whose Koszul signs and divided binomials `TowerAlgebra.monomial_times`
+        reads off the monomial product memo."""
         self._check(other)
         tower = self.tower
-        memo, product = tower._products, tower.monomial_product
+        field = tower.base.field
+        right = len(other.coeffs) < len(self.coeffs)
+        shorter, u = (other, self) if right else (self, other)
         out: dict = {}
-        for ea, pa in self.terms.items():
-            for eb, pb in other.terms.items():
-                exps, c = memo.get((ea, eb)) or product(ea, eb)
-                if c:
-                    p = pa * pb
-                    add_term(out, exps, p if c == 1 else p.scale(c))
+        for label, c in shorter.coeffs.items():
+            row = tower.monomial_times(label, u, right).coeffs
+            if out or c != 1:
+                _axpy(field, out, row, c)
+            else:
+                out = row  # a fresh map: 0 + 1·row needs no sum
         return AlgebraElement(tower, out)
 
     def scale(self, scalar) -> "AlgebraElement":
         if not scalar:
             return self.tower.zero()
-        return AlgebraElement(self.tower, {e: p.scale(scalar) for e, p in self.terms.items()})
+        mul = self.tower.base.field.mul
+        return AlgebraElement(self.tower, {k: mul(s, scalar) for k, s in self.coeffs.items()})
 
     def scale_int(self, n: int) -> "AlgebraElement":
         return self.scale(self.tower.base.field.of(n))
@@ -528,8 +536,8 @@ class AlgebraElement:
     # --- grading ----------------------------------------------------------
 
     def degrees(self) -> set[int]:
-        t = self.tower
-        return {sum(m * d for m, d in zip(e, t._degrees)) for e in self.terms}
+        degrees = self.tower._degrees
+        return {sum(m * d for m, d in zip(e, degrees)) for e in {e for e, _ in self.coeffs}}
 
     def degree(self) -> int | None:
         """Homological degree if homogeneous (zero counts as any degree)."""
@@ -537,11 +545,7 @@ class AlgebraElement:
 
     def weights(self) -> set[int]:
         t = self.tower
-        out = set()
-        for e, p in self.terms.items():
-            wv = sum(m * w for m, w in zip(e, t._weights))
-            out.update(wv + pw for pw in p.weights())
-        return out
+        return {sum(m * w for m, w in zip(e, t._weights)) + t.base.term_weight(b) for e, b in self.coeffs}
 
     def weight(self) -> int | None:
         return homogeneous(self.weights())
@@ -549,21 +553,20 @@ class AlgebraElement:
     def split_by_degree(self) -> dict[int, "AlgebraElement"]:
         t = self.tower
         out: dict[int, dict] = {}
-        for e, p in self.terms.items():
-            h = sum(m * d for m, d in zip(e, t._degrees))
-            out.setdefault(h, {})[e] = p
-        return {h: AlgebraElement(t, terms) for h, terms in sorted(out.items())}
+        for (e, b), s in self.coeffs.items():
+            out.setdefault(t.monomial_bidegree(e)[0], {})[e, b] = s
+        return {h: AlgebraElement(t, coeffs) for h, coeffs in sorted(out.items())}
 
     # --- differential structure --------------------------------------------
 
     def differential(self) -> "AlgebraElement":
         """Leibniz differential; base-ring coefficients are constants (d = 0),
-        so d(X^e p) = d(X^e) p."""
+        so d(X^e x^b) = x^b·d(X^e)."""
         tower = self.tower
+        field, zero = tower.base.field, (0,) * tower.n
         out: dict = {}
-        for exps, poly in sorted(self.terms.items()):
-            for e, q in tower.monomial_diff(exps).terms.items():
-                add_term(out, e, q * poly)
+        for (exps, bex), c in sorted(self.coeffs.items()):
+            _axpy(field, out, tower.monomial_times((zero, bex), tower.monomial_diff(exps)).coeffs, c)
         return AlgebraElement(tower, out)
 
     # --- divided powers ------------------------------------------------------
@@ -572,8 +575,9 @@ class AlgebraElement:
         """u^(m) for homogeneous u of positive even degree.
 
         Divided-flavor towers expand by the sum/product/composition rules with
-        X^(i) as base case; ordinary-flavor towers use u^m/m!, which needs
-        rational coefficients.
+        X^(i) as base case, the sum rule running over the tower monomials of
+        u; ordinary-flavor towers use u^m/m!, which needs rational
+        coefficients.
         """
         if m < 0:
             raise TowerError("negative divided power")
@@ -582,7 +586,7 @@ class AlgebraElement:
         if self.is_zero():
             return self.tower.zero()
         if m == 1:
-            return AlgebraElement(self.tower, dict(self.terms))
+            return AlgebraElement(self.tower, dict(self.coeffs))
         deg = self.degree()
         if deg is None or deg <= 0 or deg % 2:
             raise TowerError("divided powers need homogeneous positive even degree")
@@ -592,11 +596,11 @@ class AlgebraElement:
                     "ordinary-flavor divided powers u^m/m! need rational coefficients"
                 )
             return self.power(m).scale(self.tower.base.field.of(1, factorial(m)))
-        return self._sum_divided_power(sorted(self.terms.items()), m)
+        return self._sum_divided_power(list(self.terms.items()), m)
 
     def _sum_divided_power(self, terms: list, m: int) -> "AlgebraElement":
-        """(t_1 + ... + t_k)^(m) for a nonempty list of terms, by the sum rule
-        (u + v)^(m) = sum_j u^(j) v^(m-j)."""
+        """(t_1 + ... + t_k)^(m) for a nonempty list of (tower monomial, base
+        coefficient) terms, by the sum rule (u + v)^(m) = sum_j u^(j) v^(m-j)."""
         if len(terms) == 1:
             return self._term_power(terms[0], m)
         head, rest = terms[0], terms[1:]
@@ -608,18 +612,16 @@ class AlgebraElement:
         return out
 
     def _term_power(self, term, i: int) -> "AlgebraElement":
-        """(M*c)^(i) = c^i * M^(i) for a single monomial term."""
+        """(c·M)^(i) = c^i·M^(i) for a tower monomial M with its base
+        coefficient c; c^i comes from the product of elements."""
         tower = self.tower
         exps, poly = term
         if i == 0:
             return tower.one()
         if i == 1:
-            return AlgebraElement(tower, {exps: poly})
+            return AlgebraElement(tower, {(exps, b): s for b, s in poly.terms.items()})
         if any(m and tower._odd[k] for k, m in enumerate(exps)):
             return tower.zero()  # any odd factor kills higher divided powers
-        coeff = poly
-        for _ in range(i - 1):
-            coeff = coeff * poly
         # M = F_1...F_k: repeatedly apply (v w)^(i) = v^i w^(i), so M^(i) =
         # F_1^i...F_(k-1)^i F_k^(i), where (X^(m))^i = (mi)!/(m!)^i X^(mi)
         # and (X^(m))^(i) is that divided by i!
@@ -627,24 +629,37 @@ class AlgebraElement:
         for m in exps:
             if m:
                 c *= factorial(m * i) // factorial(m) ** i
-        power = AlgebraElement(tower, {tuple([m * i for m in exps]): coeff})
-        return power.scale_int(c // factorial(i))
+        field = tower.base.field
+        c = field.of(c // factorial(i))
+        if not c:
+            return tower.zero()
+        coeff = base = AlgebraElement(tower, {((0,) * tower.n, b): s for b, s in poly.terms.items()})
+        for _ in range(i - 1):
+            coeff = coeff * base
+        power, mul = tuple([m * i for m in exps]), field.mul
+        return AlgebraElement(tower, {(power, b): mul(s, c) for (_, b), s in coeff.coeffs.items()})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def coordinates(self) -> dict:
-        """Field coordinates: (variable exps, base exps) -> scalar."""
-        return {(exps, bex): scalar for exps, poly in self.terms.items()
-                for bex, scalar in poly.terms.items()}
+    @property
+    def terms(self) -> dict:
+        """{exps: BasePoly}: the terms grouped by tower monomial, in sorted
+        order, each with its base coefficient; built on each read, for the
+        readers that go monomial by monomial: display, divided powers and
+        the change of generators."""
+        base, out = self.tower.base, {}
+        for (exps, bex), s in sorted(self.coeffs.items()):
+            poly = out.get(exps)
+            if poly is None:
+                poly = out[exps] = BasePoly(base, {})
+            poly.terms[bex] = s
+        return out
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         names = [v.name for v in self.tower.variables]
         divided = self.tower.flavor == DIVIDED
         bits = []
-        for exps, p in self.sorted_terms():
+        for exps, p in self.terms.items():
             mono = monomial_text(names, exps, divided, "*")
             bits.append(f"({p!r})*{mono}" if mono else f"({p!r})")
         return " + ".join(bits)
@@ -737,13 +752,13 @@ class _Sampler:
         if not cand:
             return tower.zero()
         h, w = self.rng.choice(cand)
-        basis = tower.slice_basis(h, w)
+        basis, field = tower.slice_basis(h, w), tower.base.field
         out: dict = {}
         for _ in range(min(3, len(basis))):
             exps, bex = self.rng.choice(basis)
             c = self.scalar()
             if c:
-                add_term(out, exps, BasePoly(tower.base, {bex: c}))
+                _axpy(field, out, {(exps, bex): c}, field.one())
         return AlgebraElement(tower, out)
 
 

@@ -178,12 +178,7 @@ class SemifreeModule:
 
     def elem_coords(self, x: dict) -> dict:
         """Field coordinates of an element: (idx, exps, bex) -> scalar."""
-        out = {}
-        for i, c in x.items():
-            for exps, poly in c.terms.items():
-                for bex, scalar in poly.terms.items():
-                    out[(i, exps, bex)] = scalar
-        return out
+        return {(i, exps, bex): s for i, c in x.items() for (exps, bex), s in c.coeffs.items()}
 
     def label_elem(self, label) -> dict:
         i, exps, bex = label
@@ -339,17 +334,16 @@ class ChainMap:
 
 
 def split_over_prefix(tower: TowerAlgebra, terms, a_prefix: int):
-    """Write tower terms (exps, poly), taken in the given order, as g * a with
-    g an extension monomial and a in the subtower of the first `a_prefix`
-    variables, moving a past g with its Koszul sign; yields (g's exponents
-    over the extension variables, a)."""
-    odd = tower._odd
-    for exps, poly in terms:
+    """Write tower terms ((exps, bex), scalar), taken in the given order, as
+    g * a with g an extension monomial and a in the subtower of the first
+    `a_prefix` variables, moving a past g with its Koszul sign; yields (g's
+    exponents over the extension variables, a)."""
+    odd, neg = tower._odd, tower.base.field.neg
+    for (exps, bex), s in terms:
         aex = exps[:a_prefix] + (0,) * (tower.n - a_prefix)
         p = sum(1 for i in range(a_prefix) if odd[i] and exps[i])
         q = sum(1 for i in range(a_prefix, tower.n) if odd[i] and exps[i])
-        a = tower.monomial(aex, poly)
-        yield exps[a_prefix:], -a if (p * q) % 2 else a
+        yield exps[a_prefix:], AlgebraElement(tower, {(aex, bex): neg(s) if (p * q) % 2 else s})
 
 
 def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
@@ -398,7 +392,7 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
         g_elem = tower.monomial(full_exps(gex))
         du = n.apply_diff({alpha: g_elem})
         for gamma, c in du.items():
-            for g2, a in split_over_prefix(tower, sorted(c.terms.items()), a_prefix):
+            for g2, a in split_over_prefix(tower, sorted(c.coeffs.items()), a_prefix):
                 j = pos.get((gamma, tuple(g2)))
                 if j is None:
                     raise ModuleError(

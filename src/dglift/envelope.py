@@ -46,7 +46,7 @@ class EnvelopeAlgebra:
             dx = tower.gen(v.name).differential()
             target = algebra.substitute(dx, self._phi(algebra)) - algebra.embed(dx)
             xi = DGVariable(f"ξ({v.name})", v.degree, v.weight,
-                            tuple(sorted(target.terms.items())) or None)
+                            tuple(sorted(target.coeffs.items())) or None)
             algebra = TowerAlgebra(tower.base, tower.flavor, algebra.variables + (xi,))
         self.algebra = algebra
         self._phi_images = self._phi(algebra)
@@ -100,15 +100,15 @@ class EnvelopeAlgebra:
     def _suffixes(self, t: AlgebraElement, right: bool) -> dict:
         """{w: b in B} with t = sum b·S^w, or with `right`, t = sum S^w·b:
         S^w is the monomial in the variables after those of B (the diagonals,
-        or the X^o of the tensor form), and a term X^a S^w p is b·S^w with
-        b = X^a p, which is (-1)^{|b||w|} S^w·b."""
-        n = self.tower.n
+        or the X^o of the tensor form), and a term X^a S^w x^c is b·S^w with
+        b = X^a x^c, which is (-1)^{|b||w|} S^w·b."""
+        n, neg = self.tower.n, self.tower.base.field.neg
         out: dict = {}
-        for exps, p in t.terms.items():
+        for (exps, bex), s in t.coeffs.items():
             if right and self.tower.monomial_bidegree(exps[:n])[0] * self.ext_degree(exps[n:]) % 2:
-                p = -p
-            out.setdefault(exps[n:], {})[exps[:n]] = p
-        return {w: AlgebraElement(self.tower, terms) for w, terms in out.items()}
+                s = neg(s)
+            out.setdefault(exps[n:], {})[exps[:n], bex] = s
+        return {w: AlgebraElement(self.tower, coeffs) for w, coeffs in out.items()}
 
     # --- constructors --------------------------------------------------------
 
@@ -194,7 +194,7 @@ class EnvelopeAlgebra:
                 for j, (lex, (exps, bex)) in enumerate(labels):
                     # pi_B(L^o (x) r) = L·r
                     img = self.ext_elem(lex) * tower.monomial(exps, tower.base.monomial(bex))
-                    for key, scalar in img.coordinates().items():
+                    for key, scalar in img.coeffs.items():
                         rows.setdefault(key, {})[j] = scalar
                 rank = matrix_rank(tower.base.field, list(rows.values()))
                 dims.append([h, w, dim_be, dim_be - rank, dim_b])

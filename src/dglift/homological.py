@@ -128,12 +128,10 @@ class HomComplex:
                        for a, entry in self._l_cols.get(i, ()) for g in (self.l.basis[a],)]
             for (exps, bex), own in zip(basis, tower.slice_columns(hi, wi)):
                 col = {start + r: neg(s) if odd else s for r, s in own.items()}
-                if entries:
-                    shift = tower.base.monomial(bex)
-                    for entry, at, index in entries:
-                        image = tower.monomial_times(exps, entry, shift, right=True)
-                        for k, s in image.coordinates().items():
-                            col[at + index[k]] = s
+                for entry, at, index in entries:
+                    image = tower.monomial_times((exps, bex), entry, right=True)
+                    for k, s in image.coeffs.items():
+                        col[at + index[k]] = s
                 cols.append(((i, exps, bex), col))
         self._dl[key] = cols
         return cols
@@ -163,9 +161,8 @@ class HomComplex:
                     if coords is None:
                         f = l.basis[i]
                         index = tower.slice_index(hb - f.degree, wb - f.weight)
-                        image = tower.monomial_times(exps, entry, tower.base.monomial(bex))
-                        coords = self._products[pkey] = {
-                            index[k]: s for k, s in image.coordinates().items()}
+                        image = tower.monomial_times((exps, bex), entry)
+                        coords = self._products[pkey] = {index[k]: s for k, s in image.coeffs.items()}
                     at_i = at + l_starts[i]
                     for r, s in coords.items():
                         col[at_i + r] = neg(s) if even else s

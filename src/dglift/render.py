@@ -57,7 +57,7 @@ def _tower_terms(u, names) -> str:
         return "0"
     divided = u.tower.flavor == _DIVIDED
     bits = []
-    for exps, poly in u.sorted_terms():
+    for exps, poly in u.terms.items():
         coeff = render_poly(poly)
         if len(poly.terms) > 1:
             coeff = f"({coeff})"

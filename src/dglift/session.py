@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NoReturn
 
-from .base_ring import Field, PolyRing
+from .base_ring import BasePoly, Field, PolyRing
 from .dg_algebra import DIVIDED, ORDINARY, TowerAlgebra, TowerError, add_term
 from .dg_module import (
     BasisElement, BidegreeWindow, ModuleError, SemifreeModule, make_semifree,
@@ -821,7 +821,8 @@ class _Builder:
             val = ExprEval(args, names).parse()
             if val.is_zero():
                 args.error("ideal generator is zero", start)
-            (poly,) = val.terms.values()  # no tower variable occurs
+            # no tower variable occurs: the labels hold the base exponents
+            poly = BasePoly(self.ring, {bex: s for (_, bex), s in val.coeffs.items()})
             if poly.weight() is None:
                 args.error("ideal generators must be weight-homogeneous", start)
             if poly.weight() == 0:

@@ -58,16 +58,12 @@ def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | Non
     each kernel vector against the boundary echelon of the tower."""
     field = tower.base.field
     # boundaries and kernel vectors are both keyed by position in the
-    # (hdeg, w) basis
+    # (hdeg, w) basis, whose labels are the element's
     boundaries = tower.slice_echelon(hdeg + 1, w)
     for vec in tower.slice_kernel(hdeg, w):
         if remainder(field, boundaries, vec):
             basis = tower.slice_basis(hdeg, w)
-            terms: dict = {}
-            for j, v in sorted(vec.items()):
-                exps, bex = basis[j]
-                terms.setdefault(exps, {})[bex] = v
-            return AlgebraElement(tower, {exps: BasePoly(tower.base, t) for exps, t in terms.items()})
+            return AlgebraElement(tower, {basis[j]: v for j, v in sorted(vec.items())})
     return None
 
 

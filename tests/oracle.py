@@ -55,7 +55,7 @@ def leibniz_differential(elem):
     before it."""
     tower = elem.tower
     out = tower.zero()
-    for (exps, bex), c in elem.coordinates().items():
+    for (exps, bex), c in elem.coeffs.items():
         for i, m in enumerate(exps):
             if not m:
                 continue
@@ -84,8 +84,8 @@ def symbol_product(u, v) -> dict:
     odd = [var.degree % 2 == 1 for var in tower.variables]
     divided = tower.flavor == "divided"
     out: dict = {}
-    for (ea, ba), ca in u.coordinates().items():
-        for (eb, bb), cb in v.coordinates().items():
+    for (ea, ba), ca in u.coeffs.items():
+        for (eb, bb), cb in v.coeffs.items():
             word = [[i, m] for i, m in enumerate(ea) if m] + [[i, m] for i, m in enumerate(eb) if m]
             sign = 1
             for end in range(len(word) - 1, 0, -1):
@@ -218,7 +218,7 @@ class TensorOracle:
         first, is (-1)^{|a||L|} L·a, and a crosses to the right factor."""
         tower, k = self.tower, self.k
         out = {}
-        for (exps, bex), c in b1.coordinates().items():
+        for (exps, bex), c in b1.coeffs.items():
             a = tower.monomial(exps[:k] + (0,) * (tower.n - k), tower.base.monomial(bex, c))
             r = a * b2
             out = self.add(out, {exps[k:]: -r if a.degree() * self.degree(exps[k:]) % 2 else r})
@@ -283,14 +283,14 @@ class TensorOracle:
                 out = self.mul(out, x)
             return {lex: r.scale(tower.base.field.of(1, factorial(m))) for lex, r in out.items()}
         pieces = [(lex, tower.monomial(exps, tower.base.monomial(bex, c)))
-                  for lex, r in sorted(x.items()) for (exps, bex), c in sorted(r.coordinates().items())]
+                  for lex, r in sorted(x.items()) for (exps, bex), c in sorted(r.coeffs.items())]
 
         def piece_power(piece, i):
             lex, r = piece
             if i < 2:
                 return self.one() if i == 0 else {lex: r}
             odd = [v.degree % 2 for v in tower.variables]
-            ((exps, _),) = r.coordinates()
+            ((exps, _),) = r.coeffs
             if any(m and o for m, o in zip((0,) * self.k + lex, odd)) \
                     or any(m and o for m, o in zip(exps, odd)):
                 return {}

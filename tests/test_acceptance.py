@@ -104,7 +104,7 @@ def test_criterion_1_axiom_suite():
     # injected corruptions are detected
     for field in (Field(), Field(5)):
         good = _koszul_xy(field)
-        bad_target = tuple(sorted((good.gen("X1") * good.gen("x")).terms.items()))
+        bad_target = tuple(sorted((good.gen("X1") * good.gen("x")).coeffs.items()))
         bad = TowerAlgebra(good.base, "divided",
                            good.variables + (DGVariable("W", 2, 2, bad_target),))
         report = check_axioms(bad, 300, weight_bound=5, seed=42)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from dglift import (
+    AlgebraElement,
     DGVariable,
     EnvelopeAlgebra,
     Field,
@@ -173,7 +174,7 @@ def test_check_axioms_pass(mixed_tower):
 
 
 def test_check_axioms_detects_corruption(koszul_xy, ring_xy):
-    bad_target = tuple(sorted((koszul_xy.gen("X1") * koszul_xy.gen("x")).terms.items()))
+    bad_target = tuple(sorted((koszul_xy.gen("X1") * koszul_xy.gen("x")).coeffs.items()))
     bad = TowerAlgebra(
         ring_xy, "divided",
         koszul_xy.variables + (DGVariable("W", 2, 2, bad_target),),
@@ -267,9 +268,9 @@ def _assert_sparse(terms: dict):
     hold nonzero ring elements, and the coordinates of a tower element are
     nonzero scalars."""
     for value in terms.values():
-        if hasattr(value, "coordinates"):
-            assert value.coordinates(), terms
-            _assert_sparse(value.coordinates())
+        if hasattr(value, "coeffs"):
+            assert value.coeffs, terms
+            _assert_sparse(value.coeffs)
         else:
             assert value, terms
 
@@ -306,7 +307,7 @@ def test_sums_products_and_differentials_hold_no_zero(p, a, b, a_prefix):
             m.mul_elem({0: odd, 1: u}, odd), m.apply_diff(x), m.apply_diff(m.apply_diff(x))]
     assert not mods[0] and not mods[4] and (not mods[1]) == (p == 5 or not x)
     for elem in elems:
-        _assert_sparse(elem.coordinates())
+        _assert_sparse(elem.coeffs)
     for elem in envs:
         _assert_sparse(dict(elem.sorted_terms()))
     for elem in mods:
@@ -358,7 +359,7 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
             assert tower.slice_rank(h, w) == ref.slice_rank(h, w)
         elif kind == "diff":
             for exps, _ in ref.slice_basis(h, w):
-                assert tower.monomial_diff(exps).coordinates() == ref.monomial_diff(exps).coordinates()
+                assert tower.monomial_diff(exps).coeffs == ref.monomial_diff(exps).coeffs
         elif kind == "echelon":
             echelon = tower.slice_echelon(h, w)
             assert len(echelon) == ref.slice_rank(h, w)[1]
@@ -385,4 +386,30 @@ def test_products_match_the_symbol_oracle(flavor, p, which, z, a, b):
     for tower in _chain(flavor, p, which, z):
         u, v = _element(tower, a), _element(tower, b)
         for left, right in ((u, v), (v, u), (u, u), (u, v)):
-            assert (left * right).coordinates() == symbol_product(left, right)
+            assert (left * right).coeffs == symbol_product(left, right)
+
+
+@pytest.mark.parametrize("p", [None, 5])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 1), w=st.integers(4, 5), m=st.integers(2, 4),
+       picks=st.lists(st.integers(0, 99), min_size=1, max_size=2),
+       scalars=st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=12, max_size=12))
+def test_divided_powers_match_iterated_symbol_products(p, which, w, m, picks, scalars):
+    # m!·u^(m) = u^m for u of degree 2 on one or two tower monomials, the
+    # first with a base coefficient of several terms: the sum rule runs over
+    # tower monomials and raises each base coefficient to the i-th power,
+    # while u^m comes from iterating the symbol oracle (4! is a unit mod 5)
+    tower = _oracle_towers("divided", p)[which]
+    field = tower.base.field
+    groups: dict = {}
+    for exps, bex in tower.slice_basis(2, w):
+        groups.setdefault(exps, []).append(bex)
+    several = sorted(exps for exps, bexs in groups.items() if len(bexs) > 1)
+    chosen = {several[picks[0] % len(several)]}
+    chosen |= {sorted(groups)[k % len(groups)] for k in picks[1:]}
+    labels = [(exps, bex) for exps in sorted(chosen) for bex in groups[exps]]
+    u = AlgebraElement(tower, {label: field.of(c) for label, c in zip(labels, scalars)})
+    power = u
+    for _ in range(m - 1):
+        power = AlgebraElement(tower, symbol_product(power, u))
+    assert u.divided_power(m).scale_int(factorial(m)) == power

@@ -399,7 +399,7 @@ def test_exactness_dimensions(env_mixed, mixed_tower):
             for col, (lex, exps, bex) in enumerate(labels):
                 r = mixed_tower.monomial(exps, mixed_tower.base.monomial(bex))
                 img = env_mixed.from_tensor(env_mixed.ext_elem(lex), r).pi()
-                for key, scalar in img.coordinates().items():
+                for key, scalar in img.coeffs.items():
                     rows.setdefault(key, {})[col] = scalar
             rank = matrix_rank(field, list(rows.values()))
             assert rank == dim_b

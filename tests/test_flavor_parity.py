@@ -72,7 +72,7 @@ def test_flavor_rescaling_over_Q(QQ, even_tower, ordinary_even):
         assert sorted(div) == sorted(ordv)
 
         def only_scalar(elem):
-            ((_, scalar),) = elem.coordinates().items()
+            ((_, scalar),) = elem.coeffs.items()
             return scalar
 
         for lex in div:

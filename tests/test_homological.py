@@ -402,7 +402,7 @@ def test_weight_zero_projection_of_a_splitting_splits(even_tower):
         for i, c in rho_prime.entries[beta].items():
             want = e.weight - p.basis[i].weight
             keep = c.tower.zero()
-            for (exps, bex), s in c.coordinates().items():
+            for (exps, bex), s in c.coeffs.items():
                 if c.tower.term_bidegree(exps, bex)[1] == want:
                     keep = keep + c.tower.monomial(exps, c.tower.base.monomial(bex, s))
             if not keep.is_zero():

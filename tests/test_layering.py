@@ -267,18 +267,76 @@ def test_field_operations_do_not_test_the_field():
         assert not reads, name
 
 
+def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef:
+    return next(fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
 def test_element_product_has_no_per_variable_loop():
-    # the Koszul sign and the binomials of a pair of monomials are computed
-    # once, by TowerAlgebra.monomial_product, and read off its memo
-    elem = _class("dg_algebra.py", "AlgebraElement")
-    mul = next(fn for fn in elem.body if isinstance(fn, ast.FunctionDef) and fn.name == "__mul__")
+    # the product is the sum over the terms c·X^e x^b of one factor of c
+    # times X^e x^b shifting the other: __mul__ loops over the terms of one
+    # factor and adds each shifted copy through _axpy; monomial_times loops
+    # over the other's terms, reads the Koszul sign and the binomials of each
+    # pair of tower monomials off the monomial product memo, and adds base
+    # exponents, its one loop over variables
+    mul = _method(_class("dg_algebra.py", "AlgebraElement"), "__mul__")
+    times = _method(_class("dg_algebra.py", "TowerAlgebra"), "monomial_times")
     loops = [node for node in ast.walk(mul) if isinstance(node, (ast.For, ast.comprehension))]
-    assert len(loops) == 2  # the terms of each factor
-    assert all(ast.unparse(node.iter).endswith(".terms.items()") for node in loops)
-    names = {node.id for node in ast.walk(mul) if isinstance(node, ast.Name)}
-    attrs = {node.attr for node in ast.walk(mul) if isinstance(node, ast.Attribute)}
-    assert not names & {"comb", "zip", "range", "enumerate"}
-    assert "monomial_product" in attrs
+    assert [ast.unparse(node.iter) for node in loops] == ["shorter.coeffs.items()"]
+    assert {"monomial_times", "_axpy"} <= _calls_in(mul)
+    loops = [node for node in ast.walk(times) if isinstance(node, (ast.For, ast.comprehension))]
+    assert sorted(ast.unparse(node.iter) for node in loops) == ["u.coeffs.items()", "zip(b, shift)"]
+    for fn in (mul, times):
+        names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert not names & {"comb", "range", "enumerate"}, fn.name
+    attrs = {node.attr for node in ast.walk(times) if isinstance(node, ast.Attribute)}
+    assert {"_products", "monomial_product"} <= attrs
+
+
+def test_elements_have_one_flat_format():
+    # a tower element is one sparse map {(exps, bex): scalar}; the nested
+    # {exps: BasePoly} reading is a view built for display, and nothing
+    # converts between the two formats by walking a base polynomial inside
+    # a walk over tower monomials; BasePoly holds no arithmetic loop: each
+    # operator goes through the tower with no variables
+    elem = _class("dg_algebra.py", "AlgebraElement")
+    slots = next(node.value for node in elem.body if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "__slots__")
+    assert ast.literal_eval(slots) == ("tower", "coeffs")
+    assert "coordinates" not in {fn.name for fn in elem.body if isinstance(fn, ast.FunctionDef)}
+    poly = _class("base_ring.py", "BasePoly")
+    ops = {"__add__", "__neg__", "__sub__", "__mul__", "scale", "scale_int"}
+    for fn in poly.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ops:
+            (ret,) = fn.body
+            assert isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call), fn.name
+            assert ast.unparse(ret.value.func) in ("self._via_tower", "self.scale"), fn.name
+    assert "TowerAlgebra" in _calls_in(_method(poly, "_via_tower"))
+    assert not {"graded_component", "_check"} & {fn.name for fn in poly.body
+                                                 if isinstance(fn, ast.FunctionDef)}
+
+    def reads_terms(node, names=None) -> bool:
+        """Whether `node` reads a `.terms` attribute (of one of `names`)."""
+        return any(isinstance(a, ast.Attribute) and a.attr == "terms"
+                   and (names is None or isinstance(a.value, ast.Name) and a.value.id in names)
+                   for a in ast.walk(node))
+
+    def bound(target) -> set:
+        return {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
+
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.For) and reads_terms(node.iter):
+                names = bound(node.target)
+                if any(isinstance(n, (ast.For, ast.comprehension)) and reads_terms(n.iter, names)
+                       for part in node.body for n in ast.walk(part)):
+                    nested.append((path.name, node.lineno))
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                gens = node.generators
+                if any(reads_terms(g.iter) and reads_terms(h.iter, bound(g.target))
+                       for i, g in enumerate(gens) for h in gens[i + 1:]):
+                    nested.append((path.name, node.lineno))
+    assert not nested, nested
 
 
 def test_hom_blocks_multiply_through_the_shift_routine():

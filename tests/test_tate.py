@@ -42,7 +42,7 @@ def _brute_homology(tower, hdeg, w):
         for exps, bex in src_basis:
             mono = tower.monomial(exps, tower.base.monomial(bex))
             img = leibniz_differential(mono)
-            coords = img.coordinates()
+            coords = img.coeffs
             cols.append(coords)
             for k in coords:
                 if k not in seen:
@@ -67,7 +67,7 @@ def _coords(tower, hdeg, w, elem) -> list:
     field = tower.base.field
     col = {lab: j for j, lab in enumerate(tower.slice_basis(hdeg, w))}
     vec = [field.zero()] * len(col)
-    for key, scalar in elem.coordinates().items():
+    for key, scalar in elem.coeffs.items():
         vec[col[key]] = scalar
     return vec
 
@@ -134,7 +134,7 @@ def test_h1_contains_syzygy_class(ring_xy, QQ):
     assert leibniz_differential(rep).is_zero()
     expect = t.gen("X1") * t.from_poly(y) - t.gen("X2") * t.from_poly(x)
     # the representative spans the same line as y X1 - x X2
-    rc, ec = rep.coordinates(), expect.coordinates()
+    rc, ec = rep.coeffs, expect.coeffs
     assert set(rc) == set(ec)
     keys = sorted(rc)
     k0 = keys[0]
