@@ -315,8 +315,9 @@ class Infeasible:
 
 def _axpy(field: Field, dst: dict, src: dict, m, index: dict | None = None, j: int = 0):
     """dst += m·src on sparse {col: scalar} maps, storing no zero, since `src`
-    may hold explicit zeros.  Given a col -> rows `index`, keeps row j's
-    entries in it."""
+    may hold explicit zeros; with m = 1, as in every sum of tower elements,
+    the entries of src are added as they are.  Given a col -> rows `index`,
+    keeps row j's entries in it."""
     add, mul, unit = field.add, field.mul, m == 1
     for c, v in src.items():
         mv = v if unit else mul(m, v)

@@ -91,6 +91,16 @@ def test_adjoin_rejects_non_cycle(QQ):
         t1.adjoin("Y", 2, 1, t1.gen("X"))
 
 
+def test_coefficients_from_another_base_ring_are_refused(koszul_xy):
+    # a base polynomial's exponent vectors are only labels of the ring it
+    # belongs to, so a coefficient over another ring is refused, not read
+    other = PolyRing(Field(5), ("x", "y"), (1, 1))
+    with pytest.raises(TowerError, match="coefficient over"):
+        koszul_xy.monomial((1, 0), other.var("x"))
+    with pytest.raises(TowerError, match="coefficient over"):
+        koszul_xy.from_poly(other.one())
+
+
 def test_adjoin_rejects_degree_disorder(koszul_xy):
     z = koszul_xy.gen("X1") * koszul_xy.gen("y") - koszul_xy.gen("X2") * koszul_xy.gen("x")
     t = koszul_xy.adjoin("Y", 2, 2, z)

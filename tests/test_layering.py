@@ -14,9 +14,11 @@ such a map keeps no zero; every grading of a ring element is read by
 parent whose memos it inherits; the envelope has no arithmetic of its own,
 and `TowerAlgebra.substitute` is its one change of generators; `Field` binds
 its operations once, so that no scalar operation asks which field it is in;
-the product of tower elements reads its signs and binomials off the
-monomial product memo, and the Hom blocks multiply by a monomial through
-the tower's shift routine; only `matrix_rank` takes structural pivots before
+a tower element is one flat map {(exps, bex): scalar}, and no loop walks a
+base polynomial inside a walk over tower monomials; `BasePoly` has no
+arithmetic loop of its own; the product of tower elements reads its signs
+and binomials off the monomial product memo through the tower's shift
+routine, which the Hom blocks use as well; only `matrix_rank` takes structural pivots before
 `_reduce`, while `solve_linear` and `nullspace_basis`, whose certificates
 hang on `_reduce`'s pivot rule, go straight to it; `HomComplex` assembles D
 once, as columns keyed by row position; a tower keeps the columns of d on a
