@@ -83,12 +83,11 @@ class Field:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         if p is None:
-            self.add, self.sub, self.mul, self.neg = operator.add, operator.sub, operator.mul, operator.neg
+            self.add, self.mul, self.neg = operator.add, operator.mul, operator.neg
             self.of, self.inv = _rational, _rational_inverse
             self.div = lambda a, b: _integral(Fraction(a) * _rational_inverse(b))
             return
         self.add = lambda a, b: (a + b) % p
-        self.sub = lambda a, b: (a - b) % p
         self.mul = lambda a, b: a * b % p
         self.neg = lambda a: -a % p
 
@@ -400,15 +399,14 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
     return work, vals, combos, used, pivots
 
 
-def solve_linear(system: LinearSystem, track_witness: bool = True):
+def solve_linear(system: LinearSystem):
     """Exact solve: one solution, or an Infeasible witness."""
     field = system.field
-    work, vals, combos, used, pivots = _reduce(field, system.rows, system.rhs, track_witness)
+    work, vals, combos, used, pivots = _reduce(field, system.rows, system.rhs, True)
 
     for i in range(len(work)):
         if not used[i] and vals[i]:
-            combo = combos[i] if track_witness else {}
-            return Infeasible(combo=combo, value=vals[i])
+            return Infeasible(combo=combos[i], value=vals[i])
 
     solution = [field.zero()] * system.ncols
     for col, i in pivots.items():

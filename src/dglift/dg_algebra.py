@@ -459,6 +459,24 @@ class TowerAlgebra:
         pad = self.n - src.n
         return AlgebraElement(self, {(e + (0,) * pad, b): s for (e, b), s in elem.coeffs.items()})
 
+    def split_at(self, elem: "AlgebraElement", k: int, into: "TowerAlgebra",
+                 right: bool = False) -> dict:
+        """{w: c} with elem = sum c·S^w, or with `right`, elem = sum S^w·c:
+        S^w is the monomial of exponents w in the variables after the first
+        k, and a term X^a S^w x^b is c·S^w with c = X^a x^b, which is
+        (-1)^{|c||w|} S^w·c.  Each c lies in `into`, a tower whose first k
+        variables are this one's, its exponents padded with zeros."""
+        degrees, neg = self._degrees, self.base.field.neg
+        pad = (0,) * (into.n - k)
+        out: dict = {}
+        for (exps, bex), s in elem.coeffs.items():
+            w = exps[k:]
+            if right and (sum(m * d for m, d in zip(exps, degrees[:k]))
+                          * sum(m * d for m, d in zip(w, degrees[k:]))) % 2:
+                s = neg(s)
+            out.setdefault(w, {})[exps[:k] + pad, bex] = s
+        return {w: AlgebraElement(into, coeffs) for w, coeffs in out.items()}
+
 
 class AlgebraElement:
     """Sparse element of a tower: basis label (exps, bex) -> nonzero scalar."""
@@ -556,6 +574,15 @@ class AlgebraElement:
         for (e, b), s in self.coeffs.items():
             out.setdefault(t.monomial_bidegree(e)[0], {})[e, b] = s
         return {h: AlgebraElement(t, coeffs) for h, coeffs in sorted(out.items())}
+
+    def koszul(self, d: int) -> "AlgebraElement":
+        """The b' with b·e = e·b' for every e of degree d: b itself when d is
+        even, else b with its odd-degree part negated."""
+        if not d % 2:
+            return self
+        t, neg = self.tower, self.tower.base.field.neg
+        return AlgebraElement(t, {(e, b): neg(s) if t.monomial_bidegree(e)[0] % 2 else s
+                                  for (e, b), s in self.coeffs.items()})
 
     # --- differential structure --------------------------------------------
 

@@ -63,7 +63,9 @@ class BasisElement:
 
 
 class SemifreeModule:
-    """Ordered basis e_1 < ... < e_r with d(e_b) = sum_{a<b} e_a * diff[a, b].
+    """Ordered basis e_1 < ... < e_r with d(e_b) = sum_{a<b} e_a * diff[a, b];
+    `columns` holds the same entries by column, {b: [(a, diff[a, b])]}, in
+    the order of `diff`.
 
     `complete_hmax` / `complete_wmax` record truncation: bidegree slices at or
     below these bounds coincide with the untruncated module (None = exact).
@@ -75,6 +77,9 @@ class SemifreeModule:
         self.tower = tower
         self.basis = tuple(basis)
         self.diff = {k: v for k, v in diff.items() if not v.is_zero()}
+        self.columns: dict[int, list] = {}
+        for (a, b), entry in self.diff.items():
+            self.columns.setdefault(b, []).append((a, entry))
         self.complete_hmax = complete_hmax
         self.complete_wmax = complete_wmax
         self.left_action_fn = None  # set by bimodule constructors
@@ -124,19 +129,22 @@ class SemifreeModule:
     def basis_elem(self, i: int) -> dict:
         return {i: self.tower.one()}
 
-    def add_elem(self, x: dict, y: dict) -> dict:
+    @staticmethod
+    def add_elem(x: dict, y: dict) -> dict:
         out = dict(x)
         for i, c in y.items():
             add_term(out, i, c)
         return out
 
-    def neg_elem(self, x: dict) -> dict:
+    @staticmethod
+    def neg_elem(x: dict) -> dict:
         return {i: -c for i, c in x.items()}
 
     def sub_elem(self, x: dict, y: dict) -> dict:
         return self.add_elem(x, self.neg_elem(y))
 
-    def mul_elem(self, x: dict, b: AlgebraElement) -> dict:
+    @staticmethod
+    def mul_elem(x: dict, b: AlgebraElement) -> dict:
         out = {}
         for i, c in x.items():
             p = c * b
@@ -156,9 +164,8 @@ class SemifreeModule:
         """d(sum e_b c_b) = sum_a e_a (diff[a,b] c_b) + (-1)^|e_b| e_b d(c_b)."""
         out: dict = {}
         for b, c in x.items():
-            for (a, bb), entry in self.diff.items():
-                if bb == b:
-                    add_term(out, a, entry * c)
+            for a, entry in self.columns.get(b, ()):
+                add_term(out, a, entry * c)
             dc = c.differential()
             add_term(out, b, -dc if self.basis[b].degree % 2 else dc)
         return out
@@ -333,19 +340,6 @@ class ChainMap:
         )
 
 
-def split_over_prefix(tower: TowerAlgebra, terms, a_prefix: int):
-    """Write tower terms ((exps, bex), scalar), taken in the given order, as
-    g * a with g an extension monomial and a in the subtower of the first
-    `a_prefix` variables, moving a past g with its Koszul sign; yields (g's
-    exponents over the extension variables, a)."""
-    odd, neg = tower._odd, tower.base.field.neg
-    for (exps, bex), s in terms:
-        aex = exps[:a_prefix] + (0,) * (tower.n - a_prefix)
-        p = sum(1 for i in range(a_prefix) if odd[i] and exps[i])
-        q = sum(1 for i in range(a_prefix, tower.n) if odd[i] and exps[i])
-        yield exps[a_prefix:], AlgebraElement(tower, {(aex, bex): neg(s) if (p * q) % 2 else s})
-
-
 def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
                 ) -> tuple[SemifreeModule, ChainMap]:
     """The windowed DG B-module N|_A (x)_A B together with pi_N.
@@ -392,13 +386,14 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
         g_elem = tower.monomial(full_exps(gex))
         du = n.apply_diff({alpha: g_elem})
         for gamma, c in du.items():
-            for g2, a in split_over_prefix(tower, sorted(c.coeffs.items()), a_prefix):
-                j = pos.get((gamma, tuple(g2)))
+            # c = sum g·a over extension monomials g, a in the subtower A
+            for g2, a in tower.split_at(c, a_prefix, tower, right=True).items():
+                j = pos.get((gamma, g2))
                 if j is None:
                     raise ModuleError(
                         "window too small: differential leaves the window"
                     )
-                add_term(diff, (j, idx), a)
+                diff[j, idx] = a
         pi_entries[idx] = {alpha: g_elem}
 
     p = SemifreeModule(
@@ -416,6 +411,8 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
     Q must come from the envelope layer (a filtration quotient or the windowed
     diagonal ideal): its `left_action_fn` expands b·e_k over Q's basis, which
     is what makes d(n (x) q) = dn (x) q + (-1)^{|n|} n (x) dq well defined.
+    The column of e_b (x) e_k reads column b of N's differential, each
+    entry moved past e_k by that left action, and column k of Q's.
 
     A window, when given, keeps only pairs with total degree <= hmax and total
     weight <= wmax (both cuts are closed under the differential; the lower
@@ -447,26 +444,15 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
 
     diff: dict = {}
     for (b, k), j in pos.items():
-        for (a, bb), entry in n.diff.items():
-            if bb != b:
-                continue
-            for k2, c in q.left_action_fn(entry, k).items():
-                i = pos.get((a, k2))
-                if i is None:
-                    raise ModuleError(
-                        "tensor window cuts a differential component; enlarge it"
-                    )
-                add_term(diff, (i, j), c)
         sign_n = -1 if n.basis[b].degree % 2 else 1
-        for (k2, kk), entry in q.diff.items():
-            if kk != k:
-                continue
-            i = pos.get((b, k2))
+        parts = [((a, k2), c) for a, entry in n.columns.get(b, ())
+                 for k2, c in q.left_action_fn(entry, k).items()]
+        parts += [((b, k2), entry.scale_int(sign_n)) for k2, entry in q.columns.get(k, ())]
+        for pair, c in parts:
+            i = pos.get(pair)
             if i is None:
-                raise ModuleError(
-                    "tensor window cuts a differential component; enlarge it"
-                )
-            add_term(diff, (i, j), entry.scale_int(sign_n))
+                raise ModuleError("tensor window cuts a differential component; enlarge it")
+            add_term(diff, (i, j), c)
 
     ch = cw = None
     if q.complete_hmax is not None:

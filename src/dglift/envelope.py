@@ -9,8 +9,9 @@ diagonal ideal J is (xi), J^(l) is spanned by the xi-monomials of level at
 least l, and pi_B keeps the terms without xi.
 
 A term X^a xi^w p of the tower reads as b·xi^w with b = X^a p in B, and as
-xi^w·b with the sign (-1)^{|b||w|}; that one reader gives the right
-coordinates, the quotients J^(l)/J^(l+1) and the ideal J as DG B-modules.
+xi^w·b with the sign (-1)^{|b||w|}; that one reader, `TowerAlgebra.split_at`,
+gives the right coordinates, the quotients J^(l)/J^(l+1) and the ideal J as
+DG B-modules.
 Each change of generators is one `TowerAlgebra.substitute`: phi; the flip
 X -> X + xi, xi -> -xi, which exchanges the two factors and so gives the
 left Mon(Omega) coordinates; and xi -> X^o - X into B<X^o>, which gives
@@ -20,7 +21,7 @@ the tensor form L^o (x) r that reports print.
 from __future__ import annotations
 
 from .base_ring import matrix_rank
-from .dg_algebra import AlgebraElement, DGVariable, TowerAlgebra, add_term
+from .dg_algebra import AlgebraElement, DGVariable, TowerAlgebra
 from .dg_module import BasisElement, BidegreeWindow, ModuleError, SemifreeModule
 from .render import omega_name
 
@@ -100,15 +101,8 @@ class EnvelopeAlgebra:
     def _suffixes(self, t: AlgebraElement, right: bool) -> dict:
         """{w: b in B} with t = sum b·S^w, or with `right`, t = sum S^w·b:
         S^w is the monomial in the variables after those of B (the diagonals,
-        or the X^o of the tensor form), and a term X^a S^w x^c is b·S^w with
-        b = X^a x^c, which is (-1)^{|b||w|} S^w·b."""
-        n, neg = self.tower.n, self.tower.base.field.neg
-        out: dict = {}
-        for (exps, bex), s in t.coeffs.items():
-            if right and self.tower.monomial_bidegree(exps[:n])[0] * self.ext_degree(exps[n:]) % 2:
-                s = neg(s)
-            out.setdefault(exps[n:], {})[exps[:n], bex] = s
-        return {w: AlgebraElement(self.tower, coeffs) for w, coeffs in out.items()}
+        or the X^o of the tensor form); `TowerAlgebra.split_at` reads it."""
+        return t.tower.split_at(t, self.tower.n, self.tower, right)
 
     # --- constructors --------------------------------------------------------
 
@@ -152,15 +146,9 @@ class EnvelopeAlgebra:
         """The Mon(Omega) element xi_1^(m_1) ... xi_t^(m_t)."""
         return EnvelopeElement(self, self._omega(exps))
 
-    def _omegas(self, max_weight: int) -> list[tuple]:
-        """Every Mon(Omega) exponent vector within the weight bound, sorted."""
-        n = self.tower.n
-        return [e[n:] for e in self.algebra.gamma_monomials(max_weight, None,
-                                                             range(n, self.algebra.n))]
-
     def omega_exponents(self, level: int, max_weight: int) -> list[tuple]:
         """Mon_level(Omega) exponent vectors within the weight bound."""
-        return [e for e in self._omegas(max_weight) if sum(e) == level]
+        return [e for e in self.ext_monomials(max_weight) if sum(e) == level]
 
     def basis_tables(self, window: BidegreeWindow) -> tuple[list, list]:
         """The Mon(Omega) monomials in the window and the exactness check of
@@ -172,7 +160,7 @@ class EnvelopeAlgebra:
         """
         tower = self.tower
         omega_rows = []
-        for exps in self._omegas(window.wmax):
+        for exps in self.ext_monomials(window.wmax):
             h, w = self.ext_degree(exps), self.ext_weight(exps)
             if window.contains(h, w):
                 omega_rows.append([omega_name(self, exps, "xi_", "·"), h, w, sum(exps)])
@@ -240,16 +228,9 @@ class EnvelopeAlgebra:
             self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
         )
 
-        def left_action(b: AlgebraElement, k: int) -> dict:
-            # in J^(l)/J^(l+1) the left and right actions agree up to the
-            # Koszul flip: b . e_k = (-1)^{|b||e_k|} e_k . b
-            out = {}
-            for deg_b, part in b.split_by_degree().items():
-                sign = -1 if (deg_b * basis[k].degree) % 2 else 1
-                add_term(out, k, part.scale_int(sign))
-            return out
-
-        module.left_action_fn = left_action
+        # in J^(l)/J^(l+1) the left and right actions agree up to the Koszul
+        # flip: b·e_k = e_k·b.koszul(|e_k|)
+        module.left_action_fn = lambda b, k: {k: b.koszul(basis[k].degree)}
         return module
 
     def diagonal_ideal_module(self, max_weight: int) -> SemifreeModule:
@@ -262,7 +243,7 @@ class EnvelopeAlgebra:
         action are read in right coordinates over Mon(Omega).
         """
         cands = sorted((self.ext_degree(exps), exps, self.ext_weight(exps))
-                       for exps in self._omegas(max_weight) if any(exps))
+                       for exps in self.ext_monomials(max_weight) if any(exps))
         pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
 
         basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]

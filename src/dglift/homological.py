@@ -50,13 +50,10 @@ class HomComplex:
         self.l = l
         self._matrices: dict[tuple[int, int], list] = {}
         self._ranks: dict[tuple[int, int], int] = {}
-        # dM by row a: [(b, dM[a, b])]; dL by column i: [(a, dL[a, i])]
+        # dM by row a: [(b, dM[a, b])]; dL by column is `l.columns`
         self._m_rows: dict[int, list] = {}
         for (a, b), entry in m.diff.items():
             self._m_rows.setdefault(a, []).append((b, entry))
-        self._l_cols: dict[int, list] = {}
-        for (a, i), entry in l.diff.items():
-            self._l_cols.setdefault(i, []).append((a, entry))
         # (h, w) -> where each generator's labels start in that slice of L,
         # then its dimension; (d, w) -> the same for the blocks of M in Hom
         self._l_offsets: dict[tuple[int, int], list[int]] = {}
@@ -125,7 +122,7 @@ class HomComplex:
                 continue
             odd, start = e.degree % 2, below[i]
             entries = [(entry, below[a], tower.slice_index(h - 1 - g.degree, w - g.weight))
-                       for a, entry in self._l_cols.get(i, ()) for g in (self.l.basis[a],)]
+                       for a, entry in self.l.columns.get(i, ()) for g in (self.l.basis[a],)]
             for (exps, bex), own in zip(basis, tower.slice_columns(hi, wi)):
                 col = {start + r: neg(s) if odd else s for r, s in own.items()}
                 for entry, at, index in entries:
@@ -299,7 +296,7 @@ def null_homotopy(f: ChainMap):
         [rhs_map.get(k, field.zero()) for k in keys],
         len(unknowns),
     )
-    res = solve_linear(system, track_witness=True)
+    res = solve_linear(system)
     if isinstance(res, Infeasible):
         return res
     return hom.chain_map(d + 1, unknowns, res.solution)
@@ -400,7 +397,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
     re-checkable inconsistency certificate for the splitting system.
     """
     system, unknowns, labels, p, pi, window = build_split_system(n, a_prefix, window)
-    res = solve_linear(system, track_witness=True)
+    res = solve_linear(system)
     if isinstance(res, Infeasible):
         involved = sorted(res.combo)
         eq_labels = [labels[i] for i in involved]

@@ -219,16 +219,6 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
-class _ModElem:
-    """Module-expression value: {gen index -> coefficient} over the module
-    being declared; ring elements act on the right, or on the left through
-    the Koszul flip."""
-
-    def __init__(self, module_ctx, terms: dict):
-        self.ctx = module_ctx
-        self.terms = terms
-
-
 class _Names:
     """The one name resolver: the base and tower variables of `tower` as
     tower elements, and literals as constants.  The module and envelope
@@ -267,7 +257,7 @@ class _ModuleNames(_Names):
         i = self.gen_index.get(name)
         if i is None:
             return super().lookup(name)
-        return _ModElem(self.specs, {i: self.tower.one()})
+        return {i: self.tower.one()}
 
 
 class _EnvelopeNames(_Names):
@@ -300,7 +290,11 @@ class ExprEval:
     """Recursive-descent evaluator reading from a `_Cursor`.
 
     `names` gives the values of identifiers and literals; values are
-    AlgebraElement, EnvelopeElement, or _ModElem, and combine per their types.
+    AlgebraElement, EnvelopeElement, or module elements, the {generator
+    index: coefficient} maps of `SemifreeModule` over the module being
+    declared, which its element operations combine; ring elements act on
+    a module element on the right, or on the left through
+    `AlgebraElement.koszul`.
     An expression ends at the end of the line, a keyword, `,` or `)`.
     """
 
@@ -422,12 +416,9 @@ class ExprEval:
     # --- typed operations --------------------------------------------------
 
     def _add(self, a, b, tok):
-        if isinstance(a, _ModElem) and isinstance(b, _ModElem):
-            out = dict(a.terms)
-            for i, c in b.terms.items():
-                add_term(out, i, c)
-            return _ModElem(a.ctx, out)
-        if isinstance(a, _ModElem) or isinstance(b, _ModElem):
+        if isinstance(a, dict) and isinstance(b, dict):
+            return SemifreeModule.add_elem(a, b)
+        if isinstance(a, dict) or isinstance(b, dict):
             self.cur.error("cannot add a module element and a ring element", tok)
         try:
             return a + b
@@ -438,37 +429,26 @@ class ExprEval:
         return self._add(a, self._neg(b, tok), tok)
 
     def _neg(self, a, tok):
-        if isinstance(a, _ModElem):
-            return _ModElem(a.ctx, {i: -c for i, c in a.terms.items()})
-        return -a
+        return SemifreeModule.neg_elem(a) if isinstance(a, dict) else -a
 
     def _mul(self, a, b, tok):
-        if isinstance(a, _ModElem) and isinstance(b, _ModElem):
+        if isinstance(a, dict) and isinstance(b, dict):
             self.cur.error("cannot multiply two module elements", tok)
         try:
-            if isinstance(a, _ModElem):
-                out = {}
-                for i, c in a.terms.items():
-                    p = c * b
-                    if not p.is_zero():
-                        out[i] = p
-                return _ModElem(a.ctx, out)
-            if isinstance(b, _ModElem):
-                # left action through the Koszul flip b·m = (-1)^{|a||m|} m·a
-                gens = b.ctx
-                out = {}
-                for da, part in a.split_by_degree().items():
-                    for i, c in b.terms.items():
-                        for dc, cpart in c.split_by_degree().items():
-                            sign = -1 if (da * (gens[i].degree + dc)) % 2 else 1
-                            add_term(out, i, cpart * part.scale_int(sign))
-                return _ModElem(b.ctx, out)
+            if isinstance(a, dict):
+                return SemifreeModule.mul_elem(a, b)
+            if isinstance(b, dict):
+                # a·(e_i·c) = e_i·(a.koszul(|e_i|)·c)
+                gens, out = self.names.specs, {}
+                for i, c in b.items():
+                    add_term(out, i, a.koszul(gens[i].degree) * c)
+                return out
             return a * b
         except (TowerError, EnvelopeError) as exc:
             self.cur.error(str(exc), tok)
 
     def _power(self, a, m: int, tok):
-        if isinstance(a, _ModElem):
+        if isinstance(a, dict):
             self.cur.error("cannot take powers of a module element", tok)
         try:
             return a.power(m)
@@ -476,7 +456,7 @@ class ExprEval:
             self.cur.error(str(exc), tok)
 
     def _divided(self, a, m: int, tok):
-        if isinstance(a, _ModElem):
+        if isinstance(a, dict):
             self.cur.error("cannot take powers of a module element", tok)
         try:
             return a.divided_power(m)
@@ -715,9 +695,9 @@ class _Builder:
         cur.expect("=", "expected '=' after the generator")
         start = cur.peek()
         val = ExprEval(cur, names).parse()
-        if not isinstance(val, _ModElem):
+        if not isinstance(val, dict):
             cur.error("differential must be a module element", start)
-        self.cur_diffs[beta] = val.terms
+        self.cur_diffs[beta] = val
         self.cur_diff_at[beta] = (cur.line, name.col)
 
     def do_run(self, cur, head):
@@ -874,12 +854,9 @@ def format_session(session: Session) -> str:
         lines.append(f"module {name}")
         for e in module.basis:
             lines.append(f"gen {e.name} deg {e.degree} wt {e.weight}")
-        by_target: dict[int, dict] = {}
-        for (a, b), entry in module.diff.items():
-            by_target.setdefault(b, {})[a] = entry
-        for b in sorted(by_target):
+        for b in sorted(module.columns):
             lines.append(f"d {module.basis[b].name} = "
-                         f"{render_module_elem(module, by_target[b])}")
+                         f"{render_module_elem(module, dict(module.columns[b]))}")
     for cmd in session.commands:
         lines.append(f"run {cmd.canonical()}")
     return "\n".join(lines) + "\n"

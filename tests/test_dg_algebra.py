@@ -423,3 +423,32 @@ def test_divided_powers_match_iterated_symbol_products(p, which, w, m, picks, sc
     for _ in range(m - 1):
         power = AlgebraElement(tower, symbol_product(power, u))
     assert u.divided_power(m).scale_int(factorial(m)) == power
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(envelope=st.booleans(), a_prefix=st.integers(0, 3), a=TERMS, b=TERMS)
+def test_suffix_split_and_koszul_flip_rebuild_the_element(flavor, p, envelope, a_prefix, a, b):
+    # the one suffix split and the one Koszul flip, on the acceptance tower
+    # Q[x,y]<X1,X2,Y> or on its envelope over the first a_prefix variables:
+    # u = sum c·S^w = sum S^w·c for every k, and u·v = v·u.koszul(|v|)
+    base = _oracle_towers(flavor, p)[0]
+    tower = EnvelopeAlgebra(base, a_prefix).algebra if envelope else base
+    u, v = _element(tower, a), _element(tower, b)
+    for k in range(tower.n + 1):
+        for right in (False, True):
+            rebuilt = tower.zero()
+            for w, c in tower.split_at(u, k, tower, right).items():
+                assert c.tower is tower and all(not any(e[k:]) for e, _ in c.coeffs)
+                s = tower.monomial((0,) * k + w)
+                rebuilt = rebuilt + (s * c if right else c * s)
+            assert rebuilt == u, (k, right)
+    if envelope:
+        # into B itself, as the envelope reads its coordinates
+        parts = tower.split_at(u, base.n, base, True)
+        assert all(c.tower is base for c in parts.values())
+        assert sum((tower.monomial((0,) * base.n + w) * tower.embed(c)
+                    for w, c in parts.items()), tower.zero()) == u
+    for h, part in v.split_by_degree().items():
+        assert u * part == part * u.koszul(h), h

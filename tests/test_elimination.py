@@ -227,7 +227,7 @@ def test_solve_agrees_with_dense_oracle(case, consistent):
         x = [field.of(c - 2) for c in range(ncols)]
         rhs = [apply(field, r, x) for r in rows]
     system = LinearSystem(field, rows, rhs, ncols)
-    res = solve_linear(system, track_witness=True)
+    res = solve_linear(system)
     augmented = [row + [b] for row, b in zip(dense(rows, ncols, field), rhs)]
     feasible = not rows or dense_rank(field, augmented) == dense_rank(
         field, dense(rows, ncols, field))

@@ -24,8 +24,10 @@ hang on `_reduce`'s pivot rule, go straight to it; `HomComplex` assembles D
 once, as columns keyed by row position; a tower keeps the columns of d on a
 slice in that positional format only, and one predicate, `_inherits`,
 decides where it reads its parent's echelon, kernel and rank; `_axpy` is
-the one scalar `dst += m·src`; and every name the benchmark's tracer wraps
-is defined where the tracer looks."""
+the one scalar `dst += m·src`; the suffix split of tower terms, the Koszul
+flip of a left action, a module's differential by column and the sums of
+module elements each have one home; and every name the benchmark's tracer
+wraps is defined where the tracer looks."""
 
 from __future__ import annotations
 
@@ -79,7 +81,7 @@ def test_only_hom_complex_reads_module_differentials():
                if isinstance(node, ast.ClassDef) and node.name == "HomComplex")
     inside = {id(node) for node in ast.walk(hom)}
     reads = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "diff"]
+             if isinstance(node, ast.Attribute) and node.attr in ("diff", "columns")]
     assert reads and all(id(node) in inside for node in reads)
 
 
@@ -182,8 +184,8 @@ def test_only_adjoin_sets_the_parent_link():
 
 def test_envelope_has_no_arithmetic_of_its_own():
     # B^e is the tower B<xi>: an envelope element delegates every operation
-    # to its AlgebraElement, and the envelope writes tower elements from raw
-    # terms only in its one suffix reader
+    # to its AlgebraElement, and the envelope writes no tower element from
+    # raw terms: its one suffix reader is TowerAlgebra.split_at
     tree = ast.parse((SRC / "envelope.py").read_text(encoding="utf-8"))
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -198,10 +200,12 @@ def test_envelope_has_no_arithmetic_of_its_own():
     assert powers and all(ast.unparse(node.func.value) == "self.elem" for node in powers)
     reader = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "_suffixes")
-    inside = {id(node) for node in ast.walk(reader)}
+    assert not [node for node in ast.walk(reader)
+                if isinstance(node, (ast.For, ast.comprehension))]
+    assert "split_at" in _calls_in(reader)
     builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "AlgebraElement"]
-    assert builds and all(id(node) in inside for node in builds)
+    assert not builds
 
 
 def test_only_substitute_changes_generators():
@@ -255,7 +259,7 @@ def test_field_operations_do_not_test_the_field():
     # the operations are bound in the constructor; a method that reads self.p
     # on every call would ask again which field it is in
     field = _class("base_ring.py", "Field")
-    ops = {"add", "sub", "mul", "neg", "of", "inv", "div", "zero", "one"}
+    ops = {"add", "mul", "neg", "of", "inv", "div", "zero", "one"}
     methods = {fn.name: fn for fn in field.body if isinstance(fn, ast.FunctionDef)}
     init = methods["__init__"]
     bound = {t.attr for node in ast.walk(init) if isinstance(node, ast.Assign)
@@ -441,3 +445,42 @@ def test_scalar_axpy_has_one_home():
         deletes = [node for node in ast.walk(fn) if isinstance(node, ast.Delete)
                    and any(isinstance(t, ast.Subscript) for t in node.targets)]
         assert not deletes, fn.name
+
+
+def test_module_layer_rules_have_one_home_each():
+    # the suffix split is TowerAlgebra.split_at and the Koszul flip of a
+    # left action is AlgebraElement.koszul; a module's differential by
+    # column is SemifreeModule.columns, built once; module-element sums are
+    # SemifreeModule's, which the session's module expressions use as well
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    trees = {name: ast.parse(text) for name, text in texts.items()}
+    for name in ("split_over_prefix", "_ModElem", "_l_cols", "by_target", "_omegas"):
+        assert not [path for path, text in texts.items() if name in text], name
+    envelope = _class("envelope.py", "EnvelopeAlgebra")
+    assert "split_at" in _calls_in(_method(envelope, "_suffixes"))
+    assert "koszul" in _calls_in(_method(envelope, "quotient_module"))
+    base_change = next(fn for fn in trees["dg_module.py"].body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "base_change")
+    assert "split_at" in _calls_in(base_change)
+    # only dg_algebra reads an element degree by degree
+    for path, tree in trees.items():
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr == "split_by_degree"]
+        assert not calls or path == "dg_algebra.py", path
+    # the differential is read by column, not by a scan of every entry
+    module = _class("dg_module.py", "SemifreeModule")
+    tensor = next(fn for fn in trees["dg_module.py"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "tensor_bimodule")
+    for fn in (_method(module, "apply_diff"), tensor):
+        scans = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.comprehension))
+                 and any(isinstance(a, ast.Attribute) and a.attr == "diff"
+                         for a in ast.walk(node.iter))]
+        assert not scans, fn.name
+        assert any(isinstance(a, ast.Attribute) and a.attr == "columns" for a in ast.walk(fn))
+    statics = {fn.name for fn in module.body if isinstance(fn, ast.FunctionDef)
+               and any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)}
+    assert statics >= {"add_elem", "neg_elem", "mul_elem"}
+    session_calls = {ast.unparse(node.func) for node in ast.walk(trees["session.py"])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert {"SemifreeModule.add_elem", "SemifreeModule.neg_elem",
+            "SemifreeModule.mul_elem", "a.koszul"} <= session_calls

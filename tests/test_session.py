@@ -127,6 +127,26 @@ d f = x e
     assert n.diff[(0, 1)] == s.tower.from_poly(s.ring.var("x"))
 
 
+def test_odd_left_coefficients_flip_past_odd_generators():
+    # X·e = -e·X for odd X and odd e; an even generator takes no sign
+    head = """\
+field Q
+base x:1
+tower divided
+var X deg 1 wt 1
+module N
+gen e deg 1 wt 0
+gen g deg 2 wt 0
+gen f deg 3 wt 1
+gen h deg 4 wt 1
+"""
+    for line, sign in (("d f = X e\nd h = X g\n", -1), ("d f = e X\nd h = X g\n", 1)):
+        s = parse_session(head + line)
+        n, x = s.modules["N"], s.tower.gen("X")
+        assert n.diff[(0, 2)] == x.scale_int(sign)
+        assert n.diff[(1, 3)] == x
+
+
 def test_fraction_literals():
     text = "field Q\nbase x:1\ntower divided\nrun eval 1/2 x + 1/3 x\n"
     s = parse_session(text)
