@@ -487,16 +487,33 @@ def matrix_rank(field: Field, rows: list[dict], echelon: list | None = None) -> 
     return rank + len(pivots)
 
 
-def remainder(field: Field, echelon: list, vec: dict) -> dict:
+def remainder(field: Field, echelon: list, vec: dict, combo: dict | None = None) -> dict:
     """`vec` reduced by the (pivot column, row) pairs of an echelon from
-    `matrix_rank`, in their order: empty exactly when `vec` lies in the span
-    of the rows."""
+    `matrix_rank` or `splitting`, in their order: empty exactly when `vec`
+    lies in the span of the rows.  Given a dict `combo`, records in it the
+    multiple of each row, keyed by its pivot, that was taken away, so that
+    vec = remainder + sum combo[pivot]·row."""
     out = {c: v for c, v in vec.items() if v}
     for col, row in echelon:
         m = out.get(col)
         if m is not None:
             _axpy(field, out, row, field.neg(m))
+            if combo is not None:
+                combo[col] = m
     return out
+
+
+def splitting(field: Field, columns: list[dict]) -> tuple[list, dict, list]:
+    """A linear map given by its columns, split by `_reduce` with witnesses:
+    (echelon, preimages, kernel).  The echelon is (pivot, row) pairs of the
+    image in reduced form, each row 1 at its pivot and 0 at every other
+    pivot; the preimage of a row, keyed by its pivot, is the combination of
+    the columns that gives it, {column: scalar}; the kernel is a basis of
+    the null space, one vector per column that is no pivot row."""
+    work, _, combos, used, pivots = _reduce(field, columns, [field.zero()] * len(columns), True)
+    return ([(col, work[i]) for col, i in pivots.items()],
+            {col: combos[i] for col, i in pivots.items()},
+            [combo for combo, u in zip(combos, used) if not u])
 
 
 def nullspace_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:

@@ -15,7 +15,7 @@ from math import comb, factorial
 import random
 
 from .base_ring import (BasePoly, PolyRing, _axpy, homogeneous, matrix_rank, nullspace_basis,
-                        remainder)
+                        remainder, splitting)
 from .render import monomial_text
 
 DIVIDED = "divided"
@@ -51,17 +51,22 @@ class TowerAlgebra:
     path that also checks the cycle condition on differential targets.  A
     tower never changes, so it memoises its monomial products, monomial
     differentials, slice bases, slice indices, slice columns, slice
-    echelons, slice kernels (keyed by position in `slice_basis`) and slice
-    ranks.  A tower built by `adjoin` links to its parent and inherits from
-    it: a monomial without the new variable keeps its differential, padded
-    with a zero, a slice is the parent's slices with powers of the new
-    variable appended, and where `_inherits` holds the parent's echelon,
-    kernel and rank are read, so only what holds the new variable is computed.
+    echelons, slice kernels (keyed by position in `slice_basis`), slice
+    ranks, and the homology and contraction of each slice, which are built
+    on first use only.  A tower built by `adjoin` links to its
+    parent and inherits from it: a monomial without the new variable keeps
+    its differential, padded with a zero, a slice is the parent's slices
+    with powers of the new variable appended, and where `_inherits` holds
+    the parent's echelon, kernel, rank, homology and contraction are read, so only what holds the new variable is computed.
     The link runs from child to parent only, so a chain of towers is in no
     reference cycle.
     """
 
     _parent: "TowerAlgebra | None" = None  # set by `adjoin` only
+    # the homology and contraction memos, made on first use, since most
+    # towers (those of Tate's construction, for one) never read them
+    _homology: "dict | None" = None
+    _contractions: "dict | None" = None
 
     def __init__(self, base: PolyRing, flavor: str = DIVIDED,
                  variables: tuple[DGVariable, ...] = ()):
@@ -404,6 +409,71 @@ class TowerAlgebra:
             else:
                 cached = (len(self.slice_basis(hdeg, weight)), len(self.slice_echelon(hdeg, weight)))
             self._slice_ranks[key] = cached
+        return cached
+
+    # --- the contraction of a slice onto its homology ----------------------
+
+    def slice_homology(self, hdeg: int, weight: int) -> list[tuple]:
+        """A basis of the homology of the (hdeg, weight) slice: the kernel
+        of `base_ring.splitting` of d reduced against its image on the slice
+        above, as the (pivot, row) pairs of `matrix_rank`'s echelon, each row
+        1 at its pivot; computed once per slice."""
+        if self._homology is None:
+            self._homology, self._contractions = {}, {}
+        if hdeg < 0 or weight < 0:
+            return []
+        key = (hdeg, weight)
+        cached = self._homology.get(key)
+        if cached is None:
+            if self._inherits(hdeg + 1, weight):
+                cached = self._parent.slice_homology(hdeg, weight)
+            else:
+                field, cached = self.base.field, []
+                bounds = splitting(field, self.slice_columns(hdeg + 1, weight))[0]
+                kernel = splitting(field, self.slice_columns(hdeg, weight))[2]
+                cycles = [r for r in (remainder(field, bounds, z) for z in kernel) if r]
+                if cycles:
+                    matrix_rank(field, cycles, cached)
+            self._homology[key] = cached
+        return cached
+
+    def slice_contraction(self, hdeg: int, weight: int) -> list[tuple]:
+        """(p(v), h(v)) for each basis vector v of the (hdeg, weight) slice,
+        in basis order, of a strong deformation retraction (i, p, h) of the
+        tower onto its homology: a homology vector is named by the pivot of
+        its row in `slice_homology`, which i sends it to, p(v) is
+        {pivot: scalar}, and h(v) is {position in the (hdeg + 1, weight)
+        slice: scalar}, with i p - 1 = d h + h d and
+        p i = 1, h h = 0, h i = 0, p h = 0.  The slice splits as boundaries
+        plus homology plus C, the span of the preimages of the boundaries
+        below; p keeps the homology part, and h sends a boundary b to minus
+        its preimage in C and is 0 on the rest; computed once per slice."""
+        reps = self.slice_homology(hdeg, weight)  # makes the memo
+        key = (hdeg, weight)
+        cached = self._contractions.get(key)
+        if cached is None:
+            if self._inherits(hdeg + 1, weight):
+                cached = self._parent.slice_contraction(hdeg, weight)
+            else:
+                field = self.base.field
+                neg, one = field.neg, field.one()
+                below, below_pre, _ = splitting(field, self.slice_columns(hdeg, weight))
+                bounds, pre, _ = splitting(field, self.slice_columns(hdeg + 1, weight))
+                cached = []
+                for j, col in enumerate(self.slice_columns(hdeg, weight)):
+                    # the cycle v - c, c in C with d c = d v; then its boundary part
+                    coords, cycle = {}, {j: one}
+                    remainder(field, below, col, coords)
+                    for q, m in coords.items():
+                        _axpy(field, cycle, below_pre[q], neg(m))
+                    coords, h = {}, {}
+                    cycle = remainder(field, bounds, cycle, coords)
+                    for q, m in coords.items():
+                        _axpy(field, h, pre[q], neg(m))
+                    p = {}
+                    remainder(field, reps, cycle, p)
+                    cached.append((p, h))
+            self._contractions[key] = cached
         return cached
 
     def adjoin(self, name: str, degree: int, weight: int,

@@ -113,7 +113,7 @@ class SemifreeModule:
                     f"weight {want_wt}", b
                 )
         for b in range(r):
-            dd = self.apply_diff(self.apply_diff({b: self.tower.one()}))
+            dd = self.apply_diff(dict(self.columns.get(b, ())))
             if dd:
                 g = min(dd)
                 raise ModuleError(
@@ -396,9 +396,10 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
                 diff[j, idx] = a
         pi_entries[idx] = {alpha: g_elem}
 
+    # built from the validated N, so not validated again
     p = SemifreeModule(
         tower, basis, diff,
-        complete_hmax=window.hmax, complete_wmax=window.wmax,
+        complete_hmax=window.hmax, complete_wmax=window.wmax, validate=False,
     )
     pi = ChainMap(p, n, 0, pi_entries)
     return p, pi
@@ -462,4 +463,5 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
     if window is not None:
         ch = window.hmax if ch is None else min(ch, window.hmax)
         cw = window.wmax if cw is None else min(cw, window.wmax)
-    return SemifreeModule(tower, basis, diff, complete_hmax=ch, complete_wmax=cw)
+    # d^2 = 0 on N (x) Q follows from d^2 = 0 on N and on Q, so no validation
+    return SemifreeModule(tower, basis, diff, complete_hmax=ch, complete_wmax=cw, validate=False)

@@ -224,8 +224,10 @@ class EnvelopeAlgebra:
                     )
                 diff[(i, j)] = c
 
+        # d^2 = 0 holds in the envelope tower, so the module is not validated
         module = SemifreeModule(
             self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
+            validate=False,
         )
 
         # in J^(l)/J^(l+1) the left and right actions agree up to the Koszul
@@ -267,9 +269,10 @@ class EnvelopeAlgebra:
             for i, c in coords_to_elem(d, f"d({omega_name(self, exps)})").items():
                 diff[(i, j)] = c
 
+        # d^2 = 0 holds in the envelope tower, so the module is not validated
         module = SemifreeModule(
             self.tower, basis, diff,
-            complete_hmax=None, complete_wmax=max_weight,
+            complete_hmax=None, complete_wmax=max_weight, validate=False,
         )
 
         def left_action(b: AlgebraElement, k: int) -> dict:

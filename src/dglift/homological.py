@@ -8,10 +8,12 @@ solution symbolically before reporting SPLIT.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
-from .base_ring import Infeasible, LinearSolution, LinearSystem, matrix_rank, solve_linear
+from .base_ring import (Infeasible, LinearSolution, LinearSystem, _axpy, matrix_rank,
+                        solve_linear)
 from .dg_module import BidegreeWindow, ChainMap, SemifreeModule, base_change
 from .render import render_element
 
@@ -41,6 +43,17 @@ class HomComplex:
     slice.  That numbering is sorted label order, and `rows` maps it back to
     labels.  The offsets, the d_L blocks and the block products are
     memoised here, and die with the complex.
+
+    Homology is read off the E1 page of the semifree filtration.  The maps
+    e_a -> e_i·T form the block (a, i), and d_M and d_L are strictly
+    lower-triangular, so D = d0 + delta: d0 is (-1)^{|e_i|} d_T on each
+    block, a tower slice, and delta, the entries of d_L and d_M, strictly
+    lowers F = i - a.  With the tower's contraction (i, p, h) of each slice
+    onto its homology, h signed as d0, the homological perturbation lemma
+    gives the differential D_H = p delta sum_k (h delta)^k i on E1, the sum
+    of the homologies of the blocks; the sum is finite, and H(Hom) =
+    H(E1, D_H).  E1 vectors are numbered as the maps are: by block, then by
+    the tower's homology basis of the block's slice.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -49,7 +62,6 @@ class HomComplex:
         self.m = m
         self.l = l
         self._matrices: dict[tuple[int, int], list] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
         # dM by row a: [(b, dM[a, b])]; dL by column is `l.columns`
         self._m_rows: dict[int, list] = {}
         for (a, b), entry in m.diff.items():
@@ -61,8 +73,13 @@ class HomComplex:
         # (h, w) -> [(label, column of d_L)] on that slice of L, in the
         # order of SemifreeModule.slice_labels
         self._dl: dict[tuple[int, int], list] = {}
-        # (a, b, exps, bex) -> X^exps x^bex · dM[a, b] by tower position
+        # (a, b, (exps, bex)) -> X^exps x^bex · dM[a, b] by tower position
         self._products: dict[tuple, dict] = {}
+        # (d, w) -> {position: (p delta, h delta) of that basis map}
+        self._transfers: dict[tuple[int, int], dict] = {}
+        # (h, w) -> dim of E1 in that slice of L
+        self._l_e1_dims: dict[tuple[int, int], int] = {}
+        self._e1_ranks: dict[tuple[int, int], int] = {}
 
     def require_complete(self, d: int, w: int):
         for e in self.m.basis:
@@ -101,8 +118,27 @@ class HomComplex:
     def dim(self, d: int, w: int) -> int:
         return self._starts(d, w)[-1]
 
+    def _dl_image(self, label: tuple, entry, index: dict) -> dict:
+        """dL[a, i]·X^e x^b for the label (e, b), by position (`index`) in
+        its tower slice."""
+        image = self.l.tower.monomial_times(label, entry, right=True)
+        return {index[k]: s for k, s in image.coeffs.items()}
+
+    def _dm_image(self, alpha: int, b: int, entry, label: tuple, k: int, v: int) -> dict:
+        """X^e x^b·dM[alpha, b] for the label (e, b), by position in its
+        tower slice (k, v); the same for every generator e_i of L, so
+        computed once."""
+        pkey = (alpha, b, label)
+        coords = self._products.get(pkey)
+        if coords is None:
+            tower = self.l.tower
+            image = tower.monomial_times(label, entry)
+            index = tower.slice_index(k, v)
+            coords = self._products[pkey] = {index[lab]: s for lab, s in image.coeffs.items()}
+        return coords
+
     def _dl_columns(self, h: int, w: int) -> list[tuple]:
-        """d_L on the (h, w) slice of L as (label, column) pairs, rows
+        """d_L on the (h, w) slice of L as ((i, (e, b)), column) pairs, rows
         numbered by position in the (h - 1, w) slice: for the label
         e_i X^e x^b, the tower's column of X^e x^b in block i with sign
         (-1)^|e_i|, and dL[a, i]·X^e x^b in block a for each entry of dL in
@@ -123,13 +159,12 @@ class HomComplex:
             odd, start = e.degree % 2, below[i]
             entries = [(entry, below[a], tower.slice_index(h - 1 - g.degree, w - g.weight))
                        for a, entry in self.l.columns.get(i, ()) for g in (self.l.basis[a],)]
-            for (exps, bex), own in zip(basis, tower.slice_columns(hi, wi)):
+            for label, own in zip(basis, tower.slice_columns(hi, wi)):
                 col = {start + r: neg(s) if odd else s for r, s in own.items()}
                 for entry, at, index in entries:
-                    image = tower.monomial_times((exps, bex), entry, right=True)
-                    for k, s in image.coeffs.items():
-                        col[at + index[k]] = s
-                cols.append(((i, exps, bex), col))
+                    for r, s in self._dl_image(label, entry, index).items():
+                        col[at + r] = s
+                cols.append(((i, label), col))
         self._dl[key] = cols
         return cols
 
@@ -139,8 +174,8 @@ class HomComplex:
         key = (d, w)
         if key in self._matrices:
             return self._matrices[key]
-        m, l, tower = self.m, self.l, self.l.tower
-        neg = tower.base.field.neg
+        m, l = self.m, self.l
+        neg = l.tower.base.field.neg
         even = d % 2 == 0  # the dM blocks carry -(-1)^d
         below = self._starts(d - 1, w)
         cols = []
@@ -149,19 +184,13 @@ class HomComplex:
             blocks = [(b, entry, below[b], self._l_starts(g.degree + d - 1, g.weight + w),
                        g.degree + d - 1, g.weight + w)
                       for b, entry in self._m_rows.get(alpha, ()) for g in (m.basis[b],)]
-            for (i, exps, bex), dl in self._dl_columns(e.degree + d, e.weight + w):
+            for (i, label), dl in self._dl_columns(e.degree + d, e.weight + w):
                 col = {start + r: s for r, s in dl.items()}
+                f = l.basis[i]
                 for b, entry, at, l_starts, hb, wb in blocks:
-                    # X^e x^b · dM[alpha, b] is the same for every generator e_i
-                    pkey = (alpha, b, exps, bex)
-                    coords = self._products.get(pkey)
-                    if coords is None:
-                        f = l.basis[i]
-                        index = tower.slice_index(hb - f.degree, wb - f.weight)
-                        image = tower.monomial_times((exps, bex), entry)
-                        coords = self._products[pkey] = {index[k]: s for k, s in image.coeffs.items()}
                     at_i = at + l_starts[i]
-                    for r, s in coords.items():
+                    image = self._dm_image(alpha, b, entry, label, hb - f.degree, wb - f.weight)
+                    for r, s in image.items():
                         col[at_i + r] = neg(s) if even else s
                 cols.append(col)
         self._matrices[key] = cols
@@ -191,21 +220,124 @@ class HomComplex:
             entries[alpha] = piece if prev is None else l.add_elem(prev, piece)
         return ChainMap(self.m, l, d, entries)
 
-    def rank(self, d: int, w: int) -> int:
-        """Rank of D on the (d, w) slice, computed once; the columns are ranked
-        as rows, since row rank equals column rank."""
+    def _transfer(self, d: int, w: int, pos: int) -> tuple[dict, dict]:
+        """(p delta, h delta) of the basis map at position pos of the (d, w)
+        slice: p delta over the E1 vectors of the (d - 1, w) slice, h delta
+        over the maps of the (d, w) slice; computed once per map."""
         key = (d, w)
-        if key not in self._ranks:
-            field = self.m.tower.base.field
-            self._ranks[key] = matrix_rank(field, self.matrix_columns(d, w))
-        return self._ranks[key]
+        memo = self._transfers.get(key)
+        if memo is None:
+            memo = self._transfers[key] = {}
+        out = memo.get(pos)
+        if out is not None:
+            return out
+        m, l, tower = self.m, self.l, self.l.tower
+        field = tower.base.field
+        neg = field.neg
+        starts = self._starts(d, w)
+        alpha = bisect_right(starts, pos) - 1
+        e = m.basis[alpha]
+        h, wa = e.degree + d, e.weight + w
+        l_starts = self._l_starts(h, wa)
+        i = bisect_right(l_starts, pos - starts[alpha]) - 1
+        f = l.basis[i]
+        label = tower.slice_basis(h - f.degree, wa - f.weight)[pos - starts[alpha] - l_starts[i]]
+        # delta: dL[a, i]·label in the block (alpha, a), and label·dM[alpha, b]
+        # with the sign -(-1)^d in the block (b, i), each in its tower slice
+        parts = []
+        for a, entry in l.columns.get(i, ()):
+            k, v = h - 1 - l.basis[a].degree, wa - l.basis[a].weight
+            parts.append((alpha, a, k, v, self._dl_image(label, entry, tower.slice_index(k, v)), False))
+        for b, entry in self._m_rows.get(alpha, ()):
+            k, v = m.basis[b].degree + d - 1 - f.degree, m.basis[b].weight + w - f.weight
+            parts.append((b, i, k, v, self._dm_image(alpha, b, entry, label, k, v), d % 2 == 0))
+        below = self._starts(d - 1, w)
+        pd, hd = {}, {}
+        for beta, j, k, v, image, flip in parts:
+            g = m.basis[beta]
+            p_at = below[beta] + self._l_starts(g.degree + d - 1, g.weight + w)[j]
+            h_at = starts[beta] + self._l_starts(g.degree + d, g.weight + w)[j]
+            odd = l.basis[j].degree % 2  # h carries the sign of d0
+            contraction = tower.slice_contraction(k, v)
+            for r, s in image.items():
+                p, hv = contraction[r]
+                s = neg(s) if flip else s
+                if p:
+                    _axpy(field, pd, {p_at + t: c for t, c in p.items()}, s)
+                if hv:
+                    _axpy(field, hd, {h_at + t: c for t, c in hv.items()}, neg(s) if odd else s)
+        out = memo[pos] = (pd, hd)
+        return out
+
+    def e1_vectors(self, d: int, w: int) -> list[tuple[int, dict]]:
+        """The E1 vectors of the (d, w) slice in E1 order, each as the
+        position of its representative's pivot among the maps and i of it:
+        the representative in its block, {position: scalar}."""
+        m, l, tower = self.m, self.l, self.l.tower
+        starts = self._starts(d, w)
+        out = []
+        for alpha, e in enumerate(m.basis):
+            h, wa = e.degree + d, e.weight + w
+            l_starts = self._l_starts(h, wa)
+            for i, f in enumerate(l.basis):
+                if f.degree > h or f.weight > wa:
+                    continue
+                at = starts[alpha] + l_starts[i]
+                out += [(at + pivot, {at + r: s for r, s in rep.items()})
+                        for pivot, rep in tower.slice_homology(h - f.degree, wa - f.weight)]
+        return out
+
+    def e1_columns(self, d: int, w: int) -> list[dict]:
+        """Columns of D_H on the E1 vectors of the (d, w) slice, in E1
+        order; each row is an E1 vector of the (d - 1, w) slice, numbered as
+        in `e1_vectors`, by the position of its representative's pivot."""
+        field = self.m.tower.base.field
+        cols = []
+        for _, x in self.e1_vectors(d, w):
+            col: dict = {}
+            while x:  # (h delta)^k i, until delta has left every block
+                nxt: dict = {}
+                for pos, s in x.items():
+                    pd, hd = self._transfer(d, w, pos)
+                    _axpy(field, col, pd, s)
+                    _axpy(field, nxt, hd, s)
+                x = nxt
+            cols.append(col)
+        return cols
+
+    def _l_e1_dim(self, h: int, w: int) -> int:
+        """Dimension of E1 in the (h, w) slice of L: the tower homology of
+        its blocks."""
+        key = (h, w)
+        n = self._l_e1_dims.get(key)
+        if n is None:
+            homology = self.l.tower.slice_homology
+            n = self._l_e1_dims[key] = sum(len(homology(h - f.degree, w - f.weight))
+                                           for f in self.l.basis
+                                           if f.degree <= h and f.weight <= w)
+        return n
+
+    def e1_dim(self, d: int, w: int) -> int:
+        """Dimension of E1 in the (d, w) slice."""
+        return sum(self._l_e1_dim(e.degree + d, e.weight + w) for e in self.m.basis)
 
     def homology_dim(self, d: int, w: int) -> int:
-        """dim H_d of the Hom complex in weight w (exact)."""
-        n = self.dim(d, w)
+        """dim H_d of the Hom complex in weight w (exact): that of E1 less
+        the ranks of D_H out of it and into it."""
+        n = self.e1_dim(d, w)
         if n == 0:
             return 0
-        return n - self.rank(d, w) - self.rank(d + 1, w)
+        return n - self._e1_rank(d, w) - self._e1_rank(d + 1, w)
+
+    def _e1_rank(self, d: int, w: int) -> int:
+        """Rank of D_H on the (d, w) slice of E1, computed once."""
+        key = (d, w)
+        if key not in self._e1_ranks:
+            rank = 0
+            if self.e1_dim(d, w) and self.e1_dim(d - 1, w):
+                rank = matrix_rank(self.m.tower.base.field, self.e1_columns(d, w))
+            self._e1_ranks[key] = rank
+        return self._e1_ranks[key]
 
 
 @dataclass
@@ -346,7 +478,7 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
     Unknowns are the field coordinates of rho(e_beta) in the (|e_beta|,
     wt(e_beta)) slice of P = N|_A (x)_A B; equations impose pi(rho(e)) = e and
     d(rho(e)) = rho(d(e)).  Returns (system, unknown labels, equation labels,
-    P, pi, window).
+    P, pi, window, Hom(N, P)).
     """
     if window is None:
         window = minimal_window(n)
@@ -385,7 +517,7 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
         labels.append(f"chain condition of rho({n.basis[beta].name}) at {label(p, plab)}")
 
     system = LinearSystem(field, rows, rhs, len(unknowns))
-    return system, unknowns, labels, p, pi, window
+    return system, unknowns, labels, p, pi, window, hom
 
 
 def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
@@ -396,7 +528,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
     d 。rho = rho 。d on every basis element).  An OBSTRUCTED result carries a
     re-checkable inconsistency certificate for the splitting system.
     """
-    system, unknowns, labels, p, pi, window = build_split_system(n, a_prefix, window)
+    system, unknowns, labels, p, pi, window, hom = build_split_system(n, a_prefix, window)
     res = solve_linear(system)
     if isinstance(res, Infeasible):
         involved = sorted(res.combo)
@@ -416,7 +548,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
         )
 
     assert isinstance(res, LinearSolution)
-    rho = HomComplex(n, p).chain_map(0, unknowns, res.solution)
+    rho = hom.chain_map(0, unknowns, res.solution)
 
     transcript = [
         f"splitting system: {len(unknowns)} unknowns, {len(labels)} equations",

@@ -251,3 +251,38 @@ def test_tensor_with_ideal_module(even_tower):
     assert j_entry == even_tower.gen("X")
     sq_entry = t.diff[(names["e⊗ξ_X^(2)"], names["f⊗ξ_X"])]
     assert sq_entry == even_tower.one().scale_int(2)
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_modules_built_from_validated_ones_pass_validation(monkeypatch, flavor, p):
+    # base_change, tensor_bimodule and the envelope's quotient and ideal
+    # modules are built from validated modules and skip _validate; the check
+    # runs here instead, on lift-shaped modules over the acceptance towers
+    import random
+
+    from dglift import SemifreeModule
+    from test_ext_e1 import acceptance_towers, lift_shaped
+
+    rng = random.Random(19)
+    calls = []
+    validate = SemifreeModule._validate
+    built = []
+    for tower in acceptance_towers(flavor, p):
+        modules = [n for n in (lift_shaped(tower, rng, k) for k in (1, 2, 2, 3)) if n]
+        monkeypatch.setattr(SemifreeModule, "_validate", lambda self: calls.append(self))
+        for n in modules:
+            height = n.max_degree() - n.min_degree() + 1
+            window = BidegreeWindow(n.min_degree(), n.max_degree() + 1, n.max_weight() + 1)
+            for a_prefix in range(tower.n + 1):
+                built.append(base_change(n, window, a_prefix)[0])
+            env = EnvelopeAlgebra(tower, 0)
+            for level in (1, 2):
+                q = env.quotient_module(level, BidegreeWindow(0, height, 3))
+                built += [q, tensor_bimodule(n, q)]
+            j = env.diagonal_ideal_module(3)
+            built += [j, tensor_bimodule(n, j, BidegreeWindow(0, n.max_degree() + 2, 2))]
+        monkeypatch.undo()
+    assert not calls and len(built) > 40
+    for module in built:
+        validate(module)

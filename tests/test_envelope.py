@@ -446,3 +446,32 @@ def test_envelope_is_freed_without_the_cycle_collector(mixed_tower):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_towers_and_envelope_used_by_ext_and_lift_are_freed_without_the_cycle_collector(QQ):
+    # ext_dims and naive_lift_check memoise the contraction of tower slices
+    # onto their homology on the tower itself, in maps of scalars: no
+    # module-level cache keeps a tower alive and nothing refers back to a
+    # tower or the envelope, so all of them die with their last reference
+    from dglift import ext_dims, make_semifree, naive_lift_check, tensor_bimodule
+
+    gc.disable()
+    try:
+        base = TowerAlgebra(PolyRing(QQ, (), ()), "divided")
+        tower = base.adjoin("X", 2, 1, None)
+        env = EnvelopeAlgebra(tower, 0)
+        n = make_semifree(tower, [("e", 0, 0), ("f", 3, 1)], {("e", "f"): tower.gen("X")})
+        u = make_semifree(env.algebra, [("u", 0, 0), ("v", 3, 1)],
+                          {("u", "v"): env.algebra.gen("X")})
+        nq = tensor_bimodule(n, env.quotient_module(1, BidegreeWindow(0, 4, 2)))
+        window = BidegreeWindow(0, 4, 1)
+        tables = [ext_dims(n, n, (0, 3), window), ext_dims(n, nq, (0, 3), window),
+                  ext_dims(u, u, (0, 3), window)]
+        result = naive_lift_check(n)
+        assert result.status == "OBSTRUCTED" and all(table.dims for table in tables)
+        assert tower._contractions and env.algebra._contractions
+        refs = [weakref.ref(x) for x in (base, tower, env, env.algebra)]
+        del base, tower, env, n, u, nq, tables, result
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -1,0 +1,257 @@
+"""Ext through the E1 page of the semifree filtration.
+
+The tower contracts each slice onto its homology (`slice_contraction`), and
+`HomComplex` ranks D_H = p delta sum_k (h delta)^k i on E1 instead of the
+whole Hom matrix.  These tests hold that route to the whole matrix, ranked
+by the dense oracle: the contraction laws on tower slices, D_H o D_H = 0,
+and the homology dimensions, on the acceptance towers and on random
+semifree pairs in both flavors over Q and F_5."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dglift import (
+    BidegreeWindow,
+    EnvelopeAlgebra,
+    Field,
+    HomComplex,
+    PolyRing,
+    TowerAlgebra,
+    base_change,
+    ext_dims,
+    make_semifree,
+    tensor_bimodule,
+)
+from dglift.base_ring import _axpy
+
+from oracle import dense_rank
+from test_homological import cross_check_modules, oracle_hom_complexes
+
+
+def acceptance_towers(flavor, p):
+    """Q[x,y]<X1,X2,Y> with dY = X1 y - X2 x, its Koszul prefix
+    Q[x,y]<X1,X2>, Q<X> with |X| = 2 and dX = 0, and Q[x,y]<X1,X2,Z> with
+    |Z| = 2 and dZ = 0, the towers of the lift benchmark, in the given flavor
+    over Q or F_p."""
+    field = Field(p)
+    koszul = TowerAlgebra(PolyRing(field, ("x", "y"), (1, 1)), flavor)
+    koszul = koszul.adjoin("X1", 1, 1, koszul.gen("x"))
+    koszul = koszul.adjoin("X2", 1, 1, koszul.gen("y"))
+    g = koszul.gen
+    mixed = koszul.adjoin("Y", 2, 2, g("X1") * g("y") - g("X2") * g("x"))
+    even = TowerAlgebra(PolyRing(field, (), ()), flavor).adjoin("X", 2, 1, None)
+    return [mixed, koszul, even, koszul.adjoin("Z", 2, 1, None)]
+
+
+def _apply(field, cols, vec):
+    out: dict = {}
+    for j, s in vec.items():
+        _axpy(field, out, cols[j], s)
+    return out
+
+
+def _dense(field, cols, nrows):
+    return [[col.get(r, field.zero()) for col in cols] for r in range(nrows)]
+
+
+def dense_homology_dim(hom, d, w):
+    """dim H_d in weight w from the whole matrix of D, ranked densely."""
+    field = hom.m.tower.base.field
+
+    def rank(dd):
+        cols, nrows = hom.matrix_columns(dd, w), hom.dim(dd - 1, w)
+        return dense_rank(field, _dense(field, cols, nrows)) if cols and nrows else 0
+
+    return hom.dim(d, w) - rank(d) - rank(d + 1)
+
+
+def perturbed_columns(hom, d, w):
+    """D_H = p delta sum_k (h delta)^k i on the E1 vectors of the (d, w)
+    slice, with delta read off the whole matrix of D: each column of
+    `matrix_columns` less its entries in its own block, the blocks and tower
+    positions read off the labels."""
+    field, tower, l = hom.m.tower.base.field, hom.l.tower, hom.l
+    labels, below = hom.slice_labels(d, w), hom.slice_labels(d - 1, w)
+    at = {label: pos for pos, label in enumerate(labels)}
+    at_below = {label: pos for pos, label in enumerate(below)}
+    delta = [{r: s for r, s in col.items() if below[r][0] != alpha or below[r][1][0] != i}
+             for (alpha, (i, _, _)), col in zip(labels, hom.matrix_columns(d, w))]
+    cols = []
+    for _, x in hom.e1_vectors(d, w):
+        col: dict = {}
+        while x:
+            nxt: dict = {}
+            for r, s in _apply(field, delta, x).items():
+                beta, (j, exps, bex) = below[r]
+                k, v = tower.term_bidegree(exps, bex)
+                p, h = tower.slice_contraction(k, v)[tower.slice_index(k, v)[exps, bex]]
+                basis, up = tower.slice_basis(k, v), tower.slice_basis(k + 1, v)
+                _axpy(field, col, {at_below[beta, (j, *basis[t])]: c for t, c in p.items()}, s)
+                sign = field.neg(s) if l.basis[j].degree % 2 else s
+                _axpy(field, nxt, {at[beta, (j, *up[q])]: c for q, c in h.items()}, sign)
+            x = nxt
+        cols.append(col)
+    return cols
+
+
+def check_e1(hom, degrees, weights, dense_limit=None):
+    """D_H against the perturbation series on the whole matrix,
+    D_H o D_H = 0, and H(E1, D_H) against the dense homology of the whole
+    matrix (where the three slices it reads hold at most `dense_limit`
+    maps), on every (d, w) slice; returns how many D_H o D_H compositions
+    had a nonzero first factor."""
+    field = hom.m.tower.base.field
+    nonzero = 0
+    for w in weights:
+        for d in degrees:
+            vectors = hom.e1_vectors(d, w)
+            assert hom.e1_dim(d, w) == len(vectors)
+            assert hom.e1_columns(d, w) == perturbed_columns(hom, d, w), (d, w)
+            if dense_limit is None or sum(hom.dim(d + k, w) for k in (-1, 0, 1)) <= dense_limit:
+                assert hom.homology_dim(d, w) == dense_homology_dim(hom, d, w), (d, w)
+            below = {pos: k for k, (pos, _) in enumerate(hom.e1_vectors(d - 1, w))}
+            second = hom.e1_columns(d - 1, w)
+            for col in hom.e1_columns(d, w):
+                assert set(col) <= set(below), (d, w)
+                assert not _apply(field, second, {below[pos]: s for pos, s in col.items()})
+                nonzero += bool(col)
+    return nonzero
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_slice_contraction_is_a_strong_deformation_retraction(flavor, p):
+    # i p - 1 = d h + h d, p i = 1 and h h = h i = p h = 0 on every slice,
+    # the homology has the dimension the dense ranks give, and each
+    # representative is a cycle
+    for tower in acceptance_towers(flavor, p):
+        field = tower.base.field
+        one, neg = field.one(), field.neg
+        for w in range(0, 5):
+            for k in range(0, 6):
+                d_k, d_up = tower.slice_columns(k, w), tower.slice_columns(k + 1, w)
+                reps = tower.slice_homology(k, w)
+                here = tower.slice_contraction(k, w)
+                up = tower.slice_contraction(k + 1, w)
+                down = tower.slice_contraction(k - 1, w) if k else []
+
+                def p(vec):
+                    return _apply(field, [pv for pv, _ in here], vec)
+
+                def h(vec, maps=here):
+                    return _apply(field, [hv for _, hv in maps], vec)
+
+                n = len(tower.slice_basis(k, w))
+                ranks = [dense_rank(field, _dense(field, cols, rows)) if cols and rows else 0
+                         for cols, rows in ((d_k, len(tower.slice_basis(k - 1, w))), (d_up, n))]
+                assert len(reps) == n - sum(ranks), (tower, k, w)
+                for pivot, rep in reps:
+                    assert not _apply(field, d_k, rep)
+                    assert p(rep) == {pivot: one}
+                    assert not h(rep)
+                for j in range(n):
+                    hv = h({j: one})
+                    # i p (v) - v against d h (v) + h d (v)
+                    lhs: dict = {}
+                    for pivot, s in p({j: one}).items():
+                        _axpy(field, lhs, dict(reps)[pivot], s)
+                    _axpy(field, lhs, {j: one}, neg(one))
+                    rhs = _apply(field, d_up, hv)
+                    if down:
+                        _axpy(field, rhs, h(d_k[j], down), one)
+                    assert lhs == rhs, (tower, k, w, j)
+                    assert not h(hv, up)
+                    assert not _apply(field, [pv for pv, _ in up], hv)
+
+
+def test_ext_matches_the_dense_rank_of_the_whole_matrix():
+    # the cross-check modules of the acceptance towers, against themselves
+    # and against N (x) J^(l)/J^(l+1), l = 1, 2, over Q and F_5
+    compositions = 0
+    for case, hom in oracle_hom_complexes():
+        compositions += check_e1(hom, range(-4, 2), range(-2, 5))
+    assert compositions
+
+
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_ext_tables_match_the_dense_rank(p):
+    for name, n in cross_check_modules(Field(p)).items():
+        window = BidegreeWindow(0, n.max_degree() - n.min_degree() + 1, n.max_weight())
+        table = ext_dims(n, n, (0, 3), window)
+        hom = HomComplex(n, n)
+        for i in range(0, 4):
+            for w in range(table.weight_range[0], table.weight_range[1] + 1):
+                assert table.dim(i, w) == dense_homology_dim(hom, -i, w), (name, i, w)
+
+
+def lift_shaped(tower, rng, nblocks):
+    """A module of free generators and cones d f = e·z, z a cycle: a base
+    polynomial, a cycle such as a multiple of an even variable with dZ = 0,
+    or a boundary d(u), as the lift benchmark draws them; None when a draw
+    fails."""
+    field = tower.base.field
+    gens, diffs = [], {}
+
+    def element(h, w, nterms):
+        basis = tower.slice_basis(h, w)
+        if not basis:
+            return None
+        out = tower.zero()
+        for exps, bex in rng.sample(basis, min(len(basis), nterms)):
+            c = field.of(rng.choice((1, -1, 2, 3)))
+            out = out + tower.monomial(exps, tower.base.monomial(bex, c))
+        return out
+
+    for k in range(nblocks):
+        d0, w0 = rng.choice((0, 1)), rng.choice((0, 1, 2))
+        gens.append((f"e{k}", d0, w0))
+        if rng.random() < 0.3:
+            continue
+        zh, zw = rng.choice((0, 1, 2)), rng.choice((1, 2))
+        if zh and rng.random() < 0.5:
+            u = element(zh + 1, zw, 2)
+            z = None if u is None else u.differential()
+        else:
+            z = element(zh, zw, 2)
+        if z is None or z.is_zero() or not z.differential().is_zero():
+            return None
+        gens.append((f"f{k}", d0 + zh + 1, w0 + zw))
+        diffs[(f"e{k}", f"f{k}")] = z
+    return make_semifree(tower, gens, diffs)
+
+
+def _draw(rng, tower, n, kind):
+    """n itself, another lift-shaped module, n (x) J^(1)/J^(2), or the base
+    change of n, whose differentials hold many entries."""
+    if kind == 0:
+        return n
+    if kind == 1:
+        out = None
+        while out is None:
+            out = lift_shaped(tower, rng, 2)
+        return out
+    height = n.max_degree() - n.min_degree() + 1
+    if kind == 2:
+        q = EnvelopeAlgebra(tower, 0).quotient_module(1, BidegreeWindow(0, height, 2))
+        return tensor_bimodule(n, q)
+    window = BidegreeWindow(n.min_degree(), n.min_degree() + height, n.max_weight() + 1)
+    return base_change(n, window)[0]
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       source=st.integers(0, 3), target=st.integers(0, 3))
+def test_e1_route_on_random_semifree_pairs(flavor, p, which, seed, source, target):
+    # M and L drawn from a random lift-shaped module N over an acceptance
+    # tower: N, another such module, N (x) J^(1)/J^(2) or the base change of N
+    rng = random.Random(seed)
+    tower = acceptance_towers(flavor, p)[which]
+    n = None
+    while n is None:
+        n = lift_shaped(tower, rng, rng.choice((1, 2)))
+    m, l = _draw(rng, tower, n, source), _draw(rng, tower, n, target)
+    check_e1(HomComplex(m, l), range(-3, 2), range(-2, 4), dense_limit=150)

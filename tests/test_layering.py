@@ -397,13 +397,14 @@ def test_hom_complex_has_one_positional_assembly():
     assert {name for name, fn in methods.items() if "_dl_columns" in _calls_in(fn)} \
         == {"matrix_columns"}
     assert {name for name, fn in methods.items() if "matrix_columns" in _calls_in(fn)} \
-        == {"rank", "rows"}
-    # the benchmark counts Hom eliminations through homological's copy of
-    # matrix_rank, called with the whole matrix
-    ranks = [node for node in ast.walk(methods["rank"]) if isinstance(node, ast.Call)
+        == {"rows"}
+    # Ext ranks D_H on the E1 page, not the whole matrix; the benchmark
+    # counts Hom eliminations through homological's copy of matrix_rank
+    assert "rank" not in methods and "self._ranks" not in ast.unparse(hom)
+    ranks = [node for node in ast.walk(hom) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "matrix_rank"]
     assert len(ranks) == 1
-    assert ast.unparse(ranks[0].args[1]) == "self.matrix_columns(d, w)"
+    assert ast.unparse(ranks[0].args[1]) == "self.e1_columns(d, w)"
 
 
 def test_tower_slices_have_one_positional_format():

@@ -204,7 +204,11 @@ def test_tate_rejects_constant_generator(ring_xy):
 def test_towers_of_a_resolution_are_freed_without_the_cycle_collector(ring_xy):
     # each tower links to the one it was adjoined to and its memos hold term
     # maps, so no tower of the chain is in a reference cycle: with the cycle
-    # collector off, all of them die with the last reference to the result
+    # collector off, all of them die with the last reference to the result,
+    # also after ext_dims and naive_lift_check have filled the contraction
+    # memos of the last one
+    from dglift import BidegreeWindow, ext_dims, make_semifree, naive_lift_check
+
     x, y = ring_xy.var("x"), ring_xy.var("y")
     gc.disable()
     try:
@@ -214,7 +218,12 @@ def test_towers_of_a_resolution_are_freed_without_the_cycle_collector(ring_xy):
             towers.append(towers[-1]._parent)
         refs = [weakref.ref(t) for t in towers]
         assert towers[-1]._parent is None and len(refs) == len(res.tower.variables) + 1 > 3
-        del res, towers
+        n = make_semifree(res.tower, [("e", 0, 0), ("f", 1, 1)],
+                          {("e", "f"): res.tower.from_poly(y)})
+        table = ext_dims(n, n, (0, 2), BidegreeWindow(0, 2, 2))
+        result = naive_lift_check(n)
+        assert table.dims and result.status and res.tower._contractions
+        del res, towers, n, table, result
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
