@@ -34,26 +34,26 @@ class HomComplex:
     one field-basis vector of L at bidegree (|e_a|+d, wt(e_a)+w); the
     differential is D(phi) = dL 。phi - (-1)^{|phi|} phi 。dM.
 
-    D is assembled from blocks (the twisted differential of Hom out of a
-    semifree module): the column of phi: e_a -> v is d_L(v) at a, plus
-    -(-1)^{|phi|} v·dM[a, b] at each b with an entry dM[a, b].  A column is
-    a sparse {row position: scalar} map, the rows numbered by position in
+    The maps e_a -> e_i·T form the block (a, i), and d_M and d_L are strictly
+    lower-triangular, so D = d0 + delta (the twisted differential of Hom out
+    of a semifree module): d0 is (-1)^{|e_i|} d_T on each block, a tower
+    slice, and delta, listed by `_delta` for one basis map e_a -> e_i·v,
+    holds dL[c, i]·v in the block (a, c) and -(-1)^{|phi|} v·dM[a, b] in the
+    block (b, i); it strictly lowers F = i - a.  A column of D is a sparse
+    {row position: scalar} map, the rows numbered by position in
     `slice_labels(d - 1, w)`: one offset per generator of M, one per
     generator of L within it, and the tower's position of X^e x^b in its
     slice.  That numbering is sorted label order, and `rows` maps it back to
-    labels.  The offsets, the d_L blocks and the block products are
-    memoised here, and die with the complex.
+    labels.  The offsets and the products v·dM[a, b] are memoised here, and
+    die with the complex.
 
-    Homology is read off the E1 page of the semifree filtration.  The maps
-    e_a -> e_i·T form the block (a, i), and d_M and d_L are strictly
-    lower-triangular, so D = d0 + delta: d0 is (-1)^{|e_i|} d_T on each
-    block, a tower slice, and delta, the entries of d_L and d_M, strictly
-    lowers F = i - a.  With the tower's contraction (i, p, h) of each slice
-    onto its homology, h signed as d0, the homological perturbation lemma
-    gives the differential D_H = p delta sum_k (h delta)^k i on E1, the sum
-    of the homologies of the blocks; the sum is finite, and H(Hom) =
-    H(E1, D_H).  E1 vectors are numbered as the maps are: by block, then by
-    the tower's homology basis of the block's slice.
+    Homology is read off the E1 page of the semifree filtration.  With the
+    tower's contraction (i, p, h) of each slice onto its homology, h signed
+    as d0, the homological perturbation lemma gives the differential D_H =
+    p delta sum_k (h delta)^k i on E1, the sum of the homologies of the
+    blocks; the sum is finite, and H(Hom) = H(E1, D_H).  E1 vectors are
+    numbered as the maps are: by block, then by the tower's homology basis
+    of the block's slice.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -70,9 +70,6 @@ class HomComplex:
         # then its dimension; (d, w) -> the same for the blocks of M in Hom
         self._l_offsets: dict[tuple[int, int], list[int]] = {}
         self._offsets: dict[tuple[int, int], list[int]] = {}
-        # (h, w) -> [(label, column of d_L)] on that slice of L, in the
-        # order of SemifreeModule.slice_labels
-        self._dl: dict[tuple[int, int], list] = {}
         # (a, b, (exps, bex)) -> X^exps x^bex · dM[a, b] by tower position
         self._products: dict[tuple, dict] = {}
         # (d, w) -> {position: (p delta, h delta) of that basis map}
@@ -118,81 +115,57 @@ class HomComplex:
     def dim(self, d: int, w: int) -> int:
         return self._starts(d, w)[-1]
 
-    def _dl_image(self, label: tuple, entry, index: dict) -> dict:
-        """dL[a, i]·X^e x^b for the label (e, b), by position (`index`) in
-        its tower slice."""
-        image = self.l.tower.monomial_times(label, entry, right=True)
-        return {index[k]: s for k, s in image.coeffs.items()}
-
-    def _dm_image(self, alpha: int, b: int, entry, label: tuple, k: int, v: int) -> dict:
-        """X^e x^b·dM[alpha, b] for the label (e, b), by position in its
-        tower slice (k, v); the same for every generator e_i of L, so
+    def _delta(self, d: int, w: int, alpha: int, i: int, label: tuple):
+        """The entries of delta on the basis map e_alpha -> e_i·X^e x^b of
+        the (d, w) slice, label = (e, b), as (beta, j, k, v, image): the
+        block (beta, j), its tower slice (k, v) and the image there by
+        position.  X^e x^b·dM[alpha, b] is the same for every e_i, so it is
         computed once."""
-        pkey = (alpha, b, label)
-        coords = self._products.get(pkey)
-        if coords is None:
-            tower = self.l.tower
-            image = tower.monomial_times(label, entry)
+        m, l, tower = self.m, self.l, self.l.tower
+        h, wa = m.basis[alpha].degree + d - 1, m.basis[alpha].weight + w
+        for a, entry in l.columns.get(i, ()):
+            k, v = h - l.basis[a].degree, wa - l.basis[a].weight
             index = tower.slice_index(k, v)
-            coords = self._products[pkey] = {index[lab]: s for lab, s in image.coeffs.items()}
-        return coords
-
-    def _dl_columns(self, h: int, w: int) -> list[tuple]:
-        """d_L on the (h, w) slice of L as ((i, (e, b)), column) pairs, rows
-        numbered by position in the (h - 1, w) slice: for the label
-        e_i X^e x^b, the tower's column of X^e x^b in block i with sign
-        (-1)^|e_i|, and dL[a, i]·X^e x^b in block a for each entry of dL in
-        column i."""
-        key = (h, w)
-        cols = self._dl.get(key)
-        if cols is not None:
-            return cols
-        tower = self.l.tower
-        neg = tower.base.field.neg
-        below = self._l_starts(h - 1, w)
-        cols = []
-        for i, e in enumerate(self.l.basis):
-            hi, wi = h - e.degree, w - e.weight
-            basis = tower.slice_basis(hi, wi)
-            if not basis:
-                continue
-            odd, start = e.degree % 2, below[i]
-            entries = [(entry, below[a], tower.slice_index(h - 1 - g.degree, w - g.weight))
-                       for a, entry in self.l.columns.get(i, ()) for g in (self.l.basis[a],)]
-            for label, own in zip(basis, tower.slice_columns(hi, wi)):
-                col = {start + r: neg(s) if odd else s for r, s in own.items()}
-                for entry, at, index in entries:
-                    for r, s in self._dl_image(label, entry, index).items():
-                        col[at + r] = s
-                cols.append(((i, label), col))
-        self._dl[key] = cols
-        return cols
+            image = tower.monomial_times(label, entry, right=True)
+            yield alpha, a, k, v, {index[lab]: s for lab, s in image.coeffs.items()}
+        f, neg = l.basis[i], tower.base.field.neg
+        for b, entry in self._m_rows.get(alpha, ()):
+            k, v = m.basis[b].degree + d - 1 - f.degree, m.basis[b].weight + w - f.weight
+            pkey = (alpha, b, label)
+            coords = self._products.get(pkey)
+            if coords is None:
+                index = tower.slice_index(k, v)
+                image = tower.monomial_times(label, entry)
+                coords = self._products[pkey] = {index[lab]: s for lab, s in image.coeffs.items()}
+            yield b, i, k, v, {r: neg(s) for r, s in coords.items()} if d % 2 == 0 else coords
 
     def matrix_columns(self, d: int, w: int) -> list[dict]:
         """Columns of D restricted to the (d, w) slice, rows numbered by
-        position in `slice_labels(d - 1, w)`."""
+        position in `slice_labels(d - 1, w)`: d0 of each basis map, then its
+        delta."""
         key = (d, w)
         if key in self._matrices:
             return self._matrices[key]
-        m, l = self.m, self.l
-        neg = l.tower.base.field.neg
-        even = d % 2 == 0  # the dM blocks carry -(-1)^d
+        m, l, tower = self.m, self.l, self.l.tower
+        neg = tower.base.field.neg
         below = self._starts(d - 1, w)
+        at = [[below[b] + s for s in self._l_starts(g.degree + d - 1, g.weight + w)]
+              for b, g in enumerate(m.basis)]
         cols = []
         for alpha, e in enumerate(m.basis):
-            start = below[alpha]
-            blocks = [(b, entry, below[b], self._l_starts(g.degree + d - 1, g.weight + w),
-                       g.degree + d - 1, g.weight + w)
-                      for b, entry in self._m_rows.get(alpha, ()) for g in (m.basis[b],)]
-            for (i, label), dl in self._dl_columns(e.degree + d, e.weight + w):
-                col = {start + r: s for r, s in dl.items()}
-                f = l.basis[i]
-                for b, entry, at, l_starts, hb, wb in blocks:
-                    at_i = at + l_starts[i]
-                    image = self._dm_image(alpha, b, entry, label, hb - f.degree, wb - f.weight)
-                    for r, s in image.items():
-                        col[at_i + r] = neg(s) if even else s
-                cols.append(col)
+            for i, f in enumerate(l.basis):
+                k, v = e.degree + d - f.degree, e.weight + w - f.weight
+                basis = tower.slice_basis(k, v)
+                if not basis:
+                    continue
+                odd, start = f.degree % 2, at[alpha][i]
+                for label, own in zip(basis, tower.slice_columns(k, v)):
+                    col = {start + r: neg(s) if odd else s for r, s in own.items()}
+                    for beta, j, _, _, image in self._delta(d, w, alpha, i, label):
+                        off = at[beta][j]
+                        for r, s in image.items():
+                            col[off + r] = s
+                    cols.append(col)
         self._matrices[key] = cols
         return cols
 
@@ -242,18 +215,9 @@ class HomComplex:
         i = bisect_right(l_starts, pos - starts[alpha]) - 1
         f = l.basis[i]
         label = tower.slice_basis(h - f.degree, wa - f.weight)[pos - starts[alpha] - l_starts[i]]
-        # delta: dL[a, i]·label in the block (alpha, a), and label·dM[alpha, b]
-        # with the sign -(-1)^d in the block (b, i), each in its tower slice
-        parts = []
-        for a, entry in l.columns.get(i, ()):
-            k, v = h - 1 - l.basis[a].degree, wa - l.basis[a].weight
-            parts.append((alpha, a, k, v, self._dl_image(label, entry, tower.slice_index(k, v)), False))
-        for b, entry in self._m_rows.get(alpha, ()):
-            k, v = m.basis[b].degree + d - 1 - f.degree, m.basis[b].weight + w - f.weight
-            parts.append((b, i, k, v, self._dm_image(alpha, b, entry, label, k, v), d % 2 == 0))
         below = self._starts(d - 1, w)
         pd, hd = {}, {}
-        for beta, j, k, v, image, flip in parts:
+        for beta, j, k, v, image in self._delta(d, w, alpha, i, label):
             g = m.basis[beta]
             p_at = below[beta] + self._l_starts(g.degree + d - 1, g.weight + w)[j]
             h_at = starts[beta] + self._l_starts(g.degree + d, g.weight + w)[j]
@@ -261,7 +225,6 @@ class HomComplex:
             contraction = tower.slice_contraction(k, v)
             for r, s in image.items():
                 p, hv = contraction[r]
-                s = neg(s) if flip else s
                 if p:
                     _axpy(field, pd, {p_at + t: c for t, c in p.items()}, s)
                 if hv:
@@ -477,47 +440,52 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
 
     Unknowns are the field coordinates of rho(e_beta) in the (|e_beta|,
     wt(e_beta)) slice of P = N|_A (x)_A B; equations impose pi(rho(e)) = e and
-    d(rho(e)) = rho(d(e)).  Returns (system, unknown labels, equation labels,
-    P, pi, window, Hom(N, P)).
+    d(rho(e)) = rho(d(e)).  Returns (system, unknown labels, equation keys,
+    P, pi, window, Hom(N, P)); `equation_label` renders a key.
     """
     if window is None:
         window = minimal_window(n)
     p, pi = base_change(n, window, a_prefix)
-    tower = n.tower
-    field = tower.base.field
+    field = n.tower.base.field
     hom = HomComplex(n, p)
     unknowns = hom.slice_labels(0, 0)
 
     rows: list[dict] = []
     rhs: list = []
-    labels: list[str] = []
-
-    def label(module, lab):
-        i, exps, bex = lab
-        mono = tower.monomial(exps, tower.base.monomial(bex))
-        return f"{module.basis[i].name}·({render_element(mono)})"
+    keys: list[tuple] = []
 
     # pi_N(rho(e_beta)) = e_beta, coordinatewise in N at (|e|, wt(e))
     images: dict = {}
     for j, (beta, lab) in enumerate(unknowns):
         for nlab, scalar in n.elem_coords(pi.apply(p.label_elem(lab))).items():
             images.setdefault(beta, {}).setdefault(nlab, {})[j] = scalar
-    for beta, e in enumerate(n.basis):
+    for beta in range(len(n.basis)):
         acc = images.get(beta, {})
         want = n.elem_coords(n.basis_elem(beta))
         for nlab in sorted(set(acc) | set(want)):
             rows.append(acc.get(nlab, {}))
             rhs.append(want.get(nlab, field.zero()))
-            labels.append(f"pi(rho({e.name})) = {e.name} at {label(n, nlab)}")
+            keys.append(("pi", beta, nlab))
 
     # D(rho) = d 。rho - rho 。d = 0, coordinatewise in P at (|e|-1, wt(e))
     for (beta, plab), row in sorted(hom.rows(0, 0).items()):
         rows.append(row)
         rhs.append(field.zero())
-        labels.append(f"chain condition of rho({n.basis[beta].name}) at {label(p, plab)}")
+        keys.append(("chain", beta, plab))
 
     system = LinearSystem(field, rows, rhs, len(unknowns))
-    return system, unknowns, labels, p, pi, window, hom
+    return system, unknowns, keys, p, pi, window, hom
+
+
+def equation_label(n: SemifreeModule, p: SemifreeModule, key: tuple) -> str:
+    """The label of the splitting equation `key` of `build_split_system(n)`,
+    P being its base change."""
+    kind, beta, (i, exps, bex) = key
+    name, tower = n.basis[beta].name, n.tower
+    mono = render_element(tower.monomial(exps, tower.base.monomial(bex)))
+    if kind == "pi":
+        return f"pi(rho({name})) = {name} at {n.basis[i].name}·({mono})"
+    return f"chain condition of rho({name}) at {p.basis[i].name}·({mono})"
 
 
 def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
@@ -528,11 +496,11 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
     d 。rho = rho 。d on every basis element).  An OBSTRUCTED result carries a
     re-checkable inconsistency certificate for the splitting system.
     """
-    system, unknowns, labels, p, pi, window, hom = build_split_system(n, a_prefix, window)
+    system, unknowns, keys, p, pi, window, hom = build_split_system(n, a_prefix, window)
     res = solve_linear(system)
     if isinstance(res, Infeasible):
         involved = sorted(res.combo)
-        eq_labels = [labels[i] for i in involved]
+        eq_labels = [equation_label(n, p, keys[i]) for i in involved]
         locus = "; ".join(eq_labels[:3]) + ("; ..." if len(eq_labels) > 3 else "")
         witness = ObstructionWitness(
             combo=dict(res.combo), value=res.value, equations=eq_labels, locus=locus
@@ -540,7 +508,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
         return SplitResult(
             status="OBSTRUCTED", window=window, module=p, pi=pi,
             transcript=[
-                f"splitting system: {len(unknowns)} unknowns, {len(labels)} equations",
+                f"splitting system: {len(unknowns)} unknowns, {len(keys)} equations",
                 f"inconsistent combination over {len(involved)} equations "
                 f"reduces to 0 = {res.value}",
             ],
@@ -551,7 +519,7 @@ def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
     rho = hom.chain_map(0, unknowns, res.solution)
 
     transcript = [
-        f"splitting system: {len(unknowns)} unknowns, {len(labels)} equations",
+        f"splitting system: {len(unknowns)} unknowns, {len(keys)} equations",
     ]
     for beta, e in enumerate(n.basis):
         img = pi.apply(rho.entries.get(beta, {}))

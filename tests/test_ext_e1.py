@@ -27,7 +27,7 @@ from dglift import (
 from dglift.base_ring import _axpy
 
 from oracle import dense_rank
-from test_homological import cross_check_modules, oracle_hom_complexes
+from test_homological import cross_check_modules, labelled_columns, oracle_hom_complexes
 
 
 def acceptance_towers(flavor, p):
@@ -254,4 +254,12 @@ def test_e1_route_on_random_semifree_pairs(flavor, p, which, seed, source, targe
     while n is None:
         n = lift_shaped(tower, rng, rng.choice((1, 2)))
     m, l = _draw(rng, tower, n, source), _draw(rng, tower, n, target)
-    check_e1(HomComplex(m, l), range(-3, 2), range(-2, 4), dense_limit=150)
+    hom = HomComplex(m, l)
+    check_e1(hom, range(-3, 2), range(-2, 4), dense_limit=150)
+    # the whole matrix, which shares delta with the transfer, against the
+    # element oracle, column by column
+    for w in range(-2, 4):
+        for d in range(-3, 2):
+            if hom.dim(d, w) + hom.dim(d - 1, w) <= 150:
+                for lab, col, want in labelled_columns(hom, d, w):
+                    assert col == want, (d, w, lab)

@@ -90,23 +90,32 @@ def oracle_hom_complexes():
                 yield f"{name} (x) J^({level}) over {Field(p)!r}", HomComplex(n, l)
 
 
+def labelled_columns(hom, d, w):
+    """The columns of `matrix_columns(d, w)`, each row position read as its
+    label in the (d - 1, w) slice, with the element oracle's column of each
+    basis map: [(label, column, the oracle's column)]."""
+    m, l = hom.m, hom.l
+    below = hom.slice_labels(d - 1, w)
+    assert len(below) == hom.dim(d - 1, w)
+    out = []
+    for (alpha, lab), positions in zip(hom.slice_labels(d, w), hom.matrix_columns(d, w)):
+        want = hom_differential(ChainMap(m, l, d, {alpha: l.label_elem(lab)}))
+        out.append(((alpha, lab), {below[r]: s for r, s in positions.items()},
+                    {(beta, k): s for beta, elem in want.items()
+                     for k, s in l.elem_coords(elem).items()}))
+    return out
+
+
 def test_hom_differential_squares_to_zero():
     # the first D from matrix_columns against the element oracle, column by
-    # column, each row position read as its label in the (d - 1, w) slice;
-    # the second D with element operations only
+    # column; the second D with element operations only
     for case, hom in oracle_hom_complexes():
         m, l = hom.m, hom.l
         nonzero = 0
         for d in range(-3, 5):
             for w in range(-2, 5):
-                below = hom.slice_labels(d - 1, w)
-                assert len(below) == hom.dim(d - 1, w)
-                for (alpha, lab), positions in zip(hom.slice_labels(d, w),
-                                                   hom.matrix_columns(d, w)):
-                    col = {below[r]: s for r, s in positions.items()}
-                    want = hom_differential(ChainMap(m, l, d, {alpha: l.label_elem(lab)}))
-                    assert col == {(beta, k): s for beta, elem in want.items()
-                                   for k, s in l.elem_coords(elem).items()}, (case, d, w, lab)
+                for lab, col, want in labelled_columns(hom, d, w):
+                    assert col == want, (case, d, w, lab)
                     img: dict = {}
                     for (beta, k), s in col.items():
                         img[beta] = l.add_elem(img.get(beta, {}),

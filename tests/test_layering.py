@@ -394,8 +394,20 @@ def test_hom_complex_has_one_positional_assembly():
                   or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
                   and is_tuple(node.slice)]
     assert not tuple_keys
-    assert {name for name, fn in methods.items() if "_dl_columns" in _calls_in(fn)} \
-        == {"matrix_columns"}
+
+    def reads(fn, attr):
+        return any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(fn))
+
+    # delta, the d_L and d_M entries of D, is listed by one method, which
+    # both the whole matrix and the E1 transfer call; the constructor only
+    # groups dM by row
+    (delta,) = {name for name, fn in methods.items() if reads(fn, "columns")}
+    assert {name for name, fn in methods.items()
+            if name != "__init__" and reads(fn, "_m_rows")} == {delta}
+    assert {name for name, fn in methods.items() if delta in _calls_in(fn)} \
+        == {"matrix_columns", "_transfer"}
+    assert not {"_dl_columns", "_dl_image", "_dm_image"} & set(methods)
+    assert "self._dl" not in ast.unparse(hom)
     assert {name for name, fn in methods.items() if "matrix_columns" in _calls_in(fn)} \
         == {"rows"}
     # Ext ranks D_H on the E1 page, not the whole matrix; the benchmark
