@@ -414,85 +414,24 @@ def solve_linear(system: LinearSystem):
     return LinearSolution(solution)
 
 
-def _structural_pivots(field: Field, rows: list[dict],
-                       echelon: list | None = None) -> tuple[int, list[dict]]:
-    """Peel off the pivots that need no elimination (LaMacchia-Odlyzko): a
-    column held by one row makes that row a pivot, and a row holding one
-    column is a pivot whose column is deleted from the other rows.  Returns
-    the number of pivots taken and the rows left over, which hold no pivot
-    column.  Given a list `echelon`, appends each (pivot column, row) pair in
-    the order taken, scaled to 1 at its pivot.  A row is copied before a
-    column is deleted from it, so the input is never changed."""
-    work = [r if all(r.values()) else {c: v for c, v in r.items() if v} for r in rows]
-    holders: dict = {}  # col -> rows that held it at the start
-    for i, r in enumerate(work):
-        for c in r:
-            held = holders.get(c)
-            if held is None:
-                holders[c] = [i]
-            else:
-                held.append(i)
-    left = {c: len(held) for c, held in holders.items()}  # col -> rows not taken
-    taken = [not r for r in work]
-    cols = [c for c, n in left.items() if n == 1]
-    singles = [i for i, r in enumerate(work) if len(r) == 1]
-    rank = 0
-    while cols or singles:
-        if cols:
-            col = cols.pop()
-            if left[col] != 1:
-                continue
-            i = next(j for j in holders[col] if not taken[j])
-            for c in work[i]:
-                n = left[c] = left[c] - 1
-                if n == 1:
-                    cols.append(c)
-        else:
-            i = singles.pop()
-            if taken[i] or len(work[i]) != 1:
-                continue
-            (col,) = work[i]
-            left[col] = 0
-            for j in holders[col]:
-                if j != i and not taken[j]:
-                    other = work[j]
-                    if other is rows[j]:
-                        other = work[j] = dict(other)
-                    del other[col]
-                    if len(other) == 1:
-                        singles.append(j)
-                    elif not other:
-                        taken[j] = True
-        taken[i] = True
-        rank += 1
-        if echelon is not None:
-            inv = field.inv(work[i][col])
-            echelon.append((col, {c: field.mul(v, inv) for c, v in work[i].items()}))
-    return rank, [r for r, t in zip(work, taken) if not t]
-
-
 def matrix_rank(field: Field, rows: list[dict], echelon: list | None = None) -> int:
-    """Rank of the rows: the structural pivots are taken first and `_reduce`
-    ranks the rows left.  Given a list `echelon`, appends (pivot column,
-    pivot row) pairs to it, those of the structural pivots in the order
-    taken and then those of `_reduce` in pivot order: each row is 1 at its
-    pivot column and 0 at the pivot columns of the rows before it, and the
-    rows span the input rows."""
-    rank, rows = _structural_pivots(field, rows, echelon)
-    if not rows:
-        return rank
+    """Rank of the rows: `_reduce`'s rank-only pass.  Given a list `echelon`,
+    appends (pivot column, pivot row) pairs to it in pivot order: each row is
+    1 at its pivot column and 0 at the pivot columns of the rows before it,
+    and the rows span the input rows."""
     work, _, _, _, pivots = _reduce(field, rows, None, False, rank_only=True)
     if echelon is not None:
         echelon.extend((col, work[i]) for col, i in pivots.items())
-    return rank + len(pivots)
+    return len(pivots)
 
 
 def remainder(field: Field, echelon: list, vec: dict, combo: dict | None = None) -> dict:
     """`vec` reduced by the (pivot column, row) pairs of an echelon from
-    `matrix_rank` or `splitting`, in their order: empty exactly when `vec`
-    lies in the span of the rows.  Given a dict `combo`, records in it the
-    multiple of each row, keyed by its pivot, that was taken away, so that
-    vec = remainder + sum combo[pivot]·row."""
+    `matrix_rank` or `splitting`, in their order, which is `_reduce`'s pivot
+    order: each row is 0 at the pivots before it, so one pass leaves `vec`
+    empty exactly when it lies in the span of the rows.  Given a dict
+    `combo`, records in it the multiple of each row, keyed by its pivot, that
+    was taken away, so that vec = remainder + sum combo[pivot]·row."""
     out = {c: v for c, v in vec.items() if v}
     for col, row in echelon:
         m = out.get(col)

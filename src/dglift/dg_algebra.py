@@ -305,17 +305,23 @@ class TowerAlgebra:
         out = []
         if self._parent is not None:
             last = self.variables[-1]
+            blocks = 0
             for m in range(2 if last.is_odd else min(hdeg // last.degree, weight // last.weight) + 1):
-                out += [(exps + (m,), bex) for exps, bex in
-                        self._parent.slice_basis(hdeg - m * last.degree, weight - m * last.weight)]
+                block = self._parent.slice_basis(hdeg - m * last.degree, weight - m * last.weight)
+                out += [(exps + (m,), bex) for exps, bex in block]
+                blocks += bool(block)
+            # each block is its parent's sorted slice, and appending m keeps
+            # its order; only a merge of blocks needs sorting
+            if blocks > 1:
+                out.sort()
         else:
+            # sorted: exponents in order, then base exponents in order
             for exps in self.gamma_monomials(weight, hdeg):
                 h, w = self.monomial_bidegree(exps)
                 if h != hdeg or w > weight:
                     continue
                 for bex in self.base.monomials_of_weight(weight - w):
                     out.append((exps, bex))
-        out.sort()
         self._slices[key] = tuple(out)
         return self._slices[key]
 

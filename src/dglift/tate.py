@@ -33,9 +33,6 @@ class HomologyTable:
     def total(self) -> int:
         return sum(self.dims.values())
 
-    def rows(self) -> list[list[int]]:
-        return [[w, d] for w, d in sorted(self.dims.items()) if d]
-
 
 def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> HomologyTable:
     """Exact dim H_hdeg(tower) per weight <= weight_bound:

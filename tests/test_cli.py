@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,7 @@ from dglift.cli import main
 from dglift.render import render_element, render_poly
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("name,code", [
@@ -26,6 +30,23 @@ def test_golden_reports_and_exit_codes(tmp_path, capsys, name, code):
     assert b1 == b2, "reports differ between runs"
     expected = (GOLDENS / f"{name}.json").read_bytes()
     assert b1 == expected, "report drifted from the committed golden file"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_golden_reports_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    # string hashing changes set and dict orders between interpreters; a
+    # report that read such an order would differ from its golden under
+    # some seed
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    for name, code in (("split", 0), ("obstructed", 10), ("error", 1)):
+        out = tmp_path / f"{name}.json"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from dglift.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", str(GOLDENS / f"{name}.session"),
+             "--report", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert run.returncode == code, run.stderr.decode()
+        assert out.read_bytes() == (GOLDENS / f"{name}.json").read_bytes(), name
 
 
 def test_report_structure(tmp_path):

@@ -364,7 +364,8 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
     for kind, k, h, w in queries:
         tower, ref = chain[k], fresh[k]
         if kind == "basis":
-            assert tower.slice_basis(h, w) == ref.slice_basis(h, w)
+            basis = tower.slice_basis(h, w)
+            assert basis == ref.slice_basis(h, w) == tuple(sorted(basis))
         elif kind == "rank":
             assert tower.slice_rank(h, w) == ref.slice_rank(h, w)
         elif kind == "diff":

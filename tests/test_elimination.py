@@ -163,8 +163,9 @@ def test_rank_matches_dense_oracle_and_transpose(case):
 @SETTINGS
 @given(ultra_sparse())
 def test_rank_of_ultra_sparse_rows(case):
-    # the structural pivots of matrix_rank carry most of these, and leave
-    # the input rows as they were
+    # rows shaped like the Hom slices, the E1 columns and the envelope ranks,
+    # whose columns repeat and whose rows are copies and sums of each other;
+    # matrix_rank leaves the input rows as they were
     field, rows, ncols = case
     before = [dict(r) for r in rows]
     rank = matrix_rank(field, rows)
@@ -176,10 +177,9 @@ def test_rank_of_ultra_sparse_rows(case):
 @SETTINGS
 @given(st.one_of(ultra_sparse(), systems().map(lambda case: (case[0], case[1], case[3]))))
 def test_echelon_contract(case):
-    # the contract remainder and slice_echelon read: one row per pivot, the
-    # structural pivots first and then those of _reduce, each 1 at its pivot
-    # and 0 at the pivots of the rows before it, and every input row reduces
-    # to nothing
+    # the contract remainder and slice_echelon read: one row per pivot, in
+    # _reduce's pivot order, each 1 at its pivot and 0 at the pivots of the
+    # rows before it, and every input row reduces to nothing
     field, rows, _ = case
     echelon: list = []
     rank = matrix_rank(field, rows, echelon)
@@ -263,6 +263,9 @@ def test_pivot_rule_matches_reference():
             assert _reduce(field, rows, rhs, track) == reference_reduce(field, rows, rhs, track)
         _, _, _, used, pivots = reference_reduce(field, rows, rhs, False)
         assert _reduce(field, rows, None, False, rank_only=True)[3:] == (used, pivots)
+        echelon: list = []
+        matrix_rank(field, rows, echelon)
+        assert [col for col, _ in echelon] == list(pivots)
         assert dense(nullspace_basis(field, rows, ncols), ncols, field) == reference_kernel(
             field, rows, ncols)
 

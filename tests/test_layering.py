@@ -18,9 +18,10 @@ a tower element is one flat map {(exps, bex): scalar}, and no loop walks a
 base polynomial inside a walk over tower monomials; `BasePoly` has no
 arithmetic loop of its own; the product of tower elements reads its signs
 and binomials off the monomial product memo through the tower's shift
-routine, which the Hom blocks use as well; only `matrix_rank` takes structural pivots before
-`_reduce`, while `solve_linear` and `nullspace_basis`, whose certificates
-hang on `_reduce`'s pivot rule, go straight to it; `HomComplex` assembles D
+routine, which the Hom blocks use as well; every elimination, `matrix_rank`,
+`solve_linear`, `nullspace_basis` and `splitting`, goes straight to
+`_reduce`, so that one pivot rule makes every echelon, kernel and
+certificate, and no structural-pivot pass is left; `HomComplex` assembles D
 once, as columns keyed by row position; a tower keeps the columns of d on a
 slice in that positional format only, and one predicate, `_inherits`,
 decides where it reads its parent's echelon, kernel and rank; `_axpy` is
@@ -364,18 +365,15 @@ def _calls_in(fn: ast.FunctionDef) -> set[str]:
             and isinstance(node.func, (ast.Name, ast.Attribute))}
 
 
-def test_only_matrix_rank_takes_structural_pivots():
-    # the structural pass may reorder the pivots; solve_linear and
-    # nullspace_basis report certificates that hang on _reduce's pivot rule
+def test_every_elimination_goes_through_reduce():
+    # one pivot rule: the certificates of solve_linear, the kernels and the
+    # echelons that remainder reads all come from _reduce's pivot order
     tree = ast.parse((SRC / "base_ring.py").read_text(encoding="utf-8"))
     fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    callers = {name for name, fn in fns.items() if "_structural_pivots" in _calls_in(fn)}
-    assert callers == {"matrix_rank"}
-    for name in ("solve_linear", "nullspace_basis"):
+    for name in ("matrix_rank", "solve_linear", "nullspace_basis", "splitting"):
         assert "_reduce" in _calls_in(fns[name]), name
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "base_ring.py":
-            assert "_structural_pivots" not in path.read_text(encoding="utf-8"), path.name
+        assert "_structural_pivots" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_hom_complex_has_one_positional_assembly():
