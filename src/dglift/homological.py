@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
+from operator import itemgetter
 
 from .base_ring import (Infeasible, LinearSolution, LinearSystem, _axpy, matrix_rank,
                         solve_linear)
@@ -53,7 +54,13 @@ class HomComplex:
     p delta sum_k (h delta)^k i on E1, the sum of the homologies of the
     blocks; the sum is finite, and H(Hom) = H(E1, D_H).  E1 vectors are
     numbered as the maps are: by block, then by the tower's homology basis
-    of the block's slice.
+    of the block's slice.  The block (a, i) of the (d, w) slice reads the
+    tower slice (d, w) less (|e_i| - |e_a|, wt e_i - wt e_a): the E1 table
+    inverts the tower slices with homology, scanned on a grid grown on
+    demand, into {(d, w): blocks (a, i, k, v) in (a, i) order}, so an empty
+    slice of E1 costs a lookup, and D_H is ranked only where delta leads a
+    block of E1 to a block of E1 below.  Each slice's block offsets [[start
+    of (b, j)]] are memoised once, for D, E1 and the transfer.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -66,45 +73,61 @@ class HomComplex:
         self._m_rows: dict[int, list] = {}
         for (a, b), entry in m.diff.items():
             self._m_rows.setdefault(a, []).append((b, entry))
-        # (h, w) -> where each generator's labels start in that slice of L,
-        # then its dimension; (d, w) -> the same for the blocks of M in Hom
-        self._l_offsets: dict[tuple[int, int], list[int]] = {}
-        self._offsets: dict[tuple[int, int], list[int]] = {}
+        # the generators that dM leads e_a to, and dL leads e_i to, as
+        # bitmasks, e_a and e_i included: delta moves the block (a, i) only
+        # to blocks (b, j) with b in reach_m[a] and j in reach_l[i]
+        self._reach_m = [1 << a for a in range(len(m.basis))]
+        for a, b in sorted(m.diff, reverse=True):
+            self._reach_m[a] |= self._reach_m[b]
+        self._reach_l = [1 << i for i in range(len(l.basis))]
+        for j, i in sorted(l.diff, key=itemgetter(1)):
+            self._reach_l[i] |= self._reach_l[j]
+        # (d, w) -> where each block (a, i) starts in that slice
+        self._blocks: dict[tuple[int, int], list] = {}
         # (a, b, (exps, bex)) -> X^exps x^bex · dM[a, b] by tower position
         self._products: dict[tuple, dict] = {}
         # (d, w) -> {position: (p delta, h delta) of that basis map}
         self._transfers: dict[tuple[int, int], dict] = {}
-        # (h, w) -> dim of E1 in that slice of L
-        self._l_e1_dims: dict[tuple[int, int], int] = {}
+        # the shift of each pair (a, i) by a, the pairs by shift, the lowest
+        # shift, the grid of tower slices scanned so far, the E1 table of
+        # blocks with homology per (d, w) slice, and its dimensions
+        self._pair_shifts = [[(f.degree - e.degree, f.weight - e.weight) for f in l.basis]
+                             for e in m.basis]
+        self._shifts: dict[tuple[int, int], list] = {}
+        for alpha, shifts in enumerate(self._pair_shifts):
+            for i, key in enumerate(shifts):
+                self._shifts.setdefault(key, []).append((alpha, i))
+        self._low = [min(c) for c in zip(*self._shifts)]
+        self._grid = (-1, -1)
+        self._e1: dict[tuple[int, int], list] = {}
+        self._e1_dims: dict[tuple[int, int], int] = {}
         self._e1_ranks: dict[tuple[int, int], int] = {}
 
     def require_complete(self, d: int, w: int):
+        low = self.l.min_degree()
         for e in self.m.basis:
             h, wt = e.degree + d, e.weight + w
-            if (h >= self.l.min_degree() and wt >= 0) and not self.l.is_complete(h, wt):
+            if (h >= low and wt >= 0) and not self.l.is_complete(h, wt):
                 raise HomologicalError(
                     f"window too small: Hom target slice ({h},{wt}) exceeds the "
                     "complete range of the target module"
                 )
 
-    def _l_starts(self, h: int, w: int) -> list[int]:
-        """Where the labels of each generator of L start in its (h, w) slice,
-        and the slice's dimension last."""
-        key = (h, w)
-        if key not in self._l_offsets:
-            tower = self.l.tower
-            self._l_offsets[key] = [0, *accumulate(
-                len(tower.slice_basis(h - e.degree, w - e.weight)) for e in self.l.basis)]
-        return self._l_offsets[key]
-
-    def _starts(self, d: int, w: int) -> list[int]:
-        """Where the maps out of each generator of M start in the (d, w)
-        slice, and the slice's dimension last."""
+    def _block_starts(self, d: int, w: int) -> list[list[int]]:
+        """[[where block (b, j) starts in the (d, w) slice]], each list closed
+        by the end of the maps out of e_b, then [the slice's dimension]; a
+        block is as large as the tower slice (d, w) less its shift."""
         key = (d, w)
-        if key not in self._offsets:
-            self._offsets[key] = [0, *accumulate(
-                self._l_starts(e.degree + d, e.weight + w)[-1] for e in self.m.basis)]
-        return self._offsets[key]
+        at = self._blocks.get(key)
+        if at is None:
+            basis = self.l.tower.slice_basis
+            sizes = {s: len(basis(d - s[0], w - s[1])) for s in self._shifts}
+            at, start = [], 0
+            for shifts in self._pair_shifts:
+                at.append(list(accumulate(map(sizes.__getitem__, shifts), initial=start)))
+                start = at[-1][-1]
+            at = self._blocks[key] = at + [[start]]
+        return at
 
     def slice_labels(self, d: int, w: int) -> list:
         """The basis maps e_alpha -> lab of the (d, w) slice, in position
@@ -113,7 +136,7 @@ class HomComplex:
                 for lab in self.l.slice_labels(e.degree + d, e.weight + w)]
 
     def dim(self, d: int, w: int) -> int:
-        return self._starts(d, w)[-1]
+        return self._block_starts(d, w)[-1][0]
 
     def _delta(self, d: int, w: int, alpha: int, i: int, label: tuple):
         """The entries of delta on the basis map e_alpha -> e_i·X^e x^b of
@@ -148,9 +171,7 @@ class HomComplex:
             return self._matrices[key]
         m, l, tower = self.m, self.l, self.l.tower
         neg = tower.base.field.neg
-        below = self._starts(d - 1, w)
-        at = [[below[b] + s for s in self._l_starts(g.degree + d - 1, g.weight + w)]
-              for b, g in enumerate(m.basis)]
+        at = self._block_starts(d - 1, w)
         cols = []
         for alpha, e in enumerate(m.basis):
             for i, f in enumerate(l.basis):
@@ -204,23 +225,16 @@ class HomComplex:
         out = memo.get(pos)
         if out is not None:
             return out
-        m, l, tower = self.m, self.l, self.l.tower
-        field = tower.base.field
-        neg = field.neg
-        starts = self._starts(d, w)
-        alpha = bisect_right(starts, pos) - 1
-        e = m.basis[alpha]
-        h, wa = e.degree + d, e.weight + w
-        l_starts = self._l_starts(h, wa)
-        i = bisect_right(l_starts, pos - starts[alpha]) - 1
-        f = l.basis[i]
-        label = tower.slice_basis(h - f.degree, wa - f.weight)[pos - starts[alpha] - l_starts[i]]
-        below = self._starts(d - 1, w)
+        l, tower = self.l, self.l.tower
+        field, neg = tower.base.field, tower.base.field.neg
+        here, below = self._block_starts(d, w), self._block_starts(d - 1, w)
+        alpha = bisect_right(here, pos, key=itemgetter(0)) - 1
+        i = bisect_right(here[alpha], pos) - 1
+        sd, sw = self._pair_shifts[alpha][i]
+        label = tower.slice_basis(d - sd, w - sw)[pos - here[alpha][i]]
         pd, hd = {}, {}
         for beta, j, k, v, image in self._delta(d, w, alpha, i, label):
-            g = m.basis[beta]
-            p_at = below[beta] + self._l_starts(g.degree + d - 1, g.weight + w)[j]
-            h_at = starts[beta] + self._l_starts(g.degree + d, g.weight + w)[j]
+            p_at, h_at = below[beta][j], here[beta][j]
             odd = l.basis[j].degree % 2  # h carries the sign of d0
             contraction = tower.slice_contraction(k, v)
             for r, s in image.items():
@@ -236,18 +250,12 @@ class HomComplex:
         """The E1 vectors of the (d, w) slice in E1 order, each as the
         position of its representative's pivot among the maps and i of it:
         the representative in its block, {position: scalar}."""
-        m, l, tower = self.m, self.l, self.l.tower
-        starts = self._starts(d, w)
+        homology, at = self.l.tower.slice_homology, self._block_starts(d, w)
         out = []
-        for alpha, e in enumerate(m.basis):
-            h, wa = e.degree + d, e.weight + w
-            l_starts = self._l_starts(h, wa)
-            for i, f in enumerate(l.basis):
-                if f.degree > h or f.weight > wa:
-                    continue
-                at = starts[alpha] + l_starts[i]
-                out += [(at + pivot, {at + r: s for r, s in rep.items()})
-                        for pivot, rep in tower.slice_homology(h - f.degree, wa - f.weight)]
+        for alpha, i, k, v in self._e1_blocks(d, w):
+            start = at[alpha][i]
+            out += [(start + pivot, {start + r: s for r, s in rep.items()})
+                    for pivot, rep in homology(k, v)]
         return out
 
     def e1_columns(self, d: int, w: int) -> list[dict]:
@@ -268,21 +276,39 @@ class HomComplex:
             cols.append(col)
         return cols
 
-    def _l_e1_dim(self, h: int, w: int) -> int:
-        """Dimension of E1 in the (h, w) slice of L: the tower homology of
-        its blocks."""
-        key = (h, w)
-        n = self._l_e1_dims.get(key)
-        if n is None:
+    def _e1_blocks(self, d: int, w: int) -> list[tuple]:
+        """The blocks (alpha, i, k, v) of the (d, w) slice whose tower slice
+        (k, v) has homology, in (alpha, i) order: the E1 table's entry, read
+        once its grid holds every tower slice that can reach (d, w)."""
+        low, (k_max, v_max) = self._low, self._grid
+        if self._shifts and (d - low[0] > k_max or w - low[1] > v_max):
+            k_top, v_top = max(k_max, d - low[0]), max(v_max, w - low[1])
             homology = self.l.tower.slice_homology
-            n = self._l_e1_dims[key] = sum(len(homology(h - f.degree, w - f.weight))
-                                           for f in self.l.basis
-                                           if f.degree <= h and f.weight <= w)
-        return n
+            for k in range(k_top + 1):
+                for v in range(v_max + 1 if k <= k_max else 0, v_top + 1):
+                    for (sd, sw), pairs in self._shifts.items() if homology(k, v) else ():
+                        self._e1.setdefault((k + sd, v + sw), []).extend(
+                            (a, i, k, v) for a, i in pairs)
+            for blocks in self._e1.values():
+                blocks.sort()
+            self._grid = (k_top, v_top)
+        return self._e1.get((d, w), [])
 
     def e1_dim(self, d: int, w: int) -> int:
-        """Dimension of E1 in the (d, w) slice."""
-        return sum(self._l_e1_dim(e.degree + d, e.weight + w) for e in self.m.basis)
+        """Dimension of E1 in the (d, w) slice, computed once."""
+        key = (d, w)
+        n = self._e1_dims.get(key)
+        if n is None:
+            homology = self.l.tower.slice_homology
+            n = self._e1_dims[key] = sum(len(homology(k, v)) for *_, k, v in self._e1_blocks(d, w))
+        return n
+
+    def _reaches(self, d: int, w: int) -> bool:
+        """Whether delta leads some block of E1 in the (d, w) slice to some
+        block of E1 in the (d - 1, w) slice; D_H is zero there if not."""
+        below = self._e1_blocks(d - 1, w)
+        return any(self._reach_m[a] >> b & 1 and self._reach_l[i] >> j & 1 and (a, i) != (b, j)
+                   for a, i, _, _ in self._e1_blocks(d, w) for b, j, _, _ in below)
 
     def homology_dim(self, d: int, w: int) -> int:
         """dim H_d of the Hom complex in weight w (exact): that of E1 less
@@ -297,7 +323,7 @@ class HomComplex:
         key = (d, w)
         if key not in self._e1_ranks:
             rank = 0
-            if self.e1_dim(d, w) and self.e1_dim(d - 1, w):
+            if self._reaches(d, w):
                 rank = matrix_rank(self.m.tower.base.field, self.e1_columns(d, w))
             self._e1_ranks[key] = rank
         return self._e1_ranks[key]
@@ -345,7 +371,7 @@ def ext_dims(m: SemifreeModule, l: SemifreeModule, i_range: tuple[int, int],
     table = ExtTable(i_range=(imin, imax), weight_range=(w_lo, w_hi), window=window)
     for i in range(imin, imax + 1):
         for w in range(w_lo, w_hi + 1):
-            dim = hom.homology_dim(-i, w)
+            dim = hom.e1_dim(-i, w) and hom.homology_dim(-i, w)
             if dim:
                 table.dims[(i, w)] = dim
     return table
@@ -454,14 +480,16 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
     rhs: list = []
     keys: list[tuple] = []
 
-    # pi_N(rho(e_beta)) = e_beta, coordinatewise in N at (|e|, wt(e))
+    # pi_N(rho(e_beta)) = e_beta, coordinatewise in N at (|e|, wt(e));
+    # pi(e_alpha (x) g · X^e x^b) = e_alpha·(g · X^e x^b), by tower position
     images: dict = {}
-    for j, (beta, lab) in enumerate(unknowns):
-        for nlab, scalar in n.elem_coords(pi.apply(p.label_elem(lab))).items():
-            images.setdefault(beta, {}).setdefault(nlab, {})[j] = scalar
+    for j, (beta, (idx, exps, bex)) in enumerate(unknowns):
+        ((alpha, g),) = pi.entries[idx].items()
+        for (e, b), scalar in n.tower.monomial_times((exps, bex), g, right=True).coeffs.items():
+            images.setdefault(beta, {}).setdefault((alpha, e, b), {})[j] = scalar
     for beta in range(len(n.basis)):
         acc = images.get(beta, {})
-        want = n.elem_coords(n.basis_elem(beta))
+        want = {(beta, *label): s for label, s in n.tower.one().coeffs.items()}
         for nlab in sorted(set(acc) | set(want)):
             rows.append(acc.get(nlab, {}))
             rhs.append(want.get(nlab, field.zero()))

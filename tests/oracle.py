@@ -9,14 +9,16 @@ differential is applied to maps with module-element operations, not with the
 library's Hom-complex code, and the differential of a tower element is
 expanded by the Leibniz rule over its variable powers, not with the library's
 memoised monomial differentials.  Envelope elements are checked against
-`TensorOracle`, which writes B^o (x)_A B out in its tensor form.
+`TensorOracle`, which writes B^o (x)_A B out in its tensor form.  Whether
+pi_N splits is decided by `split_exists`, from the same element operations
+and a dense rank, without `dglift.homological`.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
-from dglift import ChainMap
+from dglift.dg_module import BidegreeWindow, ChainMap, base_change
 
 
 def dense_rref(field, rows: list[list]) -> tuple[list[list], list[int]]:
@@ -178,6 +180,35 @@ def brute_ext_dim(m, l, i: int, w: int) -> int:
     mat_up = matrix(above, src, d + 1)
     rank_up = dense_rank(field, mat_up) if mat_up else 0
     return cycles - rank_up
+
+
+def split_exists(n, a_prefix: int = 0) -> bool:
+    """Whether pi_N: P = N|_A (x)_A B -> N has a section, in the window that
+    the basis of N spans.  The unknowns are the coordinates of rho(e_b) on
+    `p.slice_labels(|e_b|, wt e_b)`; D(rho) = 0 is read off
+    `hom_differential` of each basis map and pi(rho(e_b)) = e_b off
+    `ChainMap.apply`, both coordinatewise, and the system has a solution
+    exactly when [A | b] has the dense rank of A."""
+    field = n.tower.base.field
+    window = BidegreeWindow(n.min_degree(), n.max_degree(), n.max_weight())
+    p, pi = base_change(n, window, a_prefix)
+    unknowns = [(b, lab) for b, e in enumerate(n.basis)
+                for lab in p.slice_labels(e.degree, e.weight)]
+    equations: dict = {}
+    for j, (b, lab) in enumerate(unknowns):
+        image = p.label_elem(lab)
+        for c, elem in hom_differential(ChainMap(n, p, 0, {b: image})).items():
+            for key, s in p.elem_coords(elem).items():
+                equations.setdefault(("chain", c, key), {})[j] = s
+        for key, s in n.elem_coords(pi.apply(image)).items():
+            equations.setdefault(("pi", b, key), {})[j] = s
+    rhs = {("pi", b, key): s for b in range(len(n.basis))
+           for key, s in n.elem_coords(n.basis_elem(b)).items()}
+    keys = sorted(set(equations) | set(rhs), key=repr)
+    a = [[equations.get(k, {}).get(j, field.zero()) for j in range(len(unknowns))]
+         for k in keys]
+    augmented = [row + [rhs.get(k, field.zero())] for row, k in zip(a, keys)]
+    return dense_rank(field, a) == dense_rank(field, augmented)
 
 
 class TensorOracle:

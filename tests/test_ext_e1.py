@@ -109,6 +109,8 @@ def check_e1(hom, degrees, weights, dense_limit=None):
             vectors = hom.e1_vectors(d, w)
             assert hom.e1_dim(d, w) == len(vectors)
             assert hom.e1_columns(d, w) == perturbed_columns(hom, d, w), (d, w)
+            # D_H is ranked only where delta leads a block of E1 to one below
+            assert hom._reaches(d, w) or not any(hom.e1_columns(d, w)), (d, w)
             if dense_limit is None or sum(hom.dim(d + k, w) for k in (-1, 0, 1)) <= dense_limit:
                 assert hom.homology_dim(d, w) == dense_homology_dim(hom, d, w), (d, w)
             below = {pos: k for k, (pos, _) in enumerate(hom.e1_vectors(d - 1, w))}
@@ -256,6 +258,21 @@ def test_e1_route_on_random_semifree_pairs(flavor, p, which, seed, source, targe
     m, l = _draw(rng, tower, n, source), _draw(rng, tower, n, target)
     hom = HomComplex(m, l)
     check_e1(hom, range(-3, 2), range(-2, 4), dense_limit=150)
+    # the E1 table against the tower homology of every block, empty slices
+    # included, and the E1 vectors in (alpha, i) order; the slices are read
+    # top down and then bottom up, each time by a new complex, so that its
+    # grid grows at once and then slice by slice
+    slices = [(d, w) for w in range(-2, 4) for d in range(-3, 2)]
+    for order in (slices[::-1], slices):
+        fresh = HomComplex(m, l)
+        for d, w in order:
+            homology = [[tower.slice_homology(e.degree + d - f.degree, e.weight + w - f.weight)
+                         for f in l.basis] for e in m.basis]
+            assert fresh.e1_dim(d, w) == sum(len(h) for row in homology for h in row), (d, w)
+            labels = fresh.slice_labels(d, w)
+            blocks = [(labels[pos][0], labels[pos][1][0]) for pos, _ in fresh.e1_vectors(d, w)]
+            assert blocks == [(alpha, i) for alpha, row in enumerate(homology)
+                              for i, h in enumerate(row) for _ in h], (d, w)
     # the whole matrix, which shares delta with the transfer, against the
     # element oracle, column by column
     for w in range(-2, 4):

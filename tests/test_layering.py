@@ -22,7 +22,9 @@ routine, which the Hom blocks use as well; every elimination, `matrix_rank`,
 `solve_linear`, `nullspace_basis` and `splitting`, goes straight to
 `_reduce`, so that one pivot rule makes every echelon, kernel and
 certificate, and no structural-pivot pass is left; `HomComplex` assembles D
-once, as columns keyed by row position; a tower keeps the columns of d on a
+once, as columns keyed by row position, and `build_split_system` reads pi
+off tower monomials by position too, with no module-element operation,
+while E1 dimensions come from one table per complex; a tower keeps the columns of d on a
 slice in that positional format only, and one predicate, `_inherits`,
 decides where it reads its parent's echelon, kernel and rank; `_axpy` is
 the one scalar `dst += m·src`; the suffix split of tower terms, the Koszul
@@ -415,6 +417,19 @@ def test_hom_complex_has_one_positional_assembly():
              and isinstance(node.func, ast.Name) and node.func.id == "matrix_rank"]
     assert len(ranks) == 1
     assert ast.unparse(ranks[0].args[1]) == "self.e1_columns(d, w)"
+
+
+def test_split_system_reads_pi_off_tower_monomials():
+    # pi(e_a (x) g · X^e x^b) = e_a·(g · X^e x^b), one shift per unknown; the
+    # element route is the oracle's, in tests/test_split_oracle.py; and the
+    # E1 dimensions are read off the complex's E1 table, not summed per
+    # generator of L
+    text = (SRC / "homological.py").read_text(encoding="utf-8")
+    (fn,) = [node for node in ast.parse(text).body
+             if isinstance(node, ast.FunctionDef) and node.name == "build_split_system"]
+    assert "monomial_times" in _calls_in(fn)
+    assert not _calls_in(fn) & {"apply", "label_elem", "elem_coords"}
+    assert "_l_e1_dim" not in text
 
 
 def test_tower_slices_have_one_positional_format():
