@@ -17,7 +17,8 @@ from .render import monomial_text
 
 
 def _is_prime(p: int) -> bool:
-    # deterministic Miller-Rabin, valid for word-sized p
+    # deterministic Miller-Rabin on the first 12 primes: exact for p below
+    # 318 665 857 834 031 151 167 461, so `Field` admits only p < 2^64
     if p < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -79,6 +80,8 @@ class Field:
     """
 
     def __init__(self, p: int | None = None):
+        if p is not None and p >= 1 << 64:
+            raise ValueError(f"modulus {p} must be below 2^64")
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

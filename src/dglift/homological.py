@@ -45,8 +45,7 @@ class HomComplex:
     `slice_labels(d - 1, w)`: one offset per generator of M, one per
     generator of L within it, and the tower's position of X^e x^b in its
     slice.  That numbering is sorted label order, and `rows` maps it back to
-    labels.  The offsets and the products v·dM[a, b] are memoised here, and
-    die with the complex.
+    labels.
 
     Homology is read off the E1 page of the semifree filtration.  With the
     tower's contraction (i, p, h) of each slice onto its homology, h signed
@@ -59,8 +58,10 @@ class HomComplex:
     inverts the tower slices with homology, scanned on a grid grown on
     demand, into {(d, w): blocks (a, i, k, v) in (a, i) order}, so an empty
     slice of E1 costs a lookup, and D_H is ranked only where delta leads a
-    block of E1 to a block of E1 below.  Each slice's block offsets [[start
-    of (b, j)]] are memoised once, for D, E1 and the transfer.
+    block of E1 to a block of E1 below.  Memoised, as read again, are each
+    slice's block offsets [[start of (b, j)]], the products v·dM[a, b], the
+    E1 table and the ranks of D_H; the whole matrix, a transfer and an E1
+    dimension are rebuilt on each call.  The memos die with the complex.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -68,7 +69,6 @@ class HomComplex:
             raise HomologicalError("Hom between modules over different towers")
         self.m = m
         self.l = l
-        self._matrices: dict[tuple[int, int], list] = {}
         # dM by row a: [(b, dM[a, b])]; dL by column is `l.columns`
         self._m_rows: dict[int, list] = {}
         for (a, b), entry in m.diff.items():
@@ -86,11 +86,9 @@ class HomComplex:
         self._blocks: dict[tuple[int, int], list] = {}
         # (a, b, (exps, bex)) -> X^exps x^bex · dM[a, b] by tower position
         self._products: dict[tuple, dict] = {}
-        # (d, w) -> {position: (p delta, h delta) of that basis map}
-        self._transfers: dict[tuple[int, int], dict] = {}
         # the shift of each pair (a, i) by a, the pairs by shift, the lowest
         # shift, the grid of tower slices scanned so far, the E1 table of
-        # blocks with homology per (d, w) slice, and its dimensions
+        # blocks with homology per (d, w) slice, and the ranks of D_H
         self._pair_shifts = [[(f.degree - e.degree, f.weight - e.weight) for f in l.basis]
                              for e in m.basis]
         self._shifts: dict[tuple[int, int], list] = {}
@@ -100,7 +98,6 @@ class HomComplex:
         self._low = [min(c) for c in zip(*self._shifts)]
         self._grid = (-1, -1)
         self._e1: dict[tuple[int, int], list] = {}
-        self._e1_dims: dict[tuple[int, int], int] = {}
         self._e1_ranks: dict[tuple[int, int], int] = {}
 
     def require_complete(self, d: int, w: int):
@@ -165,10 +162,7 @@ class HomComplex:
     def matrix_columns(self, d: int, w: int) -> list[dict]:
         """Columns of D restricted to the (d, w) slice, rows numbered by
         position in `slice_labels(d - 1, w)`: d0 of each basis map, then its
-        delta."""
-        key = (d, w)
-        if key in self._matrices:
-            return self._matrices[key]
+        delta.  Built on each call: no caller reads a slice twice."""
         m, l, tower = self.m, self.l, self.l.tower
         neg = tower.base.field.neg
         at = self._block_starts(d - 1, w)
@@ -187,7 +181,6 @@ class HomComplex:
                         for r, s in image.items():
                             col[off + r] = s
                     cols.append(col)
-        self._matrices[key] = cols
         return cols
 
     def rows(self, d: int, w: int) -> dict:
@@ -217,14 +210,7 @@ class HomComplex:
     def _transfer(self, d: int, w: int, pos: int) -> tuple[dict, dict]:
         """(p delta, h delta) of the basis map at position pos of the (d, w)
         slice: p delta over the E1 vectors of the (d - 1, w) slice, h delta
-        over the maps of the (d, w) slice; computed once per map."""
-        key = (d, w)
-        memo = self._transfers.get(key)
-        if memo is None:
-            memo = self._transfers[key] = {}
-        out = memo.get(pos)
-        if out is not None:
-            return out
+        over the maps of the (d, w) slice."""
         l, tower = self.l, self.l.tower
         field, neg = tower.base.field, tower.base.field.neg
         here, below = self._block_starts(d, w), self._block_starts(d - 1, w)
@@ -243,8 +229,7 @@ class HomComplex:
                     _axpy(field, pd, {p_at + t: c for t, c in p.items()}, s)
                 if hv:
                     _axpy(field, hd, {h_at + t: c for t, c in hv.items()}, neg(s) if odd else s)
-        out = memo[pos] = (pd, hd)
-        return out
+        return pd, hd
 
     def e1_vectors(self, d: int, w: int) -> list[tuple[int, dict]]:
         """The E1 vectors of the (d, w) slice in E1 order, each as the
@@ -295,13 +280,10 @@ class HomComplex:
         return self._e1.get((d, w), [])
 
     def e1_dim(self, d: int, w: int) -> int:
-        """Dimension of E1 in the (d, w) slice, computed once."""
-        key = (d, w)
-        n = self._e1_dims.get(key)
-        if n is None:
-            homology = self.l.tower.slice_homology
-            n = self._e1_dims[key] = sum(len(homology(k, v)) for *_, k, v in self._e1_blocks(d, w))
-        return n
+        """Dimension of E1 in the (d, w) slice: the sum over its entry of
+        the E1 table."""
+        homology = self.l.tower.slice_homology
+        return sum(len(homology(k, v)) for *_, k, v in self._e1_blocks(d, w))
 
     def _reaches(self, d: int, w: int) -> bool:
         """Whether delta leads some block of E1 in the (d, w) slice to some
@@ -496,7 +478,7 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
             keys.append(("pi", beta, nlab))
 
     # D(rho) = d 。rho - rho 。d = 0, coordinatewise in P at (|e|-1, wt(e))
-    for (beta, plab), row in sorted(hom.rows(0, 0).items()):
+    for (beta, plab), row in hom.rows(0, 0).items():
         rows.append(row)
         rhs.append(field.zero())
         keys.append(("chain", beta, plab))

@@ -255,6 +255,13 @@ def _rigid_trio():
     return koszul, [("B", n1), ("B+B(wt2)", n2), ("B+cone", n3)]
 
 
+def lift_decided_modules():
+    """The modules whose naive lift criteria 5 and 6 decide: the Ext-rigid
+    trio, which splits, and the negative control, which is obstructed."""
+    _, trio = _rigid_trio()
+    return trio + [("negative control", _negative_control(_even_tower(Field())))]
+
+
 def test_criterion_5_main_theorem_desk_scale():
     start = time.time()
     koszul, trio = _rigid_trio()

@@ -24,8 +24,13 @@ def test_modular_product(F5):
 
 
 def test_nonprime_modulus_rejected():
-    with pytest.raises(ValueError):
-        Field(6)
+    # 318665857834031151167461 = 399165290221 · 798330580441 is a strong
+    # pseudoprime to each of the first 12 prime bases, so Miller-Rabin on
+    # them passes it; moduli from 2^64 on are refused before the test
+    for p in (6, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            Field(p)
+    assert Field(2**64 - 59).p == 2**64 - 59
 
 
 def test_ring_laws_random():

@@ -5,7 +5,8 @@ The tower contracts each slice onto its homology (`slice_contraction`), and
 whole Hom matrix.  These tests hold that route to the whole matrix, ranked
 by the dense oracle: the contraction laws on tower slices, D_H o D_H = 0,
 and the homology dimensions, on the acceptance towers and on random
-semifree pairs in both flavors over Q and F_5."""
+semifree pairs in both flavors over Q and F_5; and the generators that delta
+can lead a block to, against the closure of the differentials."""
 
 import random
 
@@ -242,6 +243,48 @@ def _draw(rng, tower, n, kind):
     return base_change(n, window)[0]
 
 
+def closure(n, steps):
+    """The generators each of 0..n-1 reaches by steps, itself included, as
+    a bitmask per generator."""
+    out = []
+    for start in range(n):
+        seen, todo = {start}, [start]
+        while todo:
+            for nxt in steps.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        out.append(sum(1 << g for g in seen))
+    return out
+
+
+def check_reach(hom):
+    """`_reach_m` is the closure of d_M upward in a (dM[a, b] leads a to b),
+    `_reach_l` that of d_L downward in i (dL[j, i] leads i to j)."""
+    up, down = {}, {}
+    for a, b in hom.m.diff:
+        up.setdefault(a, set()).add(b)
+    for j, i in hom.l.diff:
+        down.setdefault(i, set()).add(j)
+    assert hom._reach_m == closure(len(hom.m.basis), up)
+    assert hom._reach_l == closure(len(hom.l.basis), down)
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+def test_reach_is_the_closure_of_the_differentials(flavor):
+    # d e1 = e0·z, d e2 = e1·z over Q[x,y]<X1,X2>, z = X1 y - X2 x, so z·z =
+    # 0 and dM[0, 2] = 0: e0 reaches e2 only through e1, where one step of
+    # the differential and its closure differ
+    tower = acceptance_towers(flavor, None)[1]
+    z = tower.gen("X1") * tower.gen("y") - tower.gen("X2") * tower.gen("x")
+    chain = make_semifree(tower, [("e0", 0, 0), ("e1", 2, 2), ("e2", 4, 4)],
+                          {("e0", "e1"): z, ("e1", "e2"): z})
+    assert [e.name for e in chain.basis] == ["e0", "e1", "e2"] and (0, 2) not in chain.diff
+    hom = HomComplex(chain, chain)
+    check_reach(hom)
+    assert hom._reach_m[0] == hom._reach_l[2] == 0b111
+
+
 @pytest.mark.parametrize("flavor", ["divided", "ordinary"])
 @pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -257,6 +300,7 @@ def test_e1_route_on_random_semifree_pairs(flavor, p, which, seed, source, targe
         n = lift_shaped(tower, rng, rng.choice((1, 2)))
     m, l = _draw(rng, tower, n, source), _draw(rng, tower, n, target)
     hom = HomComplex(m, l)
+    check_reach(hom)
     check_e1(hom, range(-3, 2), range(-2, 4), dense_limit=150)
     # the E1 table against the tower homology of every block, empty slices
     # included, and the E1 vectors in (alpha, i) order; the slices are read

@@ -7,8 +7,8 @@ goes at the end. For each probe the snapshot records `"ok"` or
 `[line, col, message]` of the ParseError, and every probe must end in one of
 the two: no other exception may escape the parser.
 
-Huge numbers are left out: the parser does not bound them yet (ROADMAP item
-3), and `run eval x^99999999999999999999` runs without end.
+Huge exponents and bounds are left out: the parser does not bound them yet
+(ROADMAP item 3), and `run eval x^99999999999999999999` runs without end.
 
 `python tests/test_parse_errors.py` rewrites tests/snapshots/parse_errors.json
 from the current code; review the diff before committing it.
@@ -32,6 +32,7 @@ PROBES = [
     "field F 5",
     "field F",
     "field F 4",
+    "field F 318665857834031151167461",
     "field R",
     "field",
     "field Q extra",

@@ -6,18 +6,21 @@ element route (`ChainMap.apply`, `label_elem`, `elem_coords`) unknown by
 unknown, and hold the verdict of `naive_lift_check` to `oracle.split_exists`,
 which builds the whole system from element operations and ranks it densely,
 so that a fault in assembling the system cannot pass as OBSTRUCTED with a
-valid witness."""
+valid witness; and they hold the verdict in the minimal window to the one in
+a larger window."""
 
 import pathlib
 import random
 
 import pytest
 
-from dglift import (Field, PolyRing, TowerAlgebra, build_split_system, make_semifree,
-                    naive_lift_check)
+from dglift import (BidegreeWindow, Field, PolyRing, TowerAlgebra, build_split_system,
+                    make_semifree, naive_lift_check)
+from dglift.homological import minimal_window
 from dglift.session import parse_session
 
 from oracle import split_exists
+from test_acceptance import lift_decided_modules
 from test_ext_e1 import acceptance_towers, lift_shaped
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -50,16 +53,17 @@ def mixed_modules(flavor):
                 yield f"mixed over {Field(p)!r} #{found}", n
 
 
-def lift_round():
+def lift_round(flavor="divided"):
     """One derandomized round of modules shaped like the lift benchmark's:
     2-4 blocks, each free or a cone d f = e·z on a cycle z, over Q[x]<X>,
     Q[x,y]<X1,X2>, Q[x,y]<X1,X2,Y> and Q[x,y]<X1,X2,Z> with dZ = 0, over Q
-    and F_32003, two modules per cell."""
+    and F_32003, two modules per cell; the draws do not depend on the
+    flavor."""
     for p in (None, 32003):
         field = Field(p)
-        kx = TowerAlgebra(PolyRing(field, ("x",), (1,)), "divided")
+        kx = TowerAlgebra(PolyRing(field, ("x",), (1,)), flavor)
         kx = kx.adjoin("X", 1, 1, kx.gen("x"))
-        mixed, kxy, _, even = acceptance_towers("divided", p)
+        mixed, kxy, _, even = acceptance_towers(flavor, p)
         for key, tower in (("kx", kx), ("kxy", kxy), ("mixed", mixed), ("even", even)):
             for nblocks in (2, 3, 4):
                 rng = random.Random(f"lift-round-{p}-{key}-{nblocks}")
@@ -127,4 +131,28 @@ def test_split_oracle_agrees_on_a_lift_round():
         assert split_exists(n) == split, name
         counts[split] += 1
     assert sum(counts.values()) == 48
+    assert counts[True] and counts[False], counts
+
+
+def test_split_oracle_agrees_on_the_acceptance_modules():
+    # the modules criteria 5 and 6 decide, over every prefix A of the tower
+    verdicts = {}
+    for name, n in lift_decided_modules():
+        for a_prefix in range(n.tower.n + 1):
+            verdicts[name, a_prefix] = naive_lift_check(n, a_prefix).split
+            assert split_exists(n, a_prefix) == verdicts[name, a_prefix], (name, a_prefix)
+    assert verdicts["B", 0] and not verdicts["negative control", 0]
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+def test_verdict_holds_past_the_minimal_window(flavor):
+    # one more homological degree and two more weights change no verdict
+    cases = list(golden_modules(flavor)) + list(lift_round(flavor))
+    counts = {True: 0, False: 0}
+    for name, n in cases:
+        low = minimal_window(n)
+        wide = BidegreeWindow(low.hmin, low.hmax + 1, low.wmax + 2)
+        status = naive_lift_check(n).status
+        assert naive_lift_check(n, 0, wide).status == status, name
+        counts[status == "SPLIT"] += 1
     assert counts[True] and counts[False], counts
