@@ -348,6 +348,8 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
     fill stays small.  A column -> unused-rows index gives each column's count
     as the size of its set and lists the rows to eliminate from; a lazy heap
     of (length, row) entries, skipped when stale, gives the next pivot row.
+    A pivot row is scaled only when its pivot is not 1, and its right-hand
+    side is carried to other rows only when it is not 0.
 
     With `rank_only`, rows that already hold a pivot are not updated (nor are
     `rhs` and witnesses): the pivot choice never reads them, so the pivots are
@@ -372,9 +374,14 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
         row = work[i]
         if used[i] or len(row) != n:
             continue
-        col = min(row, key=lambda c: (len(live[c]), c))
-        inv = field.inv(row[col])
-        row = work[i] = {c: mul(v, inv) for c, v in row.items()}
+        col = min(row, key=lambda c: (len(live[c]), c)) if n > 1 else next(iter(row))
+        if row[col] != 1:
+            inv = field.inv(row[col])
+            row = work[i] = {c: mul(v, inv) for c, v in row.items()}
+            if not rank_only:
+                vals[i] = mul(vals[i], inv)
+                if track:
+                    combos[i] = {k: mul(v, inv) for k, v in combos[i].items()}
         used[i] = True
         pivots[col] = i
         for c in row:
@@ -383,9 +390,6 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
                 done.setdefault(c, set()).add(i)
         targets = list(live[col])
         if not rank_only:
-            vals[i] = mul(vals[i], inv)
-            if track:
-                combos[i] = {k: mul(v, inv) for k, v in combos[i].items()}
             targets += [j for j in done[col] if j != i]
         for j in targets:
             dst = work[j]
@@ -395,7 +399,8 @@ def _reduce(field: Field, rows: list[dict], rhs: list, track: bool, rank_only: b
             if not used[j] and dst and len(dst) != before:
                 heapq.heappush(heap, (len(dst), j))
             if not rank_only:
-                vals[j] = add(vals[j], mul(m, vals[i]))
+                if vals[i]:
+                    vals[j] = add(vals[j], mul(m, vals[i]))
                 if track:
                     _axpy(field, combos[j], combos[i], m)
 

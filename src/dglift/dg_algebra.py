@@ -57,7 +57,9 @@ class TowerAlgebra:
     parent and inherits from it: a monomial without the new variable keeps
     its differential, padded with a zero, a slice is the parent's slices
     with powers of the new variable appended, and where `_inherits` holds
-    the parent's echelon, kernel, rank, homology and contraction are read, so only what holds the new variable is computed.
+    the parent's echelon, kernel, rank, homology and contraction are read;
+    elsewhere an echelon starts from the rows of the nearest ancestor that
+    holds it and is kept only on the tower that asked for it.
     The link runs from child to parent only, so a chain of towers is in no
     reference cycle.
     """
@@ -359,26 +361,31 @@ class TowerAlgebra:
 
     def slice_echelon(self, hdeg: int, weight: int) -> list[tuple]:
         """(pivot position, row) pairs spanning the columns of d on the
-        slice, as `matrix_rank` leaves them; computed once per slice.  A
-        tower built by `adjoin` moves its parent's rows to its own positions,
-        reduces only the columns of the basis vectors that hold the last
-        variable against them, and ranks what is left."""
+        slice, as `matrix_rank` leaves them; computed once per slice and
+        kept on this tower only.  Where `_inherits` holds it is the parent's
+        list; otherwise the rows of the nearest ancestor that holds it (none
+        past the root) move to this tower's positions, and the columns of
+        the basis vectors that hold a variable past that ancestor's (every
+        non-zero column when none holds it) are reduced against them in one
+        batch and ranked."""
         key = (hdeg, weight)
         cached = self._echelons.get(key)
         if cached is not None:
             return cached
-        field = self.base.field
         if self._inherits(hdeg, weight):
             cached = self._parent.slice_echelon(hdeg, weight)
-        elif self._parent is None:
+        elif not self.slice_basis(hdeg - 1, weight):
             cached = []
-            matrix_rank(field, self.slice_columns(hdeg, weight), cached)
         else:
-            # the parent's basis vectors, with a zero appended, in their order
-            up = [j for j, (e, _) in enumerate(self.slice_basis(hdeg - 1, weight)) if not e[-1]]
-            cached = [(up[col], {up[c]: v for c, v in row.items()})
-                      for col, row in self._parent.slice_echelon(hdeg, weight)]
-            new = self._images([b for b in self.slice_basis(hdeg, weight) if b[0][-1]], hdeg, weight)
+            field, anc = self.base.field, self._parent
+            while anc is not None and key not in anc._echelons:
+                anc = anc._parent
+            k, rows = (0, []) if anc is None else (anc.n, anc._echelons[key])
+            # the ancestor's basis vectors, zeros appended, in their order
+            up = [j for j, (e, _) in enumerate(self.slice_basis(hdeg - 1, weight)) if not any(e[k:])]
+            cached = [(up[col], {up[c]: v for c, v in row.items()}) for col, row in rows]
+            new = self._images([b for b in self.slice_basis(hdeg, weight) if any(b[0][k:])],
+                               hdeg, weight)
             rest = [r for r in (remainder(field, cached, col) for col in new) if r]
             if rest:
                 matrix_rank(field, rest, cached)

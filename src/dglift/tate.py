@@ -34,16 +34,22 @@ class HomologyTable:
         return sum(self.dims.values())
 
 
+def homology_dim(tower: TowerAlgebra, hdeg: int, w: int) -> int:
+    """Exact dim H_hdeg(tower) on the weight-w slice: dim C - rank d_hdeg -
+    rank d_(hdeg+1), the last read only when the slice is not empty."""
+    dim, down = tower.slice_rank(hdeg, w)
+    return dim and dim - down - tower.slice_rank(hdeg + 1, w)[1]
+
+
 def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> HomologyTable:
-    """Exact dim H_hdeg(tower) per weight <= weight_bound:
-    dim C - rank d_hdeg - rank d_(hdeg+1) on each weight slice."""
+    """Exact dim H_hdeg(tower) per weight <= weight_bound, one entry for each
+    non-empty slice."""
     if hdeg < 0:
         raise TateError("homological degree must be >= 0")
     table = HomologyTable(hdeg=hdeg, weight_bound=weight_bound)
     for w in range(weight_bound + 1):
-        dim, down = tower.slice_rank(hdeg, w)
-        if dim:
-            table.dims[w] = dim - down - tower.slice_rank(hdeg + 1, w)[1]
+        if tower.slice_rank(hdeg, w)[0]:
+            table.dims[w] = homology_dim(tower, hdeg, w)
     return table
 
 
@@ -76,16 +82,16 @@ def _fresh_name(tower: TowerAlgebra, counter: int) -> tuple[str, int]:
 def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra:
     """Kill H_hdeg by adjoining degree-(hdeg+1) variables below the weight bound.
 
-    Classes are killed one at a time, lowest weight first, recomputing homology
-    after each adjunction: multiples of an already-killed class become
+    Classes are killed one at a time, lowest weight first: H_hdeg is read
+    one weight at a time, upward, and while the weight lo has homology a
+    class there is killed.  Multiples of an already-killed class become
     boundaries, so this adjoins one variable per module generator of H_hdeg
-    rather than one per weight-slice basis vector.  Each tower inherits from
-    the one it was adjoined to, so the recomputation is incremental: a
-    degree-(hdeg+1) variable never enters a (hdeg, w) slice, so rank d_hdeg
-    is read off the first tower; one of weight w leaves the (hdeg+1, v)
-    slices with v < w alone, so their ranks are read off the parent; and at
-    weights >= w only the columns that hold the new variable are reduced
-    against the parent's echelon.
+    rather than one per weight-slice basis vector.  A variable of weight lo
+    leaves the slices below lo alone, so the scan never goes back, and no
+    tower ranks a slice above the weight it reads.  A degree-(hdeg+1)
+    variable never enters a (hdeg, w) slice, so rank d_hdeg is read off the
+    first tower, and at weight lo only the columns that hold the new
+    variable are reduced against the parent's echelon.
 
     Requires H_j = 0 for 1 <= j < hdeg within the bound (checked).
     """
@@ -99,16 +105,14 @@ def tate_step(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> TowerAlgebra
                 f"kill it before degree {hdeg}"
             )
     counter = len(tower.variables)
-    while True:
-        dims = homology_dims(tower, hdeg, weight_bound).dims
-        lo = next((w for w, d in dims.items() if d), None)
-        if lo is None:
-            return tower
-        rep = homology_rep(tower, hdeg, lo)
-        if rep is None:
-            raise TateError(f"H_{hdeg} at weight {lo} has no representative; this is a bug")
-        name, counter = _fresh_name(tower, counter)
-        tower = tower.adjoin(name, hdeg + 1, lo, rep)
+    for lo in range(weight_bound + 1):
+        while homology_dim(tower, hdeg, lo):
+            rep = homology_rep(tower, hdeg, lo)
+            if rep is None:
+                raise TateError(f"H_{hdeg} at weight {lo} has no representative; this is a bug")
+            name, counter = _fresh_name(tower, counter)
+            tower = tower.adjoin(name, hdeg + 1, lo, rep)
+    return tower
 
 
 @dataclass

@@ -388,6 +388,31 @@ def test_adjoined_towers_inherit_what_a_fresh_tower_computes(flavor, p, which, z
 
 @pytest.mark.parametrize("flavor", ["divided", "ordinary"])
 @pytest.mark.parametrize("p", [None, 5])
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("z", [None, "even", "odd"])
+def test_towers_asked_from_the_top_down_match_a_fresh_tower(flavor, p, which, z):
+    # the last tower of a chain is asked for every echelon before any of its
+    # ancestors, so where it does not inherit its walk reaches the root and
+    # reduces every column in one batch; the ancestors, asked after it from
+    # the top down, hold only what an inherited slice left on them
+    chain = _chain(flavor, p, which, z)
+    field = chain[0].base.field
+    slices = [(h, w) for h in range(5) for w in range(6)]
+    for k in reversed(range(len(chain))):
+        tower = chain[k]
+        ref = TowerAlgebra(tower.base, tower.flavor, tower.variables)
+        echelons = {s: tower.slice_echelon(*s) for s in slices}
+        for (h, w), echelon in echelons.items():
+            assert tower.slice_rank(h, w) == ref.slice_rank(h, w)
+            assert len(echelon) == ref.slice_rank(h, w)[1]
+            assert not any(remainder(field, echelon, col) for col in ref.slice_columns(h, w))
+            assert tower.slice_kernel(h, w) == ref.slice_kernel(h, w)
+            if tower._inherits(h, w):
+                assert echelon is chain[k - 1].slice_echelon(h, w)
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5])
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(which=st.integers(0, 1), z=st.sampled_from((None, "even", "odd")),
        a=TERMS, b=TERMS)

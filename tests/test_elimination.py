@@ -111,9 +111,10 @@ def transpose(rows):
     return [cols[c] for c in sorted(cols)]
 
 
-def reference_reduce(field, rows, rhs, track):
+def reference_reduce(field, rows, rhs, track, chosen=None):
     """The pivot rule by rescanning every row for each pivot, with full
-    Gauss-Jordan updates."""
+    Gauss-Jordan updates.  Given a list `chosen`, appends (row, pivot value)
+    for each pivot row as it is chosen, before it is scaled."""
     work = [dict(r) for r in rows]
     vals = list(rhs)
     combos = [{i: field.one()} for i in range(len(rows))] if track else None
@@ -134,6 +135,8 @@ def reference_reduce(field, rows, rhs, track):
             break
         i = min(live, key=lambda j: (len(work[j]), j))
         col = min(work[i], key=lambda c: (sum(c in work[j] for j in live), c))
+        if chosen is not None:
+            chosen.append((i, work[i][col]))
         inv = field.inv(work[i][col])
         work[i] = {c: field.mul(v, inv) for c, v in work[i].items()}
         vals[i] = field.mul(vals[i], inv)
@@ -239,9 +242,30 @@ def test_solve_agrees_with_dense_oracle(case, consistent):
         assert res.verify(system)
 
 
+def _unit_pivot_rows(field, rows):
+    """The rows with each pivot row scaled by the inverse of its pivot as the
+    reference chooses it.  An update adds multiples of pivot rows, which are
+    scaled already, so a scaled row stays scaled and the pivot order stays
+    that of `rows`: every pivot is 1 when it is chosen."""
+    chosen: list = []
+    reference_reduce(field, rows, [field.zero()] * len(rows), False, chosen)
+    unit = [dict(r) for r in rows]
+    for i, pivot in chosen:
+        inv = field.inv(pivot)
+        unit[i] = {c: field.mul(v, inv) for c, v in unit[i].items()}
+    chosen.clear()
+    reference_reduce(field, unit, [field.zero()] * len(unit), False, chosen)
+    assert all(pivot == 1 for _, pivot in chosen)
+    return unit
+
+
 def test_pivot_rule_matches_reference():
     # a seeded sweep rather than a hypothesis test: rows that fill in and must
-    # still be chosen later occur in under 1% of small systems
+    # still be chosen later occur in under 1% of small systems.  Each system
+    # is also run with every pivot 1 when it is chosen, and with a zero
+    # right-hand side, as the chain rows of the split system are, so the
+    # steps _reduce skips there (scaling a pivot row, carrying a zero
+    # right-hand side) are held to the reference's full updates as well
     rng = random.Random(5)
     for k in range(3000):
         field = FIELDS[(None, 5, 32003)[k % 3]]
@@ -259,8 +283,11 @@ def test_pivot_rule_matches_reference():
                 cols = rng.sample(range(ncols), min(ncols, rng.randrange(6)))
                 rows.append({c: field.of(rng.choice((-3, -2, -1, 1, 2, 3))) for c in cols})
         rhs = [field.of(rng.randrange(-3, 4)) for _ in rows]
-        for track in (False, True):
-            assert _reduce(field, rows, rhs, track) == reference_reduce(field, rows, rhs, track)
+        zeros = [field.zero()] * len(rows)
+        unit = _unit_pivot_rows(field, rows)
+        for system in ((rows, rhs), (unit, rhs), (rows, zeros), (unit, zeros)):
+            for track in (False, True):
+                assert _reduce(field, *system, track) == reference_reduce(field, *system, track)
         _, _, _, used, pivots = reference_reduce(field, rows, rhs, False)
         assert _reduce(field, rows, None, False, rank_only=True)[3:] == (used, pivots)
         echelon: list = []

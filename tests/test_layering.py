@@ -28,7 +28,8 @@ while E1 dimensions come from one table per complex, and the complex keeps
 no whole matrix, transfer or E1 dimension, which no caller reads again; a
 tower keeps the columns of d on a
 slice in that positional format only, and one predicate, `_inherits`,
-decides where it reads its parent's echelon, kernel and rank; `_axpy` is
+decides where it reads its parent's echelon, kernel and rank, the one
+branch of `slice_echelon` that asks the parent for its echelon; `_axpy` is
 the one scalar `dst += m·src`; the suffix split of tower terms, the Koszul
 flip of a left action, a module's differential by column and the sums of
 module elements each have one home; and every name the benchmark's tracer
@@ -480,6 +481,23 @@ def test_only_inherits_asks_whether_the_last_variable_enters_a_slice():
                     for node in ast.walk(fn)):
                 readers.add((path.name, fn.name))
     assert readers == {("dg_algebra.py", "_inherits")}
+
+
+def test_slice_echelon_reads_the_parent_only_where_it_inherits():
+    # a tower asks its parent for an echelon only in the _inherits branch;
+    # every other slice starts from the rows an ancestor already holds, so
+    # no one-step parent path sits beside that one, and one rank call ranks
+    # what is left, for a root and a child alike
+    fn = _method(_class("dg_algebra.py", "TowerAlgebra"), "slice_echelon")
+    asks = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "slice_echelon"]
+    assert [ast.unparse(node.func.value) for node in asks] == ["self._parent"]
+    (branch,) = [node for node in ast.walk(fn) if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "self._inherits(hdeg, weight)"]
+    assert asks[0] in [node for stmt in branch.body for node in ast.walk(stmt)]
+    ranks = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "matrix_rank"]
+    assert len(ranks) == 1
 
 
 def test_scalar_axpy_has_one_home():

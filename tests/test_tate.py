@@ -252,6 +252,26 @@ def test_homology_rep_reads_the_kernel_memo_of_the_first_tower(monkeypatch):
     assert res.h0.dims == h0.dims
 
 
+def test_no_tower_of_the_chain_ranks_above_the_weight_it_reads():
+    # tate_step reads H_hdeg one weight at a time, upward, and stops at the
+    # first weight with homology, where it adjoins the next variable; an
+    # echelon of that variable's degree above its weight would be one that
+    # nothing read, so no tower strictly between the root and the last one
+    # holds any (the re-verification over the whole bound reads the last)
+    ring = PolyRing(Field(), ("x", "y", "z", "u"), (1, 1, 1, 1))
+    x, y, z, u = (ring.var(n) for n in "xyzu")
+    res = tate_resolution(ring, [x * y, y * z, z * u, u * x], 3, 7)
+    towers = [res.tower]
+    while towers[-1]._parent is not None:
+        towers.append(towers[-1]._parent)
+    towers.reverse()
+    assert len(towers) == 16
+    above = [(k, d, w) for k, tower in enumerate(towers[1:-1], 1)
+             for d, w in tower._echelons
+             if d == res.tower.variables[k].degree and w > res.tower.variables[k].weight]
+    assert not above
+
+
 def _fresh(tower, counter):
     used = set(tower.base.names) | {v.name for v in tower.variables}
     while True:
