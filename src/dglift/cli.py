@@ -19,7 +19,7 @@ from .dg_algebra import check_axioms
 from .dg_module import BidegreeWindow, ModuleError
 from .homological import HomologicalError, ext_dims, naive_lift_check
 from .render import render_element, render_envelope, render_module_elem, render_omega
-from .session import Command, ParseError, Session, parse_session
+from .session import Command, ParseError, Session, parse_session, parse_window
 from .tate import TateError, tate_resolution
 
 OK, OBSTRUCTED, ERROR = 0, 10, 1
@@ -205,14 +205,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="default bidegree window for commands that omit one")
     args = parser.parse_args(argv)
 
-    default_window = None
-    if args.window:
-        try:
-            default_window = BidegreeWindow.parse(args.window)
-        except ModuleError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return ERROR
-
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -221,6 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         return ERROR
 
     try:
+        # an error in --window is reported on line 0
+        default_window = parse_window(args.window) if args.window else None
         session = parse_session(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

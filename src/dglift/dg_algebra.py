@@ -52,10 +52,11 @@ class TowerAlgebra:
     tower never changes, so it memoises its monomial products, monomial
     differentials, slice bases, slice indices, slice columns, slice
     echelons, slice kernels (keyed by position in `slice_basis`), slice
-    ranks, and the homology and contraction of each slice, which are built
-    on first use only.  A tower built by `adjoin` links to its
-    parent and inherits from it: a monomial without the new variable keeps
-    its differential, padded with a zero, a slice is the parent's slices
+    ranks, the homology and contraction of each slice, and the plain data
+    of its envelopes, which are built on first use only.  A tower built by
+    `adjoin` links to its parent and inherits from it: a monomial without
+    the new variable keeps its differential, padded with a zero, a slice is
+    the parent's slices
     with powers of the new variable appended, and where `_inherits` holds
     the parent's echelon, kernel, rank, homology and contraction are read;
     elsewhere an echelon starts from the rows of the nearest ancestor that
@@ -69,6 +70,8 @@ class TowerAlgebra:
     # towers (those of Tate's construction, for one) never read them
     _homology: "dict | None" = None
     _contractions: "dict | None" = None
+    # the envelope's data of this tower, made on first use (`envelope_memo`)
+    _envelope: "dict | None" = None
 
     def __init__(self, base: PolyRing, flavor: str = DIVIDED,
                  variables: tuple[DGVariable, ...] = ()):
@@ -423,6 +426,17 @@ class TowerAlgebra:
                 cached = (len(self.slice_basis(hdeg, weight)), len(self.slice_echelon(hdeg, weight)))
             self._slice_ranks[key] = cached
         return cached
+
+    def envelope_memo(self) -> dict:
+        """The memo `envelope.EnvelopeAlgebra` keeps on this tower: the
+        diagonal variables per prefix and the quotients J^(l)/J^(l+1) per
+        prefix, level and window, as plain data (tuples, dicts, ints,
+        scalars and strings), so that it holds no element, tower or
+        envelope and every envelope of the tower stays freed with its last
+        reference; made on first use."""
+        if self._envelope is None:
+            self._envelope = {}
+        return self._envelope
 
     # --- the contraction of a slice onto its homology ----------------------
 

@@ -86,6 +86,18 @@ class SemifreeModule:
         if validate:
             self._validate()
 
+    @classmethod
+    def from_terms(cls, tower: TowerAlgebra, basis, diff: dict, *,
+                   complete_hmax: int | None = None,
+                   complete_wmax: int | None = None) -> "SemifreeModule":
+        """The module of a memo's plain data: the basis as (name, degree,
+        weight) triples and the differential as {(a, b): term map of the
+        tower}, read as elements that share the maps; built from a module
+        that was sound, so not validated."""
+        return cls(tower, [BasisElement(*e) for e in basis],
+                   {k: AlgebraElement(tower, terms) for k, terms in diff.items()},
+                   complete_hmax=complete_hmax, complete_wmax=complete_wmax, validate=False)
+
     # --- validation -------------------------------------------------------
 
     def _validate(self):
@@ -377,15 +389,18 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
         g_name = monomial_text(ext_names, gex, divided, "", "1")
         basis.append(BasisElement(f"{n.basis[alpha].name}⊗{g_name}", h, w))
 
-    def full_exps(gex):
-        return (0,) * a_prefix + tuple(gex)
-
     diff: dict = {}
     pi_entries: dict = {}
+    base_one = (0,) * len(tower.base.names)
     for (alpha, gex), idx in pos.items():
-        g_elem = tower.monomial(full_exps(gex))
-        du = n.apply_diff({alpha: g_elem})
-        for gamma, c in du.items():
+        # d(e_alpha (x) g) = sum_a e_a·(dN[a, alpha]·g) + (-1)^|e_alpha| e_alpha·dg,
+        # each dN[a, alpha]·g a shift of the entry by the monomial g
+        g = (0,) * a_prefix + gex
+        dg = tower.monomial_diff(g)
+        parts = [(a, tower.monomial_times((g, base_one), entry, right=True))
+                 for a, entry in n.columns.get(alpha, ())]
+        parts.append((alpha, -dg if n.basis[alpha].degree % 2 else dg))
+        for gamma, c in parts:
             # c = sum g·a over extension monomials g, a in the subtower A
             for g2, a in tower.split_at(c, a_prefix, tower, right=True).items():
                 j = pos.get((gamma, g2))
@@ -394,7 +409,7 @@ def base_change(n: SemifreeModule, window: BidegreeWindow, a_prefix: int = 0
                         "window too small: differential leaves the window"
                     )
                 diff[j, idx] = a
-        pi_entries[idx] = {alpha: g_elem}
+        pi_entries[idx] = {alpha: tower.monomial(g)}
 
     # built from the validated N, so not validated again
     p = SemifreeModule(

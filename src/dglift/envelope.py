@@ -20,6 +20,8 @@ the tensor form L^o (x) r that reports print.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base_ring import matrix_rank
 from .dg_algebra import AlgebraElement, DGVariable, TowerAlgebra
 from .dg_module import BasisElement, BidegreeWindow, ModuleError, SemifreeModule
@@ -40,24 +42,49 @@ class EnvelopeAlgebra:
         self.a_prefix = a_prefix
         self.n_ext = tower.n - a_prefix
         n, ext = tower.n, tower.variables[a_prefix:]
-        # xi_i is adjoined to the tower of the diagonals before it, in which
-        # phi(dX_i) is computed; dX_i holds no X_j with j >= i
-        algebra = TowerAlgebra(tower.base, tower.flavor, tower.variables)
-        for v in ext:
-            dx = tower.gen(v.name).differential()
-            target = algebra.substitute(dx, self._phi(algebra)) - algebra.embed(dx)
-            xi = DGVariable(f"ξ({v.name})", v.degree, v.weight,
-                            tuple(sorted(target.coeffs.items())) or None)
-            algebra = TowerAlgebra(tower.base, tower.flavor, algebra.variables + (xi,))
-        self.algebra = algebra
-        self._phi_images = self._phi(algebra)
-        self._flip_images = self._phi_images + [-algebra.variable_power(j, 1)
-                                                for j in range(n, algebra.n)]
+        memo = tower.envelope_memo()
+        xis = memo.get(("xi", a_prefix))
+        if xis is None:
+            # xi_i is adjoined to the tower of the diagonals before it, in
+            # which phi(dX_i) is computed; dX_i holds no X_j with j >= i
+            algebra = TowerAlgebra(tower.base, tower.flavor, tower.variables)
+            for v in ext:
+                dx = tower.gen(v.name).differential()
+                target = algebra.substitute(dx, self._phi(algebra)) - algebra.embed(dx)
+                xi = DGVariable(f"ξ({v.name})", v.degree, v.weight,
+                                tuple(sorted(target.coeffs.items())) or None)
+                algebra = TowerAlgebra(tower.base, tower.flavor, algebra.variables + (xi,))
+            xis = memo["xi", a_prefix] = tuple((xi.name, xi.degree, xi.weight, xi.target or ())
+                                               for xi in algebra.variables[n:])
+        self.algebra = TowerAlgebra(tower.base, tower.flavor, tower.variables + tuple(
+            DGVariable(name, degree, weight, target or None) for name, degree, weight, target in xis))
+
+    # the images of the three changes of generators, made on first use,
+    # since the quotient modules, which `lift` builds, read none of them
+
+    @cached_property
+    def _phi_images(self) -> list[AlgebraElement]:
+        return self._phi(self.algebra)
+
+    @cached_property
+    def _flip_images(self) -> list[AlgebraElement]:
+        algebra = self.algebra
+        return self._phi_images + [-algebra.variable_power(j, 1)
+                                   for j in range(self.tower.n, algebra.n)]
+
+    @cached_property
+    def _opposite(self) -> TowerAlgebra:
         # B<X^o> only holds the tensor form, so its X^o need no differential
-        self._opposite = TowerAlgebra(tower.base, tower.flavor, tower.variables + tuple(
-            DGVariable(v.name + "^o", v.degree, v.weight, None) for v in ext))
-        xo = [self._opposite.variable_power(j, 1) for j in range(self._opposite.n)]
-        self._tensor_images = xo[:n] + [xo[j] - xo[j - n + a_prefix] for j in range(n, len(xo))]
+        tower = self.tower
+        return TowerAlgebra(tower.base, tower.flavor, tower.variables + tuple(
+            DGVariable(v.name + "^o", v.degree, v.weight, None)
+            for v in tower.variables[self.a_prefix:]))
+
+    @cached_property
+    def _tensor_images(self) -> list[AlgebraElement]:
+        n, opposite = self.tower.n, self._opposite
+        xo = [opposite.variable_power(j, 1) for j in range(opposite.n)]
+        return xo[:n] + [xo[j] - xo[j - n + self.a_prefix] for j in range(n, len(xo))]
 
     def _phi(self, algebra: TowerAlgebra) -> list[AlgebraElement]:
         """The images X_i + xi_i of phi in a tower of the diagonals of the
@@ -195,10 +222,32 @@ class EnvelopeAlgebra:
 
         Semifree basis = Mon_level(Omega) monomials inside the window; the
         differential of a basis monomial is the level-`level` part of its
-        differential in the envelope tower, read in right coordinates.
+        differential in the envelope tower, read in right coordinates.  The
+        basis and the term maps of the differential are computed once per
+        prefix, level and window, and kept on the tower.
         """
         if level < 0:
             raise EnvelopeError("filtration level must be >= 0")
+        memo = self.tower.envelope_memo()
+        key = ("quotient", self.a_prefix, level, window.hmin, window.hmax, window.wmax)
+        data = memo.get(key)
+        if data is None:
+            data = memo[key] = self._quotient_terms(level, window)
+        basis, diff = data
+        # d^2 = 0 holds in the envelope tower, so the module is not validated
+        module = SemifreeModule.from_terms(
+            self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax)
+
+        # in J^(l)/J^(l+1) the left and right actions agree up to the Koszul
+        # flip: b·e_k = e_k·b.koszul(|e_k|)
+        degrees = [degree for _, degree, _ in basis]
+        module.left_action_fn = lambda b, k: {k: b.koszul(degrees[k])}
+        return module
+
+    def _quotient_terms(self, level: int, window: BidegreeWindow) -> tuple[tuple, dict]:
+        """The basis of J^(level)/J^(level+1) in the window as (name,
+        degree, weight) triples, and its differential as {(i, j): term map
+        over B}."""
         cands = []
         for exps in self.omega_exponents(level, window.wmax):
             h = self.ext_degree(exps)
@@ -208,7 +257,6 @@ class EnvelopeAlgebra:
         cands.sort()
         pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
 
-        basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]
         diff: dict = {}
         for (h, exps, w) in cands:
             j = pos[exps]
@@ -222,18 +270,8 @@ class EnvelopeAlgebra:
                         f"window {window.format()} cuts the differential of "
                         f"{omega_name(self, exps)}"
                     )
-                diff[(i, j)] = c
-
-        # d^2 = 0 holds in the envelope tower, so the module is not validated
-        module = SemifreeModule(
-            self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
-            validate=False,
-        )
-
-        # in J^(l)/J^(l+1) the left and right actions agree up to the Koszul
-        # flip: b·e_k = e_k·b.koszul(|e_k|)
-        module.left_action_fn = lambda b, k: {k: b.koszul(basis[k].degree)}
-        return module
+                diff[(i, j)] = c.coeffs
+        return tuple((omega_name(self, exps), h, w) for h, exps, w in cands), diff
 
     def diagonal_ideal_module(self, max_weight: int) -> SemifreeModule:
         """The diagonal ideal J as a semifree DG B-module, complete up to the

@@ -279,6 +279,12 @@ class HomComplex:
             self._grid = (k_top, v_top)
         return self._e1.get((d, w), [])
 
+    def e1_slices(self, d: int, w: int) -> list[tuple[int, int]]:
+        """The slices (d', w') of E1 with d' <= d and w' <= w that hold a
+        block with homology, sorted, the grid grown once to reach (d, w)."""
+        self._e1_blocks(d, w)
+        return sorted(key for key in self._e1 if key[0] <= d and key[1] <= w)
+
     def e1_dim(self, d: int, w: int) -> int:
         """Dimension of E1 in the (d, w) slice: the sum over its entry of
         the E1 table."""
@@ -351,11 +357,13 @@ def ext_dims(m: SemifreeModule, l: SemifreeModule, i_range: tuple[int, int],
     for w in range(w_lo, w_hi + 1):
         hom.require_complete(-imin + 1, w)
     table = ExtTable(i_range=(imin, imax), weight_range=(w_lo, w_hi), window=window)
-    for i in range(imin, imax + 1):
-        for w in range(w_lo, w_hi + 1):
-            dim = hom.e1_dim(-i, w) and hom.homology_dim(-i, w)
+    # H_d reads E1 on the slices d - 1, d and d + 1, so the loop reads up to
+    # (1 - imin, w_hi); a slice without E1 has no homology
+    for d, w in hom.e1_slices(1 - imin, w_hi):
+        if -imax <= d <= -imin and w >= w_lo:
+            dim = hom.homology_dim(d, w)
             if dim:
-                table.dims[(i, w)] = dim
+                table.dims[(-d, w)] = dim
     return table
 
 

@@ -52,6 +52,9 @@ KEYWORDS = {
 
 # the least value of each command bound, checked where the number is read
 LEAST = {"budget": 0, "wbound": 0, "hbound": 1}
+# the largest size of a window bound, checked where the window is read: a
+# windowed command reads slices up to the window, so a huge one never ends
+WINDOW_LIMIT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +172,15 @@ class _Cursor:
         return sign * int(tok.text)
 
     def window(self) -> BidegreeWindow:
-        """`hmin:hmax:wmax`."""
-        start = self.peek()
-        bounds = [self.int("window hmin")]
-        for what in ("window hmax", "window wmax"):
-            self.expect(":", "window must look like hmin:hmax:wmax")
+        """`hmin:hmax:wmax`, each bound at most WINDOW_LIMIT in size."""
+        start, bounds = self.peek(), []
+        for what in ("window hmin", "window hmax", "window wmax"):
+            if bounds:
+                self.expect(":", "window must look like hmin:hmax:wmax")
+            at = self.peek()
             bounds.append(self.int(what))
+            if abs(bounds[-1]) > WINDOW_LIMIT:
+                self.error(f"{what} must lie within -{WINDOW_LIMIT}..{WINDOW_LIMIT}", at)
         try:
             return BidegreeWindow(*bounds)
         except ModuleError as exc:
@@ -816,6 +822,17 @@ class _Builder:
         self.commands.append(Command(
             kind, {"gens": gens, "hbound": kw["hbound"], "wbound": kw["wbound"]}, cur.line
         ))
+
+
+def parse_window(text: str) -> BidegreeWindow:
+    """A window given on its own, as by the command line's `--window`: read
+    as in a session, and a ParseError positioned on line 0."""
+    cur = _Cursor(tokenize_line(text, 0), 0)
+    if not cur.toks:
+        raise ParseError("window must look like hmin:hmax:wmax", 0, 1)
+    window = cur.window()
+    cur.done()
+    return window
 
 
 def parse_session(text: str) -> Session:

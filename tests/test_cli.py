@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from dglift import BasePoly, Field, PolyRing, TowerAlgebra, cli
 from dglift.cli import main
 from dglift.render import render_element, render_poly
+from dglift.session import WINDOW_LIMIT
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -220,3 +222,79 @@ def test_a_half_prints_as_a_slash(tmp_path, monkeypatch):
     assert render_element(tower.monomial((1,), BasePoly(ring, {(0,): half}))) == "1/2·X"
     _, witness = _witness(tmp_path, monkeypatch, half)
     assert witness["value"] == "1/2" and set(witness["combo"].values()) == {"1/2"}
+
+
+SPLIT_DECLARATIONS = "".join((GOLDENS / "split.session").read_text(encoding="utf-8")
+                             .splitlines(keepends=True)[:13])
+
+
+@pytest.mark.parametrize("command,col,what", [
+    ("run ext N N 0..2 0:100000:100000", 20, "window hmax"),
+    ("run envelope-basis 0:100000:100000 over 0", 22, "window hmax"),
+    ("run envelope-basis 0:3:1001 over 0", 24, "window wmax"),
+    ("run ext N N 0..2 -1001:2:3", 18, "window hmin"),
+])
+def test_huge_windows_are_refused_at_the_number(tmp_path, capsys, command, col, what):
+    # appended to the declarations of the split golden; refused where the
+    # window is read, before any command runs
+    session = tmp_path / "window.session"
+    session.write_text(SPLIT_DECLARATIONS + command + "\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert main([str(session), "--report", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    message = f"{what} must lie within -{WINDOW_LIMIT}..{WINDOW_LIMIT}"
+    assert message in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["error"] == {"line": 14, "col": col, "message": message}
+    assert doc["reports"] == []
+
+
+def test_the_window_flag_is_read_as_a_session_window(tmp_path, capsys):
+    # its errors are positioned on line 0 and written to the error report
+    session = tmp_path / "w.session"
+    session.write_text(SPLIT_DECLARATIONS + "run ext N N 0..2\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    for flag, col, message in (("0:2:100000", 5, "window wmax must lie within -1000..1000"),
+                               ("0:2", 3, "window must look like hmin:hmax:wmax"),
+                               ("3:1:2", 1, "empty homological range 3:1"),
+                               ("0:2:3:4", 6, "unexpected ':'")):
+        assert main([str(session), "--window", flag, "--report", str(out)]) == 1
+        assert json.loads(out.read_text())["error"] == {"line": 0, "col": col, "message": message}
+    assert main([str(session), "--window", "0:2:3", "--report", str(out)]) == 0
+
+
+def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
+    # the largest window bound of the goldens, and the largest bound each
+    # bench shape gives a window or a command: the lift windows derived
+    # from N as the benchmark derives them, the Tate and axiom bounds
+    import importlib
+    import re
+
+    sys.path.insert(0, str(SRC.parent / "bench"))
+    try:
+        import run
+        import workloads
+    finally:
+        sys.path.pop(0)
+    # the modules already imported: run.import_dglift would import them afresh
+    dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
+    bounds = [abs(int(b)) for path in sorted(GOLDENS.glob("*.session"))
+              for window in re.findall(r"-?\d+:-?\d+:-?\d+", path.read_text(encoding="utf-8"))
+              for b in window.split(":")]
+    assert bounds
+    for name, workload in workloads.WORKLOADS.items():
+        shapes, _ = workload().shapes(dg)
+        for shape in shapes:
+            if name == "lift":
+                gens = [(d0, w0) for _, d0, w0, *_ in shape[2]]
+                gens += [(d0 + zh + 1, w0 + zw) for kind, d0, w0, *cone in shape[2]
+                         if kind != "free" for zh, zw, _ in [cone]]
+                height = max(d for d, _ in gens) - min(d for d, _ in gens) + 1
+                weights = [w for _, w in gens]
+                bounds += [height, max(weights), 2 * (max(weights) - min(weights))]
+            elif name == "resolve":
+                bounds += [3, shape[2]]
+            else:
+                bounds += [shape[4] + 2, shape[4]]
+    assert 100 * max(bounds) <= WINDOW_LIMIT

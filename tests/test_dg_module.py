@@ -12,6 +12,7 @@ from dglift import (
     make_semifree,
     tensor_bimodule,
 )
+from dglift.render import monomial_text
 
 
 @pytest.fixture
@@ -286,3 +287,58 @@ def test_modules_built_from_validated_ones_pass_validation(monkeypatch, flavor, 
     assert not calls and len(built) > 40
     for module in built:
         validate(module)
+
+
+def _element_route_base_change(n, window, a_prefix):
+    """P = N|_A (x)_A B and pi by module-element operations, as plain data:
+    the basis e_alpha (x) g sorted by (degree, alpha, g), and d(e_alpha (x)
+    g) as n.apply_diff({alpha: g}), read by `split_at` over the extension
+    monomials."""
+    tower = n.tower
+    ext = range(a_prefix, tower.n)
+    pairs = []
+    for alpha, e in enumerate(n.basis):
+        for full in tower.gamma_monomials(window.wmax - e.weight, window.hmax - e.degree, ext):
+            h, w = tower.monomial_bidegree(full)
+            pairs.append((e.degree + h, e.weight + w, alpha, full[a_prefix:]))
+    pairs.sort(key=lambda t: (t[0], t[2], t[3]))
+    names = [v.name for v in tower.variables[a_prefix:]]
+    basis = [(f"{n.basis[alpha].name}⊗{monomial_text(names, g, tower.flavor == 'divided', '', '1')}",
+              h, w) for h, w, alpha, g in pairs]
+    pos = {(alpha, g): idx for idx, (_, _, alpha, g) in enumerate(pairs)}
+    diff, pi = {}, {}
+    for (alpha, g), idx in pos.items():
+        elem = tower.monomial((0,) * a_prefix + g)
+        for gamma, c in n.apply_diff({alpha: elem}).items():
+            for g2, a in tower.split_at(c, a_prefix, tower, right=True).items():
+                diff[pos[gamma, g2], idx] = a.coeffs
+        pi[idx] = {alpha: elem.coeffs}
+    return basis, diff, pi
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_base_change_by_monomial_shifts_matches_the_element_route(flavor, p):
+    # P's differential shifts each entry dN[a, alpha] by the monomial g and
+    # reads dg off the tower's memo; the element route applies N's
+    # differential to e_alpha·g
+    import random
+
+    from test_ext_e1 import acceptance_towers, lift_shaped
+
+    rng = random.Random(26)
+    checked = 0
+    for tower in acceptance_towers(flavor, p):
+        modules = [n for n in (lift_shaped(tower, rng, k) for k in (1, 2, 2, 3, 3)) if n]
+        assert modules
+        for n in modules:
+            window = BidegreeWindow(n.min_degree(), n.max_degree() + 1, n.max_weight() + 1)
+            for a_prefix in range(tower.n + 1):
+                p_mod, pi = base_change(n, window, a_prefix)
+                basis, diff, pi_want = _element_route_base_change(n, window, a_prefix)
+                assert [(e.name, e.degree, e.weight) for e in p_mod.basis] == basis
+                assert {k: v.coeffs for k, v in p_mod.diff.items()} == diff
+                assert {i: {a: c.coeffs for a, c in img.items()}
+                        for i, img in pi.entries.items()} == pi_want
+                checked += bool(diff)
+    assert checked > 10

@@ -475,3 +475,68 @@ def test_towers_and_envelope_used_by_ext_and_lift_are_freed_without_the_cycle_co
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def _quotient_data(q):
+    return ([(b.name, b.degree, b.weight) for b in q.basis],
+            {k: v.coeffs for k, v in q.diff.items()}, q.complete_hmax, q.complete_wmax)
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_a_second_envelope_reads_what_a_fresh_tower_computes(monkeypatch, flavor, p):
+    # the diagonals and the quotients J^(l)/J^(l+1) are kept on the tower:
+    # a second envelope of the tower reads them, and gets the variables and
+    # the modules that the envelope of a fresh, equal tower computes
+    from test_ext_e1 import acceptance_towers
+
+    windows = [BidegreeWindow(0, 4, 4), BidegreeWindow(-1, 3, 2)]
+    towers = acceptance_towers(flavor, p)
+    for which, tower in enumerate(towers):
+        for a_prefix in range(tower.n + 1):
+            first = EnvelopeAlgebra(tower, a_prefix)
+            built = [first.quotient_module(level, window) for level in (0, 1, 2)
+                     for window in windows]
+            fresh = EnvelopeAlgebra(acceptance_towers(flavor, p)[which], a_prefix)
+            computed = [fresh.quotient_module(level, window) for level in (0, 1, 2)
+                        for window in windows]
+            calls = []
+            real = EnvelopeAlgebra._quotient_terms
+            monkeypatch.setattr(EnvelopeAlgebra, "_quotient_terms",
+                                lambda self, *args: calls.append(args) or real(self, *args))
+            second = EnvelopeAlgebra(tower, a_prefix)
+            read = [second.quotient_module(level, window) for level in (0, 1, 2)
+                    for window in windows]
+            monkeypatch.undo()
+            assert not calls
+            assert second.algebra == first.algebra == fresh.algebra
+            assert second.algebra.variables == fresh.algebra.variables
+            for q, r, c in zip(built, read, computed):
+                assert _quotient_data(r) == _quotient_data(c) == _quotient_data(q)
+                assert r.tower is tower and c.tower is not tower
+                b = tower.gen(tower.variables[0].name)
+                for k, e in enumerate(r.basis):
+                    assert r.left_action_fn(b, k) == {k: b.koszul(e.degree)}
+
+
+def test_the_envelope_memo_holds_plain_data_only(mixed_tower):
+    # no element, tower, envelope or module: only tuples, dicts, ints,
+    # scalars and strings, so the memo keeps nothing alive but itself
+    from fractions import Fraction
+
+    for a_prefix in (0, 2):
+        env = EnvelopeAlgebra(mixed_tower, a_prefix)
+        for level in (0, 1, 2):
+            assert env.quotient_module(level, BidegreeWindow(0, 6, 5)).basis
+    memo = mixed_tower._envelope
+    assert {key[0] for key in memo} == {"xi", "quotient"}
+    seen, todo = set(), [memo]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert type(obj) in (tuple, dict, int, Fraction, str), type(obj)
+        if type(obj) is not Fraction:  # its referents are two ints and its class
+            todo.extend(gc.get_referents(obj))
+    assert len(seen) > 100

@@ -324,3 +324,82 @@ def test_e1_route_on_random_semifree_pairs(flavor, p, which, seed, source, targe
             if hom.dim(d, w) + hom.dim(d - 1, w) <= 150:
                 for lab, col, want in labelled_columns(hom, d, w):
                     assert col == want, (d, w, lab)
+
+
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_ext_tables_against_the_quotients_match_the_dense_rank(p):
+    # Ext(N, N (x) J^(l)/J^(l+1)), l = 1, 2, of the cross-check modules, in
+    # the windows of the lift benchmark: ext_dims reads only the slices the
+    # E1 table holds, and every other cell must be zero in the whole matrix
+    for name, n in cross_check_modules(Field(p)).items():
+        height = n.max_degree() - n.min_degree() + 1
+        wmin = min(e.weight for e in n.basis)
+        window = BidegreeWindow(0, height, n.max_weight())
+        env = EnvelopeAlgebra(n.tower, 0)
+        for level in (1, 2):
+            q = env.quotient_module(level, BidegreeWindow(0, height, 2 * (n.max_weight() - wmin)))
+            l = tensor_bimodule(n, q)
+            table = ext_dims(n, l, (0, height), window)
+            hom = HomComplex(n, l)
+            for i in range(0, height + 1):
+                for w in range(table.weight_range[0], table.weight_range[1] + 1):
+                    assert table.dim(i, w) == dense_homology_dim(hom, -i, w), (name, level, i, w)
+
+
+def massey_chain(flavor, p, kappa):
+    """M = e0, e1, e2 with d e1 = e0·ab, d e2 = e1·a + e0·kappa·ua over the
+    exterior tower k<a, b, u>, |a| = |b| = 1, |u| = 3 and du = ab, and L
+    free on one generator of degree 1.  ab = du is a boundary, ab·a = 0 and
+    u·a is a cycle that is not a boundary, so the class [1] of the block
+    (e0, v) has D_H = p delta h delta i [1] = ±[ua] in the block (e2, v),
+    a term with k = 1 (a Massey product), plus the first-order kappa·[ua];
+    the sign of h is that of the odd generator v."""
+    t = TowerAlgebra(PolyRing(Field(p), (), ()), flavor)
+    t = t.adjoin("a", 1, 1, None).adjoin("b", 1, 1, None)
+    t = t.adjoin("u", 3, 2, t.gen("a") * t.gen("b"))
+    a, b, u = t.gen("a"), t.gen("b"), t.gen("u")
+    m = make_semifree(t, [("e0", 0, 0), ("e1", 3, 2), ("e2", 5, 3)],
+                      {("e0", "e1"): a * b, ("e1", "e2"): a,
+                       ("e0", "e2"): (u * a).scale_int(kappa)})
+    return m, make_semifree(t, [("v", 1, 0)], {})
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
+def test_second_order_terms_of_d_h_change_ext(flavor, p):
+    # with kappa = 0 the k = 1 term alone moves [1] off the cycles; with
+    # kappa = -1 it cancels the first-order term, so [1] is a cycle and
+    # [ua] is not a boundary: a series truncated after its first term, or
+    # an h delta without the sign of d0, changes Ext^0 and Ext^-1 in
+    # weight 0 both times
+    window = BidegreeWindow(0, 8, 4)
+    want = {0: (1, 0), -1: (2, 1), 1: (1, 0)}  # kappa: (Ext^0, Ext^-1) in weight 0
+    for kappa, (ext0, ext_minus1) in want.items():
+        m, l = massey_chain(flavor, p, kappa)
+        table = ext_dims(m, l, (-2, 6), window)
+        hom = HomComplex(m, l)
+        assert (table.dim(0, 0), table.dim(-1, 0)) == (ext0, ext_minus1), kappa
+        for i in range(-2, 7):
+            for w in range(table.weight_range[0], table.weight_range[1] + 1):
+                assert table.dim(i, w) == dense_homology_dim(hom, -i, w), (kappa, i, w)
+        # the column of [1], a map of degree |v| = 1, against the
+        # first-order truncation p delta i
+        ((_, one),) = hom.e1_vectors(1, 0)
+        (col,) = hom.e1_columns(1, 0)
+        first: dict = {}
+        for pos, s in one.items():
+            _axpy(m.tower.base.field, first, hom._transfer(1, 0, pos)[0], s)
+        assert col != first and (col == {}) == (kappa == -1), kappa
+        assert [col] == perturbed_columns(hom, 1, 0)
+
+
+def test_ext_dims_asks_for_homology_only_where_e1_is_not_empty(monkeypatch):
+    asked = []
+    real = HomComplex.homology_dim
+    monkeypatch.setattr(HomComplex, "homology_dim",
+                        lambda self, d, w: asked.append((self, d, w)) or real(self, d, w))
+    for p in (None, 5):
+        for name, n in cross_check_modules(Field(p)).items():
+            window = BidegreeWindow(0, n.max_degree() - n.min_degree() + 1, n.max_weight())
+            ext_dims(n, n, (0, 3), window)
+    assert asked and all(hom._e1.get((d, w)) for hom, d, w in asked)

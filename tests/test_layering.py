@@ -552,3 +552,21 @@ def test_module_layer_rules_have_one_home_each():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert {"SemifreeModule.add_elem", "SemifreeModule.neg_elem",
             "SemifreeModule.mul_elem", "a.koszul"} <= session_calls
+
+
+def test_ext_dims_reads_homology_only_on_the_slices_e1_holds():
+    # ext_dims grows the E1 grid once and asks for homology only on the
+    # (d, w) slices the E1 table holds: no loop over the whole i x w
+    # rectangle, and no E1 dimension read per cell
+    tree = ast.parse((SRC / "homological.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "ext_dims"]
+    asks = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "homology_dim"]
+    assert len(asks) == 1
+    loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)
+             and asks[0] in [n for stmt in node.body for n in ast.walk(stmt)]]
+    assert [ast.unparse(node.iter) for node in loops] == ["hom.e1_slices(1 - imin, w_hi)"]
+    assert not _calls_in(fn) & {"e1_dim", "_e1_blocks"}
+    slices = _method(_class("homological.py", "HomComplex"), "e1_slices")
+    assert "_e1_blocks" in _calls_in(slices)
