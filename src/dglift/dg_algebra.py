@@ -51,14 +51,15 @@ class TowerAlgebra:
     path that also checks the cycle condition on differential targets.  A
     tower never changes, so it memoises its monomial products, monomial
     differentials, slice bases, slice indices, slice columns, slice
-    echelons, slice kernels (keyed by position in `slice_basis`), slice
-    ranks, the homology and contraction of each slice, and the plain data
-    of its envelopes, which are built on first use only.  A tower built by
-    `adjoin` links to its parent and inherits from it: a monomial without
-    the new variable keeps its differential, padded with a zero, a slice is
-    the parent's slices
+    echelons, slice kernels (keyed by position in `slice_basis`), the
+    homology and contraction of each slice, and the plain data of its
+    envelopes, which are built on first use only; a slice's rank is the
+    length of its echelon, and `slice_dim` reads its dimension on the
+    ancestor whose slice it is.  A tower built by `adjoin` links to its parent
+    and inherits from it: a monomial without the new variable keeps its
+    differential, padded with a zero, a slice is the parent's slices
     with powers of the new variable appended, and where `_inherits` holds
-    the parent's echelon, kernel, rank, homology and contraction are read;
+    the parent's echelon, kernel, homology and contraction are read;
     elsewhere an echelon starts from the rows of the nearest ancestor that
     holds it and is kept only on the tower that asked for it.
     The link runs from child to parent only, so a chain of towers is in no
@@ -91,7 +92,6 @@ class TowerAlgebra:
         self._slices: dict[tuple[int, int], tuple] = {}
         self._indices: dict[tuple[int, int], dict] = {}
         self._columns: dict[tuple[int, int], list[dict]] = {}
-        self._slice_ranks: dict[tuple[int, int], tuple[int, int]] = {}
         self._echelons: dict[tuple[int, int], list[tuple]] = {}
         self._kernels: dict[tuple[int, int], list[dict]] = {}
         names = [v.name for v in self.variables]
@@ -342,7 +342,9 @@ class TowerAlgebra:
     def slice_columns(self, hdeg: int, weight: int) -> list[dict]:
         """The columns of d on the (hdeg, weight) slice: d of each basis
         vector, in basis order, as a {position: scalar} map over the basis
-        of the (hdeg - 1, weight) slice; computed once per slice."""
+        of the (hdeg - 1, weight) slice; computed once per slice and kept
+        for the Ext path (homology, contraction, Hom assembly), which reads
+        them again."""
         key = (hdeg, weight)
         cached = self._columns.get(key)
         if cached is None:
@@ -359,8 +361,16 @@ class TowerAlgebra:
     def _inherits(self, hdeg: int, weight: int) -> bool:
         """Whether the last variable of a tower built by `adjoin` enters
         neither the (hdeg, weight) slice nor the one below: both are then the
-        parent's in the same positions, and so are echelon, kernel and rank."""
+        parent's in the same positions, and so are echelon and kernel."""
         return self._parent is not None and (hdeg < self._degrees[-1] or weight < self._weights[-1])
+
+    def slice_dim(self, hdeg: int, weight: int) -> int:
+        """len(slice_basis(hdeg, weight)), read on the nearest ancestor whose
+        slice it is, so that no padded copy of that slice is built here."""
+        tower = self
+        while tower._inherits(hdeg, weight):
+            tower = tower._parent
+        return len(tower.slice_basis(hdeg, weight))
 
     def slice_echelon(self, hdeg: int, weight: int) -> list[tuple]:
         """(pivot position, row) pairs spanning the columns of d on the
@@ -398,7 +408,8 @@ class TowerAlgebra:
     def slice_kernel(self, hdeg: int, weight: int) -> list[dict]:
         """A basis of the kernel of d on the (hdeg, weight) slice, as
         {position: scalar} maps over `slice_basis` in the order of
-        `nullspace_basis`; computed once per slice."""
+        `nullspace_basis`; computed once per slice from columns that are
+        not kept, since no later call reads them."""
         key = (hdeg, weight)
         cached = self._kernels.get(key)
         if cached is None:
@@ -406,25 +417,12 @@ class TowerAlgebra:
                 cached = self._parent.slice_kernel(hdeg, weight)
             else:
                 rows: dict = {}
-                for j, image in enumerate(self.slice_columns(hdeg, weight)):
+                basis = self.slice_basis(hdeg, weight)
+                for j, image in enumerate(self._images(basis, hdeg, weight)):
                     for k, scalar in image.items():
                         rows.setdefault(k, {})[j] = scalar
-                cached = nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)],
-                                         len(self.slice_basis(hdeg, weight)))
+                cached = nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)], len(basis))
             self._kernels[key] = cached
-        return cached
-
-    def slice_rank(self, hdeg: int, weight: int) -> tuple[int, int]:
-        """(dim, rank d) of the (hdeg, weight) slice, computed once; the
-        columns are ranked as rows, since row rank equals column rank."""
-        key = (hdeg, weight)
-        cached = self._slice_ranks.get(key)
-        if cached is None:
-            if self._inherits(hdeg, weight):
-                cached = self._parent.slice_rank(hdeg, weight)
-            else:
-                cached = (len(self.slice_basis(hdeg, weight)), len(self.slice_echelon(hdeg, weight)))
-            self._slice_ranks[key] = cached
         return cached
 
     def envelope_memo(self) -> dict:

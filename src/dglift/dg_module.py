@@ -37,17 +37,6 @@ class BidegreeWindow:
         if self.wmax < 0:
             raise ModuleError("weight bound must be >= 0")
 
-    @classmethod
-    def parse(cls, text: str) -> "BidegreeWindow":
-        bits = text.split(":")
-        if len(bits) != 3:
-            raise ModuleError(f"window must look like hmin:hmax:wmax, got {text!r}")
-        try:
-            h0, h1, w = (int(b) for b in bits)
-        except ValueError:
-            raise ModuleError(f"window must contain integers, got {text!r}") from None
-        return cls(h0, h1, w)
-
     def format(self) -> str:
         return f"{self.hmin}:{self.hmax}:{self.wmax}"
 

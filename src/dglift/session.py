@@ -55,6 +55,9 @@ LEAST = {"budget": 0, "wbound": 0, "hbound": 1}
 # the largest size of a window bound, checked where the window is read: a
 # windowed command reads slices up to the window, so a huge one never ends
 WINDOW_LIMIT = 1000
+# the largest exponent of `^m` and `^(m)`, checked where the exponent is
+# read: a power multiplies m times, so a huge one never ends
+EXPONENT_LIMIT = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +321,15 @@ class ExprEval:
         if self.depth > self.MAX_NESTING:
             self.cur.error(f"expression nested deeper than {self.MAX_NESTING} levels", tok)
 
-    def _int(self, message: str) -> tuple[Token, int]:
-        """An unsigned integer literal and its token."""
+    def _exponent(self, message: str) -> tuple[Token, int]:
+        """An unsigned integer literal, at most EXPONENT_LIMIT, and its token."""
         tok = self.cur.peek() or self.cur.next()  # next() fails at the end of the line
         if tok.kind != "INT":
             self.cur.error(message, tok)
-        return tok, self.cur.int(message)
+        m = self.cur.int(message)
+        if m > EXPONENT_LIMIT:
+            self.cur.error(f"exponent must be at most {EXPONENT_LIMIT}", tok)
+        return tok, m
 
     def at_stop(self) -> bool:
         tok = self.cur.peek()
@@ -377,13 +383,13 @@ class ExprEval:
         val = self.primary()
         while self.cur.take("^"):
             if self.cur.take("("):
-                m_tok, m = self._int("divided power needs an integer")
+                m_tok, m = self._exponent("divided power needs an integer")
                 close = self.cur.next()
                 if close.kind != "OP" or close.text != ")":
                     self.cur.error("expected ')'", close)
                 val = self._divided(val, m, m_tok)
             else:
-                m_tok, m = self._int("power needs an integer")
+                m_tok, m = self._exponent("power needs an integer")
                 val = self._power(val, m, m_tok)
         return val
 

@@ -36,9 +36,10 @@ class HomologyTable:
 
 def homology_dim(tower: TowerAlgebra, hdeg: int, w: int) -> int:
     """Exact dim H_hdeg(tower) on the weight-w slice: dim C - rank d_hdeg -
-    rank d_(hdeg+1), the last read only when the slice is not empty."""
-    dim, down = tower.slice_rank(hdeg, w)
-    return dim and dim - down - tower.slice_rank(hdeg + 1, w)[1]
+    rank d_(hdeg+1), each rank the length of the slice's echelon, read
+    only when the slice is not empty."""
+    dim = tower.slice_dim(hdeg, w)
+    return dim and dim - len(tower.slice_echelon(hdeg, w)) - len(tower.slice_echelon(hdeg + 1, w))
 
 
 def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> HomologyTable:
@@ -48,7 +49,7 @@ def homology_dims(tower: TowerAlgebra, hdeg: int, weight_bound: int) -> Homology
         raise TateError("homological degree must be >= 0")
     table = HomologyTable(hdeg=hdeg, weight_bound=weight_bound)
     for w in range(weight_bound + 1):
-        if tower.slice_rank(hdeg, w)[0]:
+        if tower.slice_dim(hdeg, w):
             table.dims[w] = homology_dim(tower, hdeg, w)
     return table
 

@@ -11,7 +11,7 @@ import pytest
 from dglift import BasePoly, Field, PolyRing, TowerAlgebra, cli
 from dglift.cli import main
 from dglift.render import render_element, render_poly
-from dglift.session import WINDOW_LIMIT
+from dglift.session import EXPONENT_LIMIT, WINDOW_LIMIT, parse_window
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -250,6 +250,34 @@ def test_huge_windows_are_refused_at_the_number(tmp_path, capsys, command, col, 
     assert doc["reports"] == []
 
 
+@pytest.mark.parametrize("command,col", [
+    ("run eval x^99999999999999999999", 12),
+    (f"run eval X1 y^({EXPONENT_LIMIT + 1})", 16),
+])
+def test_huge_exponents_are_refused_at_the_number(tmp_path, capsys, command, col):
+    # a power multiplies as many times as its exponent says, so a huge one
+    # is refused where it is read, before any command runs
+    session = tmp_path / "power.session"
+    session.write_text(SPLIT_DECLARATIONS + command + "\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert main([str(session), "--report", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    message = f"exponent must be at most {EXPONENT_LIMIT}"
+    assert message in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["error"] == {"line": 14, "col": col, "message": message}
+    assert doc["reports"] == []
+
+
+def test_an_exponent_at_the_limit_runs(tmp_path, capsys):
+    session = tmp_path / "power.session"
+    session.write_text(SPLIT_DECLARATIONS + f"run eval x^{EXPONENT_LIMIT}\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main([str(session), "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["reports"][0]["result"]["value"] == f"x^{EXPONENT_LIMIT}"
+
+
 def test_the_window_flag_is_read_as_a_session_window(tmp_path, capsys):
     # its errors are positioned on line 0 and written to the error report
     session = tmp_path / "w.session"
@@ -258,10 +286,14 @@ def test_the_window_flag_is_read_as_a_session_window(tmp_path, capsys):
     for flag, col, message in (("0:2:100000", 5, "window wmax must lie within -1000..1000"),
                                ("0:2", 3, "window must look like hmin:hmax:wmax"),
                                ("3:1:2", 1, "empty homological range 3:1"),
+                               ("a:b:c", 1, "expected window hmin"),
                                ("0:2:3:4", 6, "unexpected ':'")):
         assert main([str(session), "--window", flag, "--report", str(out)]) == 1
         assert json.loads(out.read_text())["error"] == {"line": 0, "col": col, "message": message}
     assert main([str(session), "--window", "0:2:3", "--report", str(out)]) == 0
+    window = parse_window("-1:2:3")
+    assert (window.hmin, window.hmax, window.wmax) == (-1, 2, 3)
+    assert parse_window(window.format()) == window
 
 
 def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
@@ -298,3 +330,26 @@ def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
             else:
                 bounds += [shape[4] + 2, shape[4]]
     assert 100 * max(bounds) <= WINDOW_LIMIT
+
+
+def test_the_exponent_limit_sits_far_above_every_golden_and_bench_exponent():
+    # the exponents `^m` and `^(m)` of the goldens and of one deck of each
+    # session workload of the benchmark (the shapes, and so the largest
+    # exponent, are the same for every seed)
+    import importlib
+    import re
+
+    sys.path.insert(0, str(SRC.parent / "bench"))
+    try:
+        import run
+        import workloads
+    finally:
+        sys.path.pop(0)
+    dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDENS.glob("*.session"))]
+    for name in ("resolve", "axioms"):
+        deck, _, _ = workloads.WORKLOADS[name]().generate(dg, 1)
+        texts += [inp.spec["text"] for inp in deck]
+    exponents = [int(m) for text in texts for m in re.findall(r"\^\(?(\d+)", text)]
+    assert exponents
+    assert 100 * max(exponents) <= EXPONENT_LIMIT

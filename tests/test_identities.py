@@ -8,7 +8,6 @@ from dglift import (
     EnvelopeAlgebra,
     EnvelopeError,
     Field,
-    ModuleError,
     PolyRing,
     TowerAlgebra,
     TowerError,
@@ -106,18 +105,6 @@ def test_poly_ring_validation(QQ):
         PolyRing(QQ, ("x", "x"), (1, 1))
     with pytest.raises(ValueError, match="positive"):
         PolyRing(QQ, ("x",), (0,))
-
-
-def test_window_parse_validation():
-    with pytest.raises(ModuleError, match="hmin:hmax:wmax"):
-        BidegreeWindow.parse("1:2")
-    with pytest.raises(ModuleError, match="integers"):
-        BidegreeWindow.parse("a:b:c")
-    with pytest.raises(ModuleError, match="empty"):
-        BidegreeWindow.parse("3:1:4")
-    w = BidegreeWindow.parse("-1:2:3")
-    assert (w.hmin, w.hmax, w.wmax) == (-1, 2, 3)
-    assert BidegreeWindow.parse(w.format()) == w
 
 
 def test_ext_empty_range(even_tower):

@@ -7,8 +7,10 @@ goes at the end. For each probe the snapshot records `"ok"` or
 `[line, col, message]` of the ParseError, and every probe must end in one of
 the two: no other exception may escape the parser.
 
-Huge exponents and bounds are left out: the parser does not bound them yet
-(ROADMAP item 3), and `run eval x^99999999999999999999` runs without end.
+Huge command bounds (`hbound`, `wbound`, `budget`) are left out: the parser
+does not bound them yet (ROADMAP item 3). A huge exponent is refused where
+it is read (`session.EXPONENT_LIMIT`), so `run eval x^99999999999999999999`
+is a probe.
 
 `python tests/test_parse_errors.py` rewrites tests/snapshots/parse_errors.json
 from the current code; review the diff before committing it.
@@ -119,6 +121,7 @@ PROBES = [
     "run eval x^y",
     "run eval x^-1",
     "run eval x^(y)",
+    "run eval x^99999999999999999999",
     "run eval x^",
     "run eval 2/3 x",
     "run eval 1/0",
