@@ -838,21 +838,25 @@ class AxiomReport:
 
 
 class _Sampler:
-    """Seeded generator of homogeneous elements of a tower."""
+    """The axiom window of a tower, walked once: its windowed monomials
+    `monos`, the tower monomials `gammas` among them and the slices they
+    meet; and a seeded generator of homogeneous elements on those slices."""
 
     def __init__(self, tower: TowerAlgebra, weight_bound: int, rng: random.Random):
         self.tower = tower
         self.rng = rng
-        self.slices: list[tuple[int, int]] = []
-        degree_bound = weight_bound + max(
-            (v.degree for v in tower.variables), default=0
-        )
+        self.monos: list[AlgebraElement] = []
+        self.gammas: list[AlgebraElement] = []
+        slices: set[tuple[int, int]] = set()
+        degree_bound = weight_bound + max((v.degree for v in tower.variables), default=0)
         for exps in tower.gamma_monomials(weight_bound, degree_bound):
             h, w = tower.monomial_bidegree(exps)
+            self.gammas.append(tower.monomial(exps))
             for extra in range(weight_bound - w + 1):
-                if (h, w + extra) not in self.slices:
-                    self.slices.append((h, w + extra))
-        self.slices.sort()
+                slices.add((h, w + extra))
+                for bex in tower.base.monomials_of_weight(extra):
+                    self.monos.append(tower.monomial(exps, tower.base.monomial(bex)))
+        self.slices = sorted(slices)
         # (hdeg, even, positive) -> the slices `homogeneous` draws from
         self._candidates: dict[tuple, list[tuple[int, int]]] = {}
 
@@ -898,16 +902,7 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
     report = AxiomReport(seed=seed, weight_bound=weight_bound)
     sampler = _Sampler(tower, weight_bound, rng)
     divided_ok = tower.flavor == DIVIDED or tower.base.field.is_rational
-
-    monos = []
-    degree_bound = weight_bound + max((v.degree for v in tower.variables), default=0)
-    for exps in tower.gamma_monomials(weight_bound, degree_bound):
-        h, w = tower.monomial_bidegree(exps)
-        for extra in range(weight_bound - w + 1):
-            for bex in tower.base.monomials_of_weight(extra):
-                monos.append(tower.monomial(exps, tower.base.monomial(bex)))
-    gammas = [tower.monomial(e) for e in tower.gamma_monomials(weight_bound, degree_bound)]
-
+    monos, gammas = sampler.monos, sampler.gammas
     n_random = max(1, sample_budget // 8)
 
     # each case yields True, or the witness of its failure: `ok or f"..."`

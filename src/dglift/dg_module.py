@@ -58,11 +58,12 @@ class SemifreeModule:
 
     `complete_hmax` / `complete_wmax` record truncation: bidegree slices at or
     below these bounds coincide with the untruncated module (None = exact).
+    `left_action_fn(b, k)`, given to a bimodule when it is built, is b·e_k.
     """
 
     def __init__(self, tower: TowerAlgebra, basis, diff: dict, *,
                  complete_hmax: int | None = None, complete_wmax: int | None = None,
-                 validate: bool = True):
+                 left_action_fn=None, validate: bool = True):
         self.tower = tower
         self.basis = tuple(basis)
         self.diff = {k: v for k, v in diff.items() if not v.is_zero()}
@@ -71,21 +72,22 @@ class SemifreeModule:
             self.columns.setdefault(b, []).append((a, entry))
         self.complete_hmax = complete_hmax
         self.complete_wmax = complete_wmax
-        self.left_action_fn = None  # set by bimodule constructors
+        self.left_action_fn = left_action_fn
         if validate:
             self._validate()
 
     @classmethod
     def from_terms(cls, tower: TowerAlgebra, basis, diff: dict, *,
-                   complete_hmax: int | None = None,
-                   complete_wmax: int | None = None) -> "SemifreeModule":
+                   complete_hmax: int | None = None, complete_wmax: int | None = None,
+                   left_action_fn=None) -> "SemifreeModule":
         """The module of a memo's plain data: the basis as (name, degree,
         weight) triples and the differential as {(a, b): term map of the
         tower}, read as elements that share the maps; built from a module
         that was sound, so not validated."""
         return cls(tower, [BasisElement(*e) for e in basis],
                    {k: AlgebraElement(tower, terms) for k, terms in diff.items()},
-                   complete_hmax=complete_hmax, complete_wmax=complete_wmax, validate=False)
+                   complete_hmax=complete_hmax, complete_wmax=complete_wmax,
+                   left_action_fn=left_action_fn, validate=False)
 
     # --- validation -------------------------------------------------------
 
@@ -414,8 +416,9 @@ def tensor_bimodule(n: SemifreeModule, q: SemifreeModule,
     """N (x)_B Q for a bimodule Q carrying an explicit left action.
 
     Q must come from the envelope layer (a filtration quotient or the windowed
-    diagonal ideal): its `left_action_fn` expands b·e_k over Q's basis, which
-    is what makes d(n (x) q) = dn (x) q + (-1)^{|n|} n (x) dq well defined.
+    diagonal ideal), which builds it with a `left_action_fn` that expands b·e_k
+    over Q's basis; that is what makes d(n (x) q) = dn (x) q + (-1)^{|n|} n (x) dq
+    well defined.
     The column of e_b (x) e_k reads column b of N's differential, each
     entry moved past e_k by that left action, and column k of Q's.
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .base_ring import matrix_rank
 from .dg_algebra import AlgebraElement, DGVariable, TowerAlgebra
-from .dg_module import BasisElement, BidegreeWindow, ModuleError, SemifreeModule
+from .dg_module import BidegreeWindow, ModuleError, SemifreeModule
 from .render import omega_name
 
 
@@ -215,16 +215,17 @@ class EnvelopeAlgebra:
                 dims.append([h, w, dim_be, dim_be - rank, dim_b])
         return omega_rows, dims
 
-    # --- the filtration quotients J^(l)/J^(l+1) ---------------------------------
+    # --- the filtration quotients J^(l)/J^(l+1) and the ideal J ----------------
 
     def quotient_module(self, level: int, window: BidegreeWindow) -> SemifreeModule:
         """The DG B-module J^(level)/J^(level+1) restricted to the window.
 
         Semifree basis = Mon_level(Omega) monomials inside the window; the
         differential of a basis monomial is the level-`level` part of its
-        differential in the envelope tower, read in right coordinates.  The
+        differential in the envelope tower, read by `_omega_terms`.  The
         basis and the term maps of the differential are computed once per
-        prefix, level and window, and kept on the tower.
+        prefix, level and window, and kept on the tower.  The left action is
+        the right one up to the Koszul flip: b·e_k = e_k·b.koszul(|e_k|).
         """
         if level < 0:
             raise EnvelopeError("filtration level must be >= 0")
@@ -234,42 +235,36 @@ class EnvelopeAlgebra:
         if data is None:
             data = memo[key] = self._quotient_terms(level, window)
         basis, diff = data
-        # d^2 = 0 holds in the envelope tower, so the module is not validated
-        module = SemifreeModule.from_terms(
-            self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax)
-
-        # in J^(l)/J^(l+1) the left and right actions agree up to the Koszul
-        # flip: b·e_k = e_k·b.koszul(|e_k|)
         degrees = [degree for _, degree, _ in basis]
-        module.left_action_fn = lambda b, k: {k: b.koszul(degrees[k])}
-        return module
+        # d^2 = 0 holds in the envelope tower, so the module is not validated
+        return SemifreeModule.from_terms(
+            self.tower, basis, diff, complete_hmax=window.hmax, complete_wmax=window.wmax,
+            left_action_fn=lambda b, k: {k: b.koszul(degrees[k])})
 
     def _quotient_terms(self, level: int, window: BidegreeWindow) -> tuple[tuple, dict]:
-        """The basis of J^(level)/J^(level+1) in the window as (name,
-        degree, weight) triples, and its differential as {(i, j): term map
-        over B}."""
-        cands = []
-        for exps in self.omega_exponents(level, window.wmax):
-            h = self.ext_degree(exps)
-            w = self.ext_weight(exps)
-            if window.contains(h, w):
-                cands.append((h, exps, w))
-        cands.sort()
-        pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
+        """`_omega_terms` of J^(level)/J^(level+1) on the Mon_level(Omega)
+        monomials inside the window."""
+        cands = [(self.ext_degree(exps), exps, self.ext_weight(exps))
+                 for exps in self.omega_exponents(level, window.wmax)]
+        return self._omega_terms(sorted(c for c in cands if window.contains(c[0], c[2])),
+                                 level, f"window {window.format()}")
 
+    def _omega_terms(self, cands: list, level: int | None, bound: str) -> tuple[tuple, dict]:
+        """Basis (name, degree, weight) and differential {(i, j): term map
+        over B} of the module on the sorted (degree, exps, weight) candidates:
+        the level-`level` part of d(xi^w) in right coordinates, all of it when
+        `level` is None; `bound` names the truncation in a cut error."""
+        pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
         diff: dict = {}
-        for (h, exps, w) in cands:
-            j = pos[exps]
+        for j, (_, exps, _) in enumerate(cands):
             d = self.algebra.monomial_diff((0,) * self.tower.n + exps)
             for oexps, c in sorted(self._suffixes(d, True).items()):
-                if sum(oexps) != level:
+                if level is not None and sum(oexps) != level:
                     continue
                 i = pos.get(oexps)
                 if i is None:
                     raise ModuleError(
-                        f"window {window.format()} cuts the differential of "
-                        f"{omega_name(self, exps)}"
-                    )
+                        f"{bound} cuts the differential of {omega_name(self, exps)}")
                 diff[(i, j)] = c.coeffs
         return tuple((omega_name(self, exps), h, w) for h, exps, w in cands), diff
 
@@ -279,46 +274,30 @@ class EnvelopeAlgebra:
 
         Basis = all of Mon_{>=1}(Omega) with monomial weight <= max_weight
         (homological degree is then bounded automatically); the right B-action
-        is through the right tensor factor, so the differential and the left
-        action are read in right coordinates over Mon(Omega).
+        is through the right tensor factor, so the differential
+        (`_omega_terms`) and the left action are read in right coordinates.
         """
         cands = sorted((self.ext_degree(exps), exps, self.ext_weight(exps))
                        for exps in self.ext_monomials(max_weight) if any(exps))
+        basis, diff = self._omega_terms(cands, None, f"ideal weight bound {max_weight}")
         pos = {exps: i for i, (_, exps, _) in enumerate(cands)}
 
-        basis = [BasisElement(omega_name(self, exps), h, w) for h, exps, w in cands]
-
-        def coords_to_elem(t: AlgebraElement, what: str) -> dict:
+        def left_action(b: AlgebraElement, k: int) -> dict:
+            prod = self.algebra.substitute(b, self._phi_images) * self._omega(cands[k][1])
             out = {}
-            for oexps, c in sorted(self._suffixes(t, True).items()):
+            for oexps, c in sorted(self._suffixes(prod, True).items()):
                 i = pos.get(oexps)
                 if i is None:
                     raise ModuleError(
-                        f"ideal weight bound {max_weight} cuts {what}: "
+                        f"ideal weight bound {max_weight} cuts a left multiple: "
                         f"coordinate at weight {self.ext_weight(oexps)}"
                     )
                 out[i] = c
             return out
 
-        diff: dict = {}
-        for (h, exps, w) in cands:
-            j = pos[exps]
-            d = self.algebra.monomial_diff((0,) * self.tower.n + exps)
-            for i, c in coords_to_elem(d, f"d({omega_name(self, exps)})").items():
-                diff[(i, j)] = c
-
         # d^2 = 0 holds in the envelope tower, so the module is not validated
-        module = SemifreeModule(
-            self.tower, basis, diff,
-            complete_hmax=None, complete_wmax=max_weight, validate=False,
-        )
-
-        def left_action(b: AlgebraElement, k: int) -> dict:
-            prod = self.algebra.substitute(b, self._phi_images) * self._omega(cands[k][1])
-            return coords_to_elem(prod, "a left multiple")
-
-        module.left_action_fn = left_action
-        return module
+        return SemifreeModule.from_terms(self.tower, basis, diff, complete_wmax=max_weight,
+                                         left_action_fn=left_action)
 
 
 class EnvelopeElement:

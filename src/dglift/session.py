@@ -521,7 +521,6 @@ class Session:
     ring: PolyRing
     tower: TowerAlgebra
     modules: dict[str, SemifreeModule] = dc_field(default_factory=dict)
-    module_order: list[str] = dc_field(default_factory=list)
     commands: list[Command] = dc_field(default_factory=list)
 
     def envelope(self, a_prefix: int) -> EnvelopeAlgebra:
@@ -532,9 +531,9 @@ class Session:
             return NotImplemented
         if (self.field, self.ring) != (other.field, other.ring):
             return False
-        if self.tower != other.tower or self.module_order != other.module_order:
+        if self.tower != other.tower or list(self.modules) != list(other.modules):
             return False
-        for name in self.module_order:
+        for name in self.modules:
             a, b = self.modules[name], other.modules[name]
             if a.basis != b.basis or a.diff != b.diff:
                 return False
@@ -555,7 +554,6 @@ class _Builder:
         self.flavor: str | None = None
         self.tower: TowerAlgebra | None = None
         self.modules: dict[str, SemifreeModule] = {}
-        self.module_order: list[str] = []
         self.commands: list[Command] = []
         # module under construction; cur_diffs maps a generator's index to
         # the terms of its differential, cur_diff_at to the (line, col) of
@@ -586,7 +584,6 @@ class _Builder:
             line, col = self.cur_diff_at.get(exc.generator, (self.cur_line, 1))
             raise ParseError(str(exc), line, col) from None
         self.modules[self.cur_name] = module
-        self.module_order.append(self.cur_name)
         self.cur_name = None
         self.cur_gens = []
         self.cur_diffs = {}
@@ -855,7 +852,6 @@ def parse_session(text: str) -> Session:
         ring=builder.ring,
         tower=builder.tower,
         modules=builder.modules,
-        module_order=builder.module_order,
         commands=builder.commands,
     )
 
@@ -872,8 +868,7 @@ def format_session(session: Session) -> str:
         d = session.tower.variable_diff(i)
         head = f"var {v.name} deg {v.degree} wt {v.weight}"
         lines.append(head if d.is_zero() else f"{head} d {render_element(d)}")
-    for name in session.module_order:
-        module = session.modules[name]
+    for name, module in session.modules.items():
         lines.append(f"module {name}")
         for e in module.basis:
             lines.append(f"gen {e.name} deg {e.degree} wt {e.weight}")

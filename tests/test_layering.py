@@ -34,7 +34,9 @@ keeps no slice rank beside its echelon, and only the Ext path keeps the
 columns of a slice; `_axpy` is
 the one scalar `dst += m·src`; the suffix split of tower terms, the Koszul
 flip of a left action, a module's differential by column and the sums of
-module elements each have one home; and every name the benchmark's tracer
+module elements each have one home; the envelope reads the differential of
+its Mon(Omega) modules, J and J^(l)/J^(l+1), in one method, and a bimodule
+gets its left action when it is built; and every name the benchmark's tracer
 wraps is defined where the tracer looks."""
 
 from __future__ import annotations
@@ -581,6 +583,42 @@ def test_module_layer_rules_have_one_home_each():
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert {"SemifreeModule.add_elem", "SemifreeModule.neg_elem",
             "SemifreeModule.mul_elem", "a.koszul"} <= session_calls
+
+
+def test_the_envelope_has_one_mon_omega_reader():
+    # J and the quotients J^(l)/J^(l+1) read d(xi^w) through `_omega_terms`
+    # alone, and J is rebuilt from its plain data as the quotients are
+    tree = ast.parse((SRC / "envelope.py").read_text(encoding="utf-8"))
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and "monomial_diff" in _calls_in(fn)}
+    assert readers == {"_omega_terms"}
+    envelope = _class("envelope.py", "EnvelopeAlgebra")
+    assert "_omega_terms" in _calls_in(_method(envelope, "_quotient_terms"))
+    ideal = _calls_in(_method(envelope, "diagonal_ideal_module"))
+    assert {"_omega_terms", "from_terms"} <= ideal and "SemifreeModule" not in ideal
+
+
+def test_a_left_action_is_given_only_at_construction():
+    # no statement outside SemifreeModule.__init__ assigns `left_action_fn`,
+    # so a module is never patched into a bimodule after it is built
+    init = _method(_class("dg_module.py", "SemifreeModule"), "__init__")
+    inside = {("dg_module.py", node.lineno) for node in ast.walk(init)
+              if isinstance(node, ast.stmt)}
+    assigned = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "setattr":
+                targets = [a for a in node.args if isinstance(a, ast.Constant)]
+            else:
+                continue
+            if any(getattr(t, "attr", getattr(t, "value", None)) == "left_action_fn"
+                   for target in targets for t in ast.walk(target)):
+                assigned.append((path.name, node.lineno))
+    assert assigned and set(assigned) <= inside, assigned
 
 
 def test_ext_dims_reads_homology_only_on_the_slices_e1_holds():

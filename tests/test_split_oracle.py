@@ -32,7 +32,7 @@ def golden_modules(flavor):
     for name in ("split", "obstructed"):
         text = (GOLDENS / f"{name}.session").read_text(encoding="utf-8")
         session = parse_session(text.replace("tower divided", f"tower {flavor}"))
-        for module in session.module_order:
+        for module in session.modules:
             yield f"{name}:{module}", session.modules[module]
 
 
