@@ -44,8 +44,8 @@ class HomComplex:
     {row position: scalar} map, the rows numbered by position in
     `slice_labels(d - 1, w)`: one offset per generator of M, one per
     generator of L within it, and the tower's position of X^e x^b in its
-    slice.  That numbering is sorted label order, and `rows` maps it back to
-    labels.
+    slice.  That numbering is sorted label order; `rows` keeps it, and a
+    label is built only where an equation is printed or matched.
 
     Homology is read off the E1 page of the semifree filtration.  With the
     tower's contraction (i, p, h) of each slice onto its homology, h signed
@@ -184,15 +184,13 @@ class HomComplex:
         return cols
 
     def rows(self, d: int, w: int) -> dict:
-        """D on the (d, w) slice by rows: {target label: {column: scalar}},
-        the transpose of `matrix_columns`, in the order of
-        `slice_labels(d - 1, w)`."""
+        """D on the (d, w) slice by rows: {row position: {column: scalar}},
+        the transpose of `matrix_columns`, positions ascending."""
         out: dict = {}
         for j, col in enumerate(self.matrix_columns(d, w)):
             for r, scalar in col.items():
                 out.setdefault(r, {})[j] = scalar
-        labels = self.slice_labels(d - 1, w)
-        return {labels[r]: out[r] for r in sorted(out)}
+        return dict(sorted(out.items()))
 
     def chain_map(self, d: int, labels: list, solution: list) -> ChainMap:
         """The degree-d map sum_j solution[j] * phi_j, where phi_j is the basis
@@ -203,8 +201,7 @@ class HomComplex:
             if not c:
                 continue
             piece = l.scale_elem(l.label_elem(lab), c)
-            prev = entries.get(alpha)
-            entries[alpha] = piece if prev is None else l.add_elem(prev, piece)
+            entries[alpha] = l.add_elem(entries.get(alpha, {}), piece)
         return ChainMap(self.m, l, d, entries)
 
     def _transfer(self, d: int, w: int, pos: int) -> tuple[dict, dict]:
@@ -386,27 +383,22 @@ def null_homotopy(f: ChainMap):
                 + l.tower.base.term_weight(bex) - wa
             coords_by_w.setdefault(w, {})[(alpha, (i, exps, bex))] = scalar
 
+    # an equation per row of D and per coordinate of f, by (w, row position)
+    field = m.tower.base.field
     unknowns: list = []
-    rows_map: dict = {}
-    rhs_map: dict = {}
+    rows: list[dict] = []
+    rhs: list = []
     for w, coords in sorted(coords_by_w.items()):
         hom.require_complete(d + 1, w)
         offset = len(unknowns)
         unknowns.extend(hom.slice_labels(d + 1, w))
-        for rkey, row in hom.rows(d + 1, w).items():
-            rows_map[(w, rkey)] = {offset + j: v for j, v in row.items()}
-        for rkey, scalar in coords.items():
-            rows_map.setdefault((w, rkey), {})
-            rhs_map[(w, rkey)] = scalar
+        by_row = hom.rows(d + 1, w)
+        for r, label in enumerate(hom.slice_labels(d, w)):
+            if r in by_row or label in coords:
+                rows.append({offset + j: v for j, v in by_row.get(r, {}).items()})
+                rhs.append(coords.get(label, field.zero()))
 
-    field = m.tower.base.field
-    keys = sorted(rows_map)
-    system = LinearSystem(
-        field,
-        [rows_map[k] for k in keys],
-        [rhs_map.get(k, field.zero()) for k in keys],
-        len(unknowns),
-    )
+    system = LinearSystem(field, rows, rhs, len(unknowns))
     res = solve_linear(system)
     if isinstance(res, Infeasible):
         return res
@@ -457,7 +449,8 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
     Unknowns are the field coordinates of rho(e_beta) in the (|e_beta|,
     wt(e_beta)) slice of P = N|_A (x)_A B; equations impose pi(rho(e)) = e and
     d(rho(e)) = rho(d(e)).  Returns (system, unknown labels, equation keys,
-    P, pi, window, Hom(N, P)); `equation_label` renders a key.
+    P, pi, window, Hom(N, P)): a key is ("pi", beta, N label) or ("chain",
+    row position of D), and `equation_labels` renders keys.
     """
     if window is None:
         window = minimal_window(n)
@@ -485,71 +478,65 @@ def build_split_system(n: SemifreeModule, a_prefix: int = 0,
             rhs.append(want.get(nlab, field.zero()))
             keys.append(("pi", beta, nlab))
 
-    # D(rho) = d 。rho - rho 。d = 0, coordinatewise in P at (|e|-1, wt(e))
-    for (beta, plab), row in hom.rows(0, 0).items():
+    # D(rho) = d 。rho - rho 。d = 0, by row position in P at (|e|-1, wt(e))
+    for r, row in hom.rows(0, 0).items():
         rows.append(row)
         rhs.append(field.zero())
-        keys.append(("chain", beta, plab))
+        keys.append(("chain", r))
 
     system = LinearSystem(field, rows, rhs, len(unknowns))
     return system, unknowns, keys, p, pi, window, hom
 
 
-def equation_label(n: SemifreeModule, p: SemifreeModule, key: tuple) -> str:
-    """The label of the splitting equation `key` of `build_split_system(n)`,
-    P being its base change."""
-    kind, beta, (i, exps, bex) = key
-    name, tower = n.basis[beta].name, n.tower
-    mono = render_element(tower.monomial(exps, tower.base.monomial(bex)))
-    if kind == "pi":
-        return f"pi(rho({name})) = {name} at {n.basis[i].name}·({mono})"
-    return f"chain condition of rho({name}) at {p.basis[i].name}·({mono})"
+def equation_labels(hom: HomComplex, keys: list) -> list[str]:
+    """The labels of the splitting equations `keys` of
+    `build_split_system(n)`, hom being its Hom(N, P); the labels of the
+    chain rows are built once, for all the keys."""
+    n, tower, below = hom.m, hom.m.tower, hom.slice_labels(-1, 0)
+    out = []
+    for kind, *at in keys:
+        beta, (i, exps, bex) = at if kind == "pi" else below[at[0]]
+        name = n.basis[beta].name
+        mono = render_element(tower.monomial(exps, tower.base.monomial(bex)))
+        out.append(f"pi(rho({name})) = {name} at {n.basis[i].name}·({mono})" if kind == "pi"
+                   else f"chain condition of rho({name}) at {hom.l.basis[i].name}·({mono})")
+    return out
 
 
 def naive_lift_check(n: SemifreeModule, a_prefix: int = 0,
                      window: BidegreeWindow | None = None) -> SplitResult:
     """Decide whether pi_N: N|_A (x)_A B -> N splits as DG B-modules.
 
-    A SPLIT result carries rho, re-verified symbolically (pi 。rho = id and
-    d 。rho = rho 。d on every basis element).  An OBSTRUCTED result carries a
+    A SPLIT result carries rho, re-verified symbolically through `ChainMap`
+    (pi 。rho = id and rho a chain map).  An OBSTRUCTED result carries a
     re-checkable inconsistency certificate for the splitting system.
     """
     system, unknowns, keys, p, pi, window, hom = build_split_system(n, a_prefix, window)
+    transcript = [f"splitting system: {len(unknowns)} unknowns, {len(keys)} equations"]
     res = solve_linear(system)
     if isinstance(res, Infeasible):
         involved = sorted(res.combo)
-        eq_labels = [equation_label(n, p, keys[i]) for i in involved]
+        eq_labels = equation_labels(hom, [keys[i] for i in involved])
         locus = "; ".join(eq_labels[:3]) + ("; ..." if len(eq_labels) > 3 else "")
         witness = ObstructionWitness(
             combo=dict(res.combo), value=res.value, equations=eq_labels, locus=locus
         )
+        transcript.append(f"inconsistent combination over {len(involved)} equations "
+                          f"reduces to 0 = {res.value}")
         return SplitResult(
             status="OBSTRUCTED", window=window, module=p, pi=pi,
-            transcript=[
-                f"splitting system: {len(unknowns)} unknowns, {len(keys)} equations",
-                f"inconsistent combination over {len(involved)} equations "
-                f"reduces to 0 = {res.value}",
-            ],
-            witness=witness,
+            transcript=transcript, witness=witness,
         )
 
     assert isinstance(res, LinearSolution)
     rho = hom.chain_map(0, unknowns, res.solution)
 
-    transcript = [
-        f"splitting system: {len(unknowns)} unknowns, {len(keys)} equations",
-    ]
-    for beta, e in enumerate(n.basis):
-        img = pi.apply(rho.entries.get(beta, {}))
-        if not n.elem_eq(img, n.basis_elem(beta)):
-            raise HomologicalError("solver returned a non-section; refusing SPLIT")
-        transcript.append(f"verified pi(rho({e.name})) = {e.name}")
-    for beta, e in enumerate(n.basis):
-        lhs = p.apply_diff(rho.entries.get(beta, {}))
-        rhs_elem = rho.apply(n.apply_diff({beta: n.tower.one()}))
-        if not p.elem_eq(lhs, rhs_elem):
-            raise HomologicalError("solver returned a non-chain map; refusing SPLIT")
-        transcript.append(f"verified d(rho({e.name})) = rho(d({e.name}))")
+    if pi.compose(rho) != ChainMap.identity(n):
+        raise HomologicalError("solver returned a non-section; refusing SPLIT")
+    if not rho.is_chain_map():
+        raise HomologicalError("solver returned a non-chain map; refusing SPLIT")
+    transcript += [f"verified pi(rho({e.name})) = {e.name}" for e in n.basis]
+    transcript += [f"verified d(rho({e.name})) = rho(d({e.name}))" for e in n.basis]
 
     return SplitResult(
         status="SPLIT", window=window, module=p, pi=pi, rho=rho,

@@ -58,6 +58,13 @@ WINDOW_LIMIT = 1000
 # the largest exponent of `^m` and `^(m)`, checked where the exponent is
 # read: a power multiplies m times, so a huge one never ends
 EXPONENT_LIMIT = 100000
+# the largest axiom-check budget, which sizes the sample of elements it checks
+BUDGET_LIMIT = 40000
+# the largest size of each keyword bound, checked where the number is read:
+# `deg`, `wt`, `hbound` and `wbound` place a generator or bound the slices a
+# command reads, as a window bound does
+MOST = {"deg": WINDOW_LIMIT, "wt": WINDOW_LIMIT, "hbound": WINDOW_LIMIT,
+        "wbound": WINDOW_LIMIT, "budget": BUDGET_LIMIT}
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +199,7 @@ class _Cursor:
     def keywords(self, allowed: tuple[str, ...]) -> dict[str, int]:
         """`<word> <int>` pairs for the words in `allowed`, in any order and
         each at most once, up to the first other token; a value below its
-        LEAST is refused at the number."""
+        LEAST or larger than its MOST in size is refused at the number."""
         out: dict[str, int] = {}
         while (tok := self.peek()) is not None and tok.kind == "IDENT" and tok.text in allowed:
             if tok.text in out:
@@ -201,9 +208,12 @@ class _Cursor:
             at = self.peek()
             out[tok.text] = self.int({"deg": "degree", "wt": "weight"}.get(
                 tok.text, f"integer after {tok.text!r}"))
-            least = LEAST.get(tok.text)
+            least, most = LEAST.get(tok.text), MOST.get(tok.text)
             if least is not None and out[tok.text] < least:
                 self.error(f"{tok.text} must be >= {least}", at)
+            if most is not None and abs(out[tok.text]) > most:
+                low = -most if least is None else least
+                self.error(f"{tok.text} must lie within {low}..{most}", at)
         return out
 
     def until(self, words) -> "_Cursor":

@@ -11,7 +11,7 @@ import pytest
 from dglift import BasePoly, Field, PolyRing, TowerAlgebra, cli
 from dglift.cli import main
 from dglift.render import render_element, render_poly
-from dglift.session import EXPONENT_LIMIT, WINDOW_LIMIT, parse_window
+from dglift.session import BUDGET_LIMIT, EXPONENT_LIMIT, WINDOW_LIMIT, parse_window
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -228,6 +228,22 @@ SPLIT_DECLARATIONS = "".join((GOLDENS / "split.session").read_text(encoding="utf
                              .splitlines(keepends=True)[:13])
 
 
+def assert_refused_at_the_number(tmp_path, capsys, command, col, message):
+    """`command`, appended to the declarations of the split golden, is
+    refused at line 14, column `col`, within a second and before any
+    command runs."""
+    session = tmp_path / "huge.session"
+    session.write_text(SPLIT_DECLARATIONS + command + "\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert main([str(session), "--report", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert message in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["error"] == {"line": 14, "col": col, "message": message}
+    assert doc["reports"] == []
+
+
 @pytest.mark.parametrize("command,col,what", [
     ("run ext N N 0..2 0:100000:100000", 20, "window hmax"),
     ("run envelope-basis 0:100000:100000 over 0", 22, "window hmax"),
@@ -235,19 +251,8 @@ SPLIT_DECLARATIONS = "".join((GOLDENS / "split.session").read_text(encoding="utf
     ("run ext N N 0..2 -1001:2:3", 18, "window hmin"),
 ])
 def test_huge_windows_are_refused_at_the_number(tmp_path, capsys, command, col, what):
-    # appended to the declarations of the split golden; refused where the
-    # window is read, before any command runs
-    session = tmp_path / "window.session"
-    session.write_text(SPLIT_DECLARATIONS + command + "\n", encoding="utf-8")
-    out = tmp_path / "r.json"
-    start = time.perf_counter()
-    assert main([str(session), "--report", str(out)]) == 1
-    assert time.perf_counter() - start < 1
-    message = f"{what} must lie within -{WINDOW_LIMIT}..{WINDOW_LIMIT}"
-    assert message in capsys.readouterr().err
-    doc = json.loads(out.read_text())
-    assert doc["error"] == {"line": 14, "col": col, "message": message}
-    assert doc["reports"] == []
+    assert_refused_at_the_number(tmp_path, capsys, command, col,
+                                 f"{what} must lie within -{WINDOW_LIMIT}..{WINDOW_LIMIT}")
 
 
 @pytest.mark.parametrize("command,col", [
@@ -255,19 +260,24 @@ def test_huge_windows_are_refused_at_the_number(tmp_path, capsys, command, col, 
     (f"run eval X1 y^({EXPONENT_LIMIT + 1})", 16),
 ])
 def test_huge_exponents_are_refused_at_the_number(tmp_path, capsys, command, col):
-    # a power multiplies as many times as its exponent says, so a huge one
-    # is refused where it is read, before any command runs
-    session = tmp_path / "power.session"
-    session.write_text(SPLIT_DECLARATIONS + command + "\n", encoding="utf-8")
-    out = tmp_path / "r.json"
-    start = time.perf_counter()
-    assert main([str(session), "--report", str(out)]) == 1
-    assert time.perf_counter() - start < 1
-    message = f"exponent must be at most {EXPONENT_LIMIT}"
-    assert message in capsys.readouterr().err
-    doc = json.loads(out.read_text())
-    assert doc["error"] == {"line": 14, "col": col, "message": message}
-    assert doc["reports"] == []
+    # a power multiplies as many times as its exponent says
+    assert_refused_at_the_number(tmp_path, capsys, command, col,
+                                 f"exponent must be at most {EXPONENT_LIMIT}")
+
+
+@pytest.mark.parametrize("command,col,message", [
+    ("run tate x^2 hbound 3 wbound 100000", 30, f"wbound must lie within 0..{WINDOW_LIMIT}"),
+    ("run tate x^2 hbound 100000 wbound 4", 21, f"hbound must lie within 1..{WINDOW_LIMIT}"),
+    ("run check-axioms budget 100000000 wbound 100000", 25,
+     f"budget must lie within 0..{BUDGET_LIMIT}"),
+    (f"run check-axioms wbound {WINDOW_LIMIT + 1}", 25,
+     f"wbound must lie within 0..{WINDOW_LIMIT}"),
+])
+def test_huge_keyword_bounds_are_refused_at_the_number(tmp_path, capsys, command, col,
+                                                        message):
+    # `hbound` and `wbound` bound the slices a command reads, as a window
+    # does, and `budget` the elements an axiom check samples
+    assert_refused_at_the_number(tmp_path, capsys, command, col, message)
 
 
 def test_an_exponent_at_the_limit_runs(tmp_path, capsys):
@@ -299,7 +309,8 @@ def test_the_window_flag_is_read_as_a_session_window(tmp_path, capsys):
 def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
     # the largest window bound of the goldens, and the largest bound each
     # bench shape gives a window or a command: the lift windows derived
-    # from N as the benchmark derives them, the Tate and axiom bounds
+    # from N as the benchmark derives them, the Tate and axiom bounds; and
+    # the largest axiom budget beside BUDGET_LIMIT
     import importlib
     import re
 
@@ -311,10 +322,17 @@ def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
         sys.path.pop(0)
     # the modules already imported: run.import_dglift would import them afresh
     dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
-    bounds = [abs(int(b)) for path in sorted(GOLDENS.glob("*.session"))
-              for window in re.findall(r"-?\d+:-?\d+:-?\d+", path.read_text(encoding="utf-8"))
-              for b in window.split(":")]
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDENS.glob("*.session"))]
+    bounds = [abs(int(b)) for text in texts
+              for window in re.findall(r"-?\d+:-?\d+:-?\d+", text) for b in window.split(":")]
     assert bounds
+    # the keyword bounds `deg`, `wt`, `hbound` and `wbound` are window bounds
+    keywords = [abs(int(b)) for text in texts
+                for b in re.findall(r"\b(?:deg|wt|hbound|wbound) (-?\d+)", text)]
+    assert keywords
+    bounds += keywords
+    budgets = [int(b) for text in texts for b in re.findall(r"\bbudget (\d+)", text)]
+    assert budgets
     for name, workload in workloads.WORKLOADS.items():
         shapes, _ = workload().shapes(dg)
         for shape in shapes:
@@ -329,7 +347,9 @@ def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
                 bounds += [3, shape[2]]
             else:
                 bounds += [shape[4] + 2, shape[4]]
+                budgets.append(shape[3])
     assert 100 * max(bounds) <= WINDOW_LIMIT
+    assert 100 * max(budgets) <= BUDGET_LIMIT
 
 
 def test_the_exponent_limit_sits_far_above_every_golden_and_bench_exponent():

@@ -5,11 +5,11 @@ swapped with its neighbour, replaced or duplicated.  Its text either parses
 or raises a `ParseError` at a line and a column, and `dglift.cli.main` runs
 it to exit code 0, 1 or 10 and lets no exception escape.
 
-Integers are drawn from -1 and 0..9, and from past a limit only where the
-token is a window bound or an exponent, which the parser checks against
-`WINDOW_LIMIT` or `EXPONENT_LIMIT`: a `gen`/`var` bidegree and the
-`tate`/`check-axioms` bounds have no limit, so a large one there can run
-without end, as can a large window inside the limit.
+Integers are drawn from -1 and 0..9, and also from past a limit where the
+token is a window bound, an exponent or the number after a keyword bound,
+which the parser checks against `WINDOW_LIMIT`, `EXPONENT_LIMIT` or the
+keyword's `MOST`.  No value is drawn large but inside a limit: such a value
+can still run without end, as a `gen` weight or a window at the limit does.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from dglift.cli import main
 from dglift.session import (
-    EXPONENT_LIMIT, WINDOW_LIMIT, ParseError, parse_session, tokenize_line,
+    EXPONENT_LIMIT, MOST, WINDOW_LIMIT, ParseError, parse_session, tokenize_line,
 )
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -42,10 +42,12 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=
 
 def limit_at(texts: list[str], k: int) -> int | None:
     """The limit the parser checks the integer token at k against: an
-    exponent follows `^` or `^(`, and a window bound in a `run` line stands
-    next to a `:`."""
+    exponent follows `^` or `^(`, a keyword bound follows its keyword, and
+    a window bound in a `run` line stands next to a `:`."""
     if texts[max(k - 2, 0):k] == ["^", "("] or texts[k - 1:k] == ["^"]:
         return EXPONENT_LIMIT
+    if k and texts[k - 1] in MOST:
+        return MOST[texts[k - 1]]
     if texts[0] == "run" and ":" in texts[k - 1:k] + texts[k + 1:k + 2]:
         return WINDOW_LIMIT
     return None

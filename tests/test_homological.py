@@ -124,19 +124,25 @@ def test_hom_differential_squares_to_zero():
         assert nonzero, case
 
 
-def test_hom_rows_are_keyed_by_labels_in_slice_order():
-    # rows() maps the row positions of matrix_columns back to the labels of
-    # the (d - 1, w) slice, in that slice's order
+def test_hom_rows_are_keyed_by_position_in_slice_order():
+    # rows() is the plain transpose of matrix_columns, keyed by row position
+    # in ascending order; the labels of the (d - 1, w) slice are sorted, so
+    # position order is label order, which equation_labels and null_homotopy
+    # rely on when they build a row's label
     for case, hom in oracle_hom_complexes():
         for d in range(-1, 3):
             for w in range(-1, 3):
                 rows = hom.rows(d, w)
                 below = hom.slice_labels(d - 1, w)
-                assert list(rows) == [lab for lab in below if lab in rows], (case, d, w)
+                assert all(isinstance(r, int) for r in rows), (case, d, w)
+                assert list(rows) == sorted(rows), (case, d, w)
+                assert all(0 <= r < hom.dim(d - 1, w) for r in rows), (case, d, w)
                 assert below == sorted(below), (case, d, w)
+                transposed: dict = {}
                 for j, col in enumerate(hom.matrix_columns(d, w)):
-                    assert {below[r]: s for r, s in col.items()} == {
-                        lab: row[j] for lab, row in rows.items() if j in row}, (case, d, w)
+                    for r, s in col.items():
+                        transposed.setdefault(r, {})[j] = s
+                assert rows == transposed, (case, d, w)
 
 
 @pytest.mark.parametrize("name", ["negative-control", "rigid-koszul", "mixed-cone"])
@@ -253,6 +259,56 @@ def test_null_homotopy_of_boundary(negative_control):
 def test_null_homotopy_of_identity_fails(negative_control):
     h = null_homotopy(ChainMap.identity(negative_control))
     assert isinstance(h, Infeasible)
+
+
+@pytest.fixture
+def cone_control(even_tower):
+    # the negative control with `a`, d a = e, added: Hom(N, N) has non-empty
+    # slices in degrees 1 to 3, so a boundary D(g) need not be zero
+    return make_semifree(even_tower, [("e", 0, 0), ("a", 1, 0), ("f", 3, 1)],
+                         {("e", "a"): even_tower.one(), ("e", "f"): even_tower.gen("X")})
+
+
+@pytest.mark.parametrize("deg,shift", [(1, 0), (2, 1), (3, 1)])
+def test_null_homotopy_of_a_nonzero_boundary(cone_control, deg, shift):
+    # f = D(g) for g of bidegree (deg, shift) with every coordinate nonzero;
+    # the h solved for must satisfy f = D(h), and f spans several weights of
+    # rows of D and coordinates of f
+    n = cone_control
+    rng = random.Random(deg)
+    entries = {}
+    for alpha, e in enumerate(n.basis):
+        img: dict = {}
+        for lab in n.slice_labels(e.degree + deg, e.weight + shift):
+            img = n.add_elem(img, n.scale_elem(n.label_elem(lab), rng.randint(1, 3)))
+        if img:
+            entries[alpha] = img
+    f = ChainMap(n, n, deg - 1, hom_differential(ChainMap(n, n, deg, entries)))
+    assert f.entries and f.is_chain_map()
+    h = null_homotopy(f)
+    assert isinstance(h, ChainMap) and h.entries
+    assert ChainMap(n, n, deg - 1, hom_differential(h)) == f
+
+
+def test_null_homotopy_witness_of_a_cycle_that_bounds_nothing(cone_control, monkeypatch):
+    # f - X a is a cycle of N that bounds nothing, so the identity is not
+    # null-homotopic; the system is pinned equation by equation, in the
+    # order of (weight, row position), and so is the witness, which takes
+    # two equations of D, at e -> e and at f -> X e, and the coordinate of f
+    # at f -> f, an equation with no row of D, is left unused
+    import dglift.homological as homological
+
+    systems = []
+    solve = homological.solve_linear
+    monkeypatch.setattr(homological, "solve_linear",
+                        lambda system: systems.append(system) or solve(system))
+    res = null_homotopy(ChainMap.identity(cone_control))
+    assert isinstance(res, Infeasible)
+    [system] = systems
+    assert system.rows == [{0: 1}, {0: 1}, {0: 1}, {}]
+    assert system.rhs == [1, 1, 0, 1]
+    assert (res.combo, res.value) == ({0: -1, 2: 1}, -1)
+    assert res.verify(system)
 
 
 def test_chain_map_rejects_inhomogeneous_entries(negative_control):

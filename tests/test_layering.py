@@ -22,12 +22,14 @@ routine, which the Hom blocks use as well; every elimination, `matrix_rank`,
 `solve_linear`, `nullspace_basis` and `splitting`, goes straight to
 `_reduce`, so that one pivot rule makes every echelon, kernel and
 certificate, and no structural-pivot pass is left; `HomComplex` assembles D
-once, as columns keyed by row position, and `build_split_system` reads pi
-off tower monomials by position too, with no module-element operation,
-while E1 dimensions come from one table per complex, and the complex keeps
-no whole matrix, transfer or E1 dimension, which no caller reads again; a
-tower keeps the columns of d on a
-slice in that positional format only, and one predicate, `_inherits`,
+once, as columns keyed by row position, and its rows are their plain
+transpose, so a row's label is built only where an equation is printed or
+matched, and `build_split_system` reads pi off tower monomials by position
+too, with no module-element operation, and builds no label but its
+unknowns'; a SPLIT is re-checked through `ChainMap`; E1 dimensions come
+from one table per complex, and the complex keeps no whole matrix, transfer
+or E1 dimension, which no caller reads again; a tower keeps the columns of
+d on a slice in that positional format only, and one predicate, `_inherits`,
 decides where it reads its parent's echelon and kernel, the one
 branch of `slice_echelon` that asks the parent for its echelon; a tower
 keeps no slice rank beside its echelon, and only the Ext path keeps the
@@ -637,3 +639,46 @@ def test_ext_dims_reads_homology_only_on_the_slices_e1_holds():
     assert not _calls_in(fn) & {"e1_dim", "_e1_blocks"}
     slices = _method(_class("homological.py", "HomComplex"), "e1_slices")
     assert "_e1_blocks" in _calls_in(slices)
+
+
+
+def _homological_functions() -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((SRC / "homological.py").read_text(encoding="utf-8"))
+    return {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_hom_rows_are_the_positional_transpose():
+    # rows keys D by row position as matrix_columns does; a row's label is
+    # built only to print a witness's equations or to match f's coordinates
+    # in null_homotopy, besides the unknowns of the splitting system
+    hom = _class("homological.py", "HomComplex")
+    assert "slice_labels" not in _calls_in(_method(hom, "rows"))
+    assert {name for name, fn in _homological_functions().items()
+            if "slice_labels" in _calls_in(fn)} \
+        == {"null_homotopy", "build_split_system", "equation_labels"}
+
+
+def test_split_system_builds_labels_only_for_its_unknowns():
+    # on its own or through a method of the complex it calls: a chain
+    # equation is keyed by row position, so a SPLIT op builds no row label
+    hom = _class("homological.py", "HomComplex")
+    methods = {fn.name: fn for fn in hom.body if isinstance(fn, ast.FunctionDef)}
+    split = _homological_functions()["build_split_system"]
+    assert [ast.unparse(node) for node in ast.walk(split) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "slice_labels"] \
+        == ["hom.slice_labels(0, 0)"]
+    reached, todo = set(), list(_calls_in(split) & set(methods) - {"slice_labels"})
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += _calls_in(methods[name]) & set(methods)
+    assert "rows" in reached and "slice_labels" not in reached
+
+
+def test_split_is_re_checked_through_chain_map():
+    # pi 。rho = id and d 。rho = rho 。d are ChainMap's own checks, not
+    # module-element operations written out again
+    check = _calls_in(_homological_functions()["naive_lift_check"])
+    assert {"compose", "identity", "is_chain_map"} <= check
+    assert not check & {"apply_diff", "apply", "elem_eq"}

@@ -7,10 +7,10 @@ goes at the end. For each probe the snapshot records `"ok"` or
 `[line, col, message]` of the ParseError, and every probe must end in one of
 the two: no other exception may escape the parser.
 
-Huge command bounds (`hbound`, `wbound`, `budget`) are left out: the parser
-does not bound them yet (ROADMAP item 3). A huge exponent is refused where
-it is read (`session.EXPONENT_LIMIT`), so `run eval x^99999999999999999999`
-is a probe.
+A huge exponent or keyword bound is refused where it is read
+(`session.EXPONENT_LIMIT`, `session.MOST`), so `run eval
+x^99999999999999999999` and `run tate x^2 hbound 3 wbound 100000` are
+probes.
 
 `python tests/test_parse_errors.py` rewrites tests/snapshots/parse_errors.json
 from the current code; review the diff before committing it.
@@ -60,6 +60,7 @@ PROBES = [
     "var Z deg 1 wt 1 d",
     "var Z deg 1 wt 1 deg 2",
     "var Z deg 1 wt 1 d X1",
+    "var Z deg 1001 wt 1",
     "var Zo deg 1 wt 1",
     "var xi_Z deg 2 wt 1",
     "var Z deg x wt 1",
@@ -80,6 +81,8 @@ PROBES = [
     "gen k deg 1",
     "gen k deg 1 wt 1 wt 2",
     "gen k deg 1 wt 1 d",
+    "gen k deg 0 wt 1001",
+    "gen k deg -1001 wt 0",
     "gen k deg a wt 1",
     "gen k deg 1 wt 1 foo 2",
     "gen k 1 2",
@@ -139,6 +142,9 @@ PROBES = [
     "run check-axioms budget -3",
     "run check-axioms wbound -2",
     "run check-axioms budget 0 wbound 0",
+    "run check-axioms budget 40000 wbound 1000",
+    "run check-axioms budget 40001",
+    "run check-axioms budget 100000000 wbound 100000",
     # run ext
     "run ext B1 B1 0..3 0:3:3",
     "run ext N N 0..2",
@@ -193,6 +199,9 @@ PROBES = [
     "run tate x^2) hbound 2 wbound 3",
     "run tate x^2 hbound -1 wbound 3",
     "run tate x^2 hbound 0 wbound 3",
+    "run tate x^2 hbound 1000 wbound 1000",
+    "run tate x^2 hbound 3 wbound 100000",
+    "run tate x^2 hbound 100000 wbound 4",
     "run tate 1 hbound 2 wbound 3",
     "run tate x^2, 2 hbound 2 wbound 3",
 ]

@@ -93,14 +93,14 @@ def test_positional_pi_rows_match_the_element_route(flavor):
     for name, n, a_prefix in cases:
         system, unknowns, keys, p, pi, _, _ = build_split_system(n, a_prefix)
         want = element_pi_rows(n, unknowns, p, pi)
-        got = {(beta, nlab): row for (kind, beta, nlab), row in zip(keys, system.rows)
-               if kind == "pi"}
+        got = {key[1:]: row for key, row in zip(keys, system.rows) if key[0] == "pi"}
         assert set(want) <= set(got), (name, a_prefix)
         for key, row in got.items():
             assert row == want.get(key, {}), (name, a_prefix, key)
         one = n.tower.base.field.one()
-        for (kind, beta, nlab), b in zip(keys, system.rhs):
-            if kind == "pi":
+        for key, b in zip(keys, system.rhs):
+            if key[0] == "pi":
+                _, beta, nlab = key
                 assert b == (one if nlab[0] == beta and not any(nlab[1]) and not any(nlab[2])
                              else n.tower.base.field.zero()), (name, a_prefix, nlab)
     assert one is not None
@@ -156,3 +156,30 @@ def test_verdict_holds_past_the_minimal_window(flavor):
         assert naive_lift_check(n, 0, wide).status == status, name
         counts[status == "SPLIT"] += 1
     assert counts[True] and counts[False], counts
+
+
+@pytest.mark.parametrize("bad,message", [("zero", "non-section"),
+                                         ("off-kernel", "non-chain map")])
+def test_split_refuses_a_solution_that_fails_its_re_check(monkeypatch, bad, message):
+    # naive_lift_check re-verifies the solver's rho before it reports SPLIT:
+    # the zero solution is no section of pi, and the true solution plus a
+    # kernel vector of the pi rows whose image under D is nonzero is a
+    # section that is no chain map
+    import dglift.homological as homological
+    from dglift.base_ring import LinearSolution, nullspace_basis, solve_linear
+
+    n = dict(golden_modules("divided"))["split:N"]
+    system, unknowns, keys, *_, hom = build_split_system(n)
+    field = n.tower.base.field
+    solution = solve_linear(system).solution
+    if bad == "zero":
+        solution = [field.zero()] * len(unknowns)
+    else:
+        pi_rows = [row for key, row in zip(keys, system.rows) if key[0] == "pi"]
+        kernel = [[v.get(j, field.zero()) for j in range(len(unknowns))]
+                  for v in nullspace_basis(field, pi_rows, len(unknowns))]
+        vec = next(v for v in kernel if not hom.chain_map(0, unknowns, v).is_chain_map())
+        solution = list(map(field.add, solution, vec))
+    monkeypatch.setattr(homological, "solve_linear", lambda _: LinearSolution(solution))
+    with pytest.raises(homological.HomologicalError, match=f"returned a {message}; refusing"):
+        naive_lift_check(n)
