@@ -434,12 +434,12 @@ def matrix_rank(field: Field, rows: list[dict], echelon: list | None = None) -> 
 
 
 def remainder(field: Field, echelon: list, vec: dict, combo: dict | None = None) -> dict:
-    """`vec` reduced by the (pivot column, row) pairs of an echelon from
-    `matrix_rank` or `splitting`, in their order, which is `_reduce`'s pivot
-    order: each row is 0 at the pivots before it, so one pass leaves `vec`
-    empty exactly when it lies in the span of the rows.  Given a dict
-    `combo`, records in it the multiple of each row, keyed by its pivot, that
-    was taken away, so that vec = remainder + sum combo[pivot]·row."""
+    """`vec` reduced by the (pivot column, row) pairs of an echelon, in
+    their order, each row 1 at its pivot and 0 at the pivots before it, as
+    `matrix_rank`, `splitting` and `nullspace_basis` leave them: one pass
+    leaves `vec` empty exactly when it lies in the span of the rows.  Given
+    a dict `combo`, records in it the multiple of each row, keyed by its
+    pivot, that was taken away, so that vec = remainder + sum combo[pivot]·row."""
     out = {c: v for c, v in vec.items() if v}
     for col, row in echelon:
         m = out.get(col)
@@ -450,27 +450,25 @@ def remainder(field: Field, echelon: list, vec: dict, combo: dict | None = None)
     return out
 
 
-def splitting(field: Field, columns: list[dict]) -> tuple[list, dict, list]:
+def splitting(field: Field, columns: list[dict]) -> tuple[list, dict]:
     """A linear map given by its columns, split by `_reduce` with witnesses:
-    (echelon, preimages, kernel).  The echelon is (pivot, row) pairs of the
-    image in reduced form, each row 1 at its pivot and 0 at every other
-    pivot; the preimage of a row, keyed by its pivot, is the combination of
-    the columns that gives it, {column: scalar}; the kernel is a basis of
-    the null space, one vector per column that is no pivot row."""
-    work, _, combos, used, pivots = _reduce(field, columns, [field.zero()] * len(columns), True)
+    (echelon, preimages).  The echelon is (pivot, row) pairs of the image in
+    reduced form, each row 1 at its pivot and 0 at every other pivot; the
+    preimage of a row, keyed by its pivot, is the combination of the
+    columns that gives it, {column: scalar}."""
+    work, _, combos, _, pivots = _reduce(field, columns, [field.zero()] * len(columns), True)
     return ([(col, work[i]) for col, i in pivots.items()],
-            {col: combos[i] for col, i in pivots.items()},
-            [combo for combo, u in zip(combos, used) if not u])
+            {col: combos[i] for col, i in pivots.items()})
 
 
-def nullspace_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:
-    """Kernel basis as sparse {col: scalar} vectors: one per free column, in
-    increasing column order, with 1 there and minus the reduced pivot rows'
-    entries of that column at their pivot columns."""
+def nullspace_basis(field: Field, rows: list[dict], ncols: int) -> list[tuple]:
+    """Kernel basis as (free column, {col: scalar}) pairs, in column order:
+    1 at the free column, 0 at the other free ones, and minus the reduced
+    pivot rows' entries of that column at their pivots; an echelon."""
     work, _, _, _, pivots = _reduce(field, rows, [field.zero()] * len(rows), False)
     kernel = {c: {c: field.one()} for c in range(ncols) if c not in pivots}
     for col, i in pivots.items():
         for c, v in work[i].items():
             if c != col:
                 kernel[c][col] = field.neg(v)
-    return list(kernel.values())
+    return list(kernel.items())

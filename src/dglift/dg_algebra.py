@@ -52,14 +52,14 @@ class TowerAlgebra:
     tower never changes, so it memoises its monomial products, monomial
     differentials, slice bases, slice indices, slice columns, slice
     echelons, slice kernels (keyed by position in `slice_basis`), the
-    homology and contraction of each slice, and the plain data of its
+    boundary record and contraction of each slice, and the plain data of its
     envelopes, which are built on first use only; a slice's rank is the
     length of its echelon, and `slice_dim` reads its dimension on the
     ancestor whose slice it is.  A tower built by `adjoin` links to its parent
     and inherits from it: a monomial without the new variable keeps its
     differential, padded with a zero, a slice is the parent's slices
     with powers of the new variable appended, and where `_inherits` holds
-    the parent's echelon, kernel, homology and contraction are read;
+    the parent's echelon, kernel, boundary record and contraction are read;
     elsewhere an echelon starts from the rows of the nearest ancestor that
     holds it and is kept only on the tower that asked for it.
     The link runs from child to parent only, so a chain of towers is in no
@@ -67,9 +67,9 @@ class TowerAlgebra:
     """
 
     _parent: "TowerAlgebra | None" = None  # set by `adjoin` only
-    # the homology and contraction memos, made on first use, since most
-    # towers (those of Tate's construction, for one) never read them
-    _homology: "dict | None" = None
+    # the boundary record and contraction memos, made on first use, since
+    # most towers (those of Tate's construction, for one) never read them
+    _records: "dict | None" = None
     _contractions: "dict | None" = None
     # the envelope's data of this tower, made on first use (`envelope_memo`)
     _envelope: "dict | None" = None
@@ -343,8 +343,7 @@ class TowerAlgebra:
         """The columns of d on the (hdeg, weight) slice: d of each basis
         vector, in basis order, as a {position: scalar} map over the basis
         of the (hdeg - 1, weight) slice; computed once per slice and kept
-        for the Ext path (homology, contraction, Hom assembly), which reads
-        them again."""
+        for the Hom assembly, which reads them again."""
         key = (hdeg, weight)
         cached = self._columns.get(key)
         if cached is None:
@@ -405,11 +404,11 @@ class TowerAlgebra:
         self._echelons[key] = cached
         return cached
 
-    def slice_kernel(self, hdeg: int, weight: int) -> list[dict]:
-        """A basis of the kernel of d on the (hdeg, weight) slice, as
-        {position: scalar} maps over `slice_basis` in the order of
-        `nullspace_basis`; computed once per slice from columns that are
-        not kept, since no later call reads them."""
+    def slice_kernel(self, hdeg: int, weight: int) -> list[tuple]:
+        """A basis of the kernel of d on the (hdeg, weight) slice, as the
+        (free position, {position: scalar}) pairs of `nullspace_basis` over
+        `slice_basis`, the one elimination of the slice that Tate and Ext
+        both read; computed once per slice from columns that are not kept."""
         key = (hdeg, weight)
         cached = self._kernels.get(key)
         if cached is None:
@@ -438,65 +437,63 @@ class TowerAlgebra:
 
     # --- the contraction of a slice onto its homology ----------------------
 
-    def slice_homology(self, hdeg: int, weight: int) -> list[tuple]:
-        """A basis of the homology of the (hdeg, weight) slice: the kernel
-        of `base_ring.splitting` of d reduced against its image on the slice
-        above, as the (pivot, row) pairs of `matrix_rank`'s echelon, each row
-        1 at its pivot; computed once per slice."""
-        if self._homology is None:
-            self._homology, self._contractions = {}, {}
-        if hdeg < 0 or weight < 0:
-            return []
+    def _boundary_record(self, hdeg: int, weight: int) -> tuple:
+        """(homology, echelon, preimages) of the (hdeg, weight) slice, once
+        per slice.  A cycle is fixed by its entries at the free positions of
+        `slice_kernel`, and d is injective on C, the span of the pivot basis
+        vectors, so the columns of d above at its kernel's pivots span the
+        boundaries: `splitting` them on the free positions here gives their
+        echelon and each row's preimage in C above, and the homology is the
+        kernel at the free positions that are no pivot of the echelon."""
+        if self._records is None:
+            self._records, self._contractions = {}, {}
         key = (hdeg, weight)
-        cached = self._homology.get(key)
+        cached = self._records.get(key)
         if cached is None:
             if self._inherits(hdeg + 1, weight):
-                cached = self._parent.slice_homology(hdeg, weight)
+                cached = self._parent._boundary_record(hdeg, weight)
             else:
-                field, cached = self.base.field, []
-                bounds = splitting(field, self.slice_columns(hdeg + 1, weight))[0]
-                kernel = splitting(field, self.slice_columns(hdeg, weight))[2]
-                cycles = [r for r in (remainder(field, bounds, z) for z in kernel) if r]
-                if cycles:
-                    matrix_rank(field, cycles, cached)
-            self._homology[key] = cached
+                kernel, echelon, pre = self.slice_kernel(hdeg, weight), [], {}
+                if kernel:
+                    free, above = dict(kernel), dict(self.slice_kernel(hdeg + 1, weight))
+                    basis = self.slice_basis(hdeg + 1, weight)
+                    pivots = [j for j in range(len(basis)) if j not in above]
+                    columns = self._images([basis[j] for j in pivots], hdeg + 1, weight)
+                    echelon, pre = splitting(self.base.field, [
+                        {r: s for r, s in col.items() if r in free} for col in columns])
+                    pre = {q: {pivots[c]: s for c, s in combo.items()} for q, combo in pre.items()}
+                cached = ([(f, vec) for f, vec in kernel if f not in pre], echelon, pre)
+            self._records[key] = cached
         return cached
+
+    def slice_homology(self, hdeg: int, weight: int) -> list[tuple]:
+        """A basis of the homology of the (hdeg, weight) slice: (free
+        position, kernel vector) pairs of `slice_kernel`."""
+        return self._boundary_record(hdeg, weight)[0]
 
     def slice_contraction(self, hdeg: int, weight: int) -> list[tuple]:
         """(p(v), h(v)) for each basis vector v of the (hdeg, weight) slice,
         in basis order, of a strong deformation retraction (i, p, h) of the
-        tower onto its homology: a homology vector is named by the pivot of
-        its row in `slice_homology`, which i sends it to, p(v) is
-        {pivot: scalar}, and h(v) is {position in the (hdeg + 1, weight)
-        slice: scalar}, with i p - 1 = d h + h d and
-        p i = 1, h h = 0, h i = 0, p h = 0.  The slice splits as boundaries
-        plus homology plus C, the span of the preimages of the boundaries
-        below; p keeps the homology part, and h sends a boundary b to minus
-        its preimage in C and is 0 on the rest; computed once per slice."""
-        reps = self.slice_homology(hdeg, weight)  # makes the memo
+        tower onto its homology, i sending the vector named f in
+        `slice_homology` to its kernel vector: p(v) is {f: scalar}, h(v) is
+        {position in the (hdeg + 1, weight) slice: scalar}, i p - 1 = d h +
+        h d, and p i = 1, h h = h i = p h = 0.  p and h vanish on the pivot
+        basis vectors; at a free position f, {f: 1} is reduced against the
+        boundary echelon, p is what is left and h minus the preimage of what
+        was taken away."""
+        _, echelon, pre = self._boundary_record(hdeg, weight)  # makes the memo
         key = (hdeg, weight)
         cached = self._contractions.get(key)
         if cached is None:
             if self._inherits(hdeg + 1, weight):
                 cached = self._parent.slice_contraction(hdeg, weight)
             else:
-                field = self.base.field
-                neg, one = field.neg, field.one()
-                below, below_pre, _ = splitting(field, self.slice_columns(hdeg, weight))
-                bounds, pre, _ = splitting(field, self.slice_columns(hdeg + 1, weight))
-                cached = []
-                for j, col in enumerate(self.slice_columns(hdeg, weight)):
-                    # the cycle v - c, c in C with d c = d v; then its boundary part
-                    coords, cycle = {}, {j: one}
-                    remainder(field, below, col, coords)
-                    for q, m in coords.items():
-                        _axpy(field, cycle, below_pre[q], neg(m))
-                    coords, h = {}, {}
-                    cycle = remainder(field, bounds, cycle, coords)
-                    for q, m in coords.items():
-                        _axpy(field, h, pre[q], neg(m))
-                    p = {}
-                    remainder(field, reps, cycle, p)
+                field, free, cached = self.base.field, dict(self.slice_kernel(hdeg, weight)), []
+                for j in range(self.slice_dim(hdeg, weight)):
+                    combo, h = {}, {}
+                    p = remainder(field, echelon, {j: field.one()}, combo) if j in free else {}
+                    for q, m in combo.items():
+                        _axpy(field, h, pre[q], field.neg(m))
                     cached.append((p, h))
             self._contractions[key] = cached
         return cached

@@ -48,7 +48,8 @@ class HomComplex:
     label is built only where an equation is printed or matched.
 
     Homology is read off the E1 page of the semifree filtration.  With the
-    tower's contraction (i, p, h) of each slice onto its homology, h signed
+    tower's contraction (i, p, h) of each slice onto its homology (read off
+    the slice's kernel, the one Tate reads too), h signed
     as d0, the homological perturbation lemma gives the differential D_H =
     p delta sum_k (h delta)^k i on E1, the sum of the homologies of the
     blocks; the sum is finite, and H(Hom) = H(E1, D_H).  E1 vectors are

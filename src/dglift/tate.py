@@ -64,7 +64,7 @@ def homology_rep(tower: TowerAlgebra, hdeg: int, w: int) -> AlgebraElement | Non
     # boundaries and kernel vectors are both keyed by position in the
     # (hdeg, w) basis, whose labels are the element's
     boundaries = tower.slice_echelon(hdeg + 1, w)
-    for vec in tower.slice_kernel(hdeg, w):
+    for _, vec in tower.slice_kernel(hdeg, w):
         if remainder(field, boundaries, vec):
             basis = tower.slice_basis(hdeg, w)
             return AlgebraElement(tower, {basis[j]: v for j, v in sorted(vec.items())})

@@ -78,7 +78,8 @@ def test_solve_infeasible_witness(QQ):
 def test_nullspace_of_row(QQ):
     null = nullspace_basis(QQ, [{0: QQ.of(1), 1: QQ.of(1)}], 2)
     assert len(null) == 1
-    v = null[0]
+    ((free, v),) = null
+    assert v[free] == QQ.one()
     assert QQ.add(v.get(0, QQ.zero()), v.get(1, QQ.zero())) == QQ.zero()
     assert any(v.values())
 
@@ -109,7 +110,7 @@ def test_solution_reverifies(p):
             for j, v in r.items():
                 acc = field.add(acc, field.mul(v, res.solution[j]))
             assert acc == b
-        for vec in nullspace_basis(field, rows, nc):
+        for _, vec in nullspace_basis(field, rows, nc):
             for r in rows:
                 acc = field.zero()
                 for j, v in r.items():
@@ -124,7 +125,7 @@ def test_deterministic_elimination(QQ):
     na = nullspace_basis(QQ, _system(QQ, rows, [0, 0, 0], 3).rows, 3)
     nb = nullspace_basis(QQ, _system(QQ, rows, [0, 0, 0], 3).rows, 3)
     assert a.solution == b.solution
-    assert [list(v.items()) for v in na] == [list(v.items()) for v in nb]
+    assert [(f, list(v.items())) for f, v in na] == [(f, list(v.items())) for f, v in nb]
 
 
 def _exact(x) -> bool:
@@ -141,8 +142,8 @@ def test_rational_scalars_stay_fractions():
     assert res.solution == [Fraction(1, 2)]
     assert all(type(x) is Fraction for x in res.solution)
     null = nullspace_basis(q, [{0: 2, 1: 1}], 2)
-    assert null == [{0: Fraction(-1, 2), 1: Fraction(1)}]
-    assert type(null[0][0]) is Fraction
+    assert null == [(1, {0: Fraction(-1, 2), 1: Fraction(1)})]
+    assert type(null[0][1][0]) is Fraction
 
 
 def test_rational_scalars_are_ints_or_fractions_never_floats():
@@ -152,8 +153,8 @@ def test_rational_scalars_are_ints_or_fractions_never_floats():
                               q.inv(Fraction(1, 3)), q.div(6, 3))] == [int] * 7
     assert (q.of(4, 2), q.inv(-1), q.inv(Fraction(1, 3)), q.div(6, 3)) == (2, -1, 3, 2)
     null = nullspace_basis(q, [{0: 2, 1: 1}], 2)
-    assert type(null[0][1]) is int
-    assert all(_exact(x) for v in null for x in v.values())
+    assert type(null[0][1][1]) is int
+    assert all(_exact(x) for _, v in null for x in v.values())
     res = solve_linear(LinearSystem(q, [{0: 2, 1: 1}, {1: 3}], [1, 6], 2))
     assert res.solution == [Fraction(-1, 2), 2]
     assert all(_exact(x) for x in res.solution)

@@ -78,9 +78,9 @@ def dense(rows, ncols, field):
 
 
 def reference_kernel(field, rows, ncols):
-    """Dense kernel vectors from the reference reduction: one per free column
-    f, in increasing order, with 1 at f and minus each reduced pivot row's
-    entry in column f at that row's pivot column."""
+    """(f, dense kernel vector) pairs from the reference reduction: one per
+    free column f, in increasing order, with 1 at f and minus each reduced
+    pivot row's entry in column f at that row's pivot column."""
     rows = [{c: v for c, v in r.items() if v} for r in rows]
     work, _, _, _, pivots = reference_reduce(field, rows, [field.zero()] * len(rows), False)
     kernel = []
@@ -92,7 +92,7 @@ def reference_kernel(field, rows, ncols):
         for col, i in pivots.items():
             if work[i].get(f):
                 vec[col] = field.neg(work[i][f])
-        kernel.append(vec)
+        kernel.append((f, vec))
     return kernel
 
 
@@ -198,13 +198,19 @@ def test_echelon_contract(case):
 @given(systems())
 def test_nullspace_is_a_kernel_basis(case):
     field, rows, _, ncols = case
-    null = dense(nullspace_basis(field, rows, ncols), ncols, field)
+    pairs = nullspace_basis(field, rows, ncols)
+    null = dense([vec for _, vec in pairs], ncols, field)
     assert len(null) == ncols - matrix_rank(field, rows)
     for vec in null:
         assert all(apply(field, r, vec) == field.zero() for r in rows)
+    # each vector is 1 at its free column and 0 at the other free columns:
+    # an echelon that `remainder` reads
+    free = [f for f, _ in pairs]
+    for f, vec in zip(free, null):
+        assert [vec[g] for g in free] == [field.one() if g == f else field.zero() for g in free]
     if null:
         assert dense_rank(field, null) == len(null)
-    assert null == reference_kernel(field, rows, ncols)
+    assert list(zip(free, null)) == reference_kernel(field, rows, ncols)
 
 
 @SETTINGS
@@ -293,7 +299,8 @@ def test_pivot_rule_matches_reference():
         echelon: list = []
         matrix_rank(field, rows, echelon)
         assert [col for col, _ in echelon] == list(pivots)
-        assert dense(nullspace_basis(field, rows, ncols), ncols, field) == reference_kernel(
+        assert [(f, dense([vec], ncols, field)[0])
+                for f, vec in nullspace_basis(field, rows, ncols)] == reference_kernel(
             field, rows, ncols)
 
 

@@ -23,6 +23,7 @@ from dglift import (
     base_change,
     ext_dims,
     make_semifree,
+    tate_resolution,
     tensor_bimodule,
 )
 from dglift.base_ring import _axpy
@@ -123,13 +124,24 @@ def check_e1(hom, degrees, weights, dense_limit=None):
     return nonzero
 
 
+def tate_tower(flavor, p):
+    """The last tower of Tate's resolution of (xy, yz, zu, ux) in
+    F[x,y,z,u], hbound 3 and weight bound 5, over Q or F_p: Tate has filled
+    the kernel memos of its chain, and a child reads its parent's boundary
+    record wherever the last variable enters neither slice."""
+    ring = PolyRing(Field(p), ("x", "y", "z", "u"), (1, 1, 1, 1))
+    x, y, z, u = (ring.var(n) for n in "xyzu")
+    return tate_resolution(ring, [x * y, y * z, z * u, u * x], 3, 5, flavor).tower
+
+
 @pytest.mark.parametrize("flavor", ["divided", "ordinary"])
 @pytest.mark.parametrize("p", [None, 5], ids=["Q", "F5"])
 def test_slice_contraction_is_a_strong_deformation_retraction(flavor, p):
     # i p - 1 = d h + h d, p i = 1 and h h = h i = p h = 0 on every slice,
     # the homology has the dimension the dense ranks give, and each
     # representative is a cycle
-    for tower in acceptance_towers(flavor, p):
+    inherited = 0
+    for tower in acceptance_towers(flavor, p) + [tate_tower(flavor, p)]:
         field = tower.base.field
         one, neg = field.one(), field.neg
         for w in range(0, 5):
@@ -167,6 +179,10 @@ def test_slice_contraction_is_a_strong_deformation_retraction(flavor, p):
                     assert lhs == rhs, (tower, k, w, j)
                     assert not h(hv, up)
                     assert not _apply(field, [pv for pv, _ in up], hv)
+                if tower._inherits(k + 1, w):
+                    assert tower._boundary_record(k, w) is tower._parent._boundary_record(k, w)
+                    inherited += bool(reps)
+    assert inherited
 
 
 def test_ext_matches_the_dense_rank_of_the_whole_matrix():

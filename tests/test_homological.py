@@ -158,7 +158,7 @@ def test_hom_rows_agree_with_chain_maps(p, name):
         for w in range(-2, 3):
             labels = hom.slice_labels(d, w)
             kernel = nullspace_basis(field, list(hom.rows(d, w).values()), len(labels))
-            for vec in kernel:
+            for _, vec in kernel:
                 solution = [vec.get(j, field.zero()) for j in range(len(labels))]
                 assert hom.chain_map(d, labels, solution).is_chain_map()
             for lab, col in zip(labels, hom.matrix_columns(d, w)):

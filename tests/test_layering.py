@@ -30,10 +30,11 @@ unknowns'; a SPLIT is re-checked through `ChainMap`; E1 dimensions come
 from one table per complex, and the complex keeps no whole matrix, transfer
 or E1 dimension, which no caller reads again; a tower keeps the columns of
 d on a slice in that positional format only, and one predicate, `_inherits`,
-decides where it reads its parent's echelon and kernel, the one
-branch of `slice_echelon` that asks the parent for its echelon; a tower
-keeps no slice rank beside its echelon, and only the Ext path keeps the
-columns of a slice; `_axpy` is
+decides where it reads its parent's echelon, kernel and boundary record, the
+one branch of `slice_echelon` that asks the parent for its echelon; a tower
+keeps no slice rank beside its echelon, and only the Hom assembly keeps the
+columns of a slice; Tate and Ext read one kernel elimination per slice,
+`slice_kernel`, and Ext splits its boundaries once per slice; `_axpy` is
 the one scalar `dst += m·src`; the suffix split of tower terms, the Koszul
 flip of a left action, a module's differential by column and the sums of
 module elements each have one home; the envelope reads the differential of
@@ -478,10 +479,11 @@ def test_tower_slices_have_one_positional_format():
 def test_tower_memoises_only_what_it_reads_again():
     # over the first 96 resolve ops of seed 7 a slice's (dim, rank) pair was
     # found kept in 6 218 of 17 904 reads, though both halves have memos of
-    # their own, and the columns the Tate kernel asked for in 0 of 142, while
-    # on a lift deck the Ext path finds them in 12 387 of 12 905: a rank is
-    # the length of the slice's echelon, the kernel keeps no columns, and
-    # only the homology, the contraction and the Hom assembly fill the memo
+    # their own, and the columns the Tate kernel asked for in 0 of 142: a
+    # rank is the length of the slice's echelon, the kernel keeps no
+    # columns, nor does the boundary record, which builds only the columns
+    # at the pivots of the kernel above, and only the Hom assembly fills the
+    # memo
     tower = _class("dg_algebra.py", "TowerAlgebra")
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -493,13 +495,37 @@ def test_tower_memoises_only_what_it_reads_again():
             for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
                 if isinstance(fn, ast.FunctionDef) and "slice_columns" in _calls_in(fn):
                     readers.add(fn.name if fn is top else f"{top.name}.{fn.name}")
-    assert readers == {"TowerAlgebra.slice_homology", "TowerAlgebra.slice_contraction",
-                       "HomComplex.matrix_columns"}
+    assert readers == {"HomComplex.matrix_columns"}
     # four methods read a parent's slice memo, one branch each, and
-    # slice_dim walks up to the ancestor whose slice it is
+    # slice_dim walks up to the ancestor whose slice it is; slice_homology
+    # reads the boundary record, which a child inherits
     assert {fn.name for fn in tower.body if isinstance(fn, ast.FunctionDef)
             and "_inherits" in _calls_in(fn)} \
-        == {"slice_dim", "slice_echelon", "slice_kernel", "slice_homology", "slice_contraction"}
+        == {"slice_dim", "slice_echelon", "slice_kernel", "_boundary_record", "slice_contraction"}
+
+
+def test_one_kernel_per_tower_slice_for_tate_and_ext():
+    # Tate and Ext read one elimination of a slice's kernel, slice_kernel's
+    # nullspace_basis; Ext's boundaries are split once per slice, on the
+    # free positions of that kernel, and the homology and the contraction
+    # are read off the two without another elimination
+    callers: dict = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(fn, ast.FunctionDef):
+                    for name in _calls_in(fn) & {"nullspace_basis", "splitting", "matrix_rank"}:
+                        callers.setdefault(name, set()).add(
+                            fn.name if fn is top else f"{top.name}.{fn.name}")
+    assert callers["nullspace_basis"] == {"TowerAlgebra.slice_kernel"}
+    assert callers["splitting"] == {"TowerAlgebra._boundary_record"}
+    assert not {"TowerAlgebra.slice_homology", "TowerAlgebra.slice_contraction",
+                "TowerAlgebra._boundary_record"} & callers["matrix_rank"]
+    # splitting hands back no kernel, which nothing reads
+    (fn,) = [node for node in ast.parse((SRC / "base_ring.py").read_text(encoding="utf-8")).body
+             if isinstance(node, ast.FunctionDef) and node.name == "splitting"]
+    (ret,) = [node for node in ast.walk(fn) if isinstance(node, ast.Return)]
+    assert isinstance(ret.value, ast.Tuple) and len(ret.value.elts) == 2
 
 
 def test_only_inherits_asks_whether_the_last_variable_enters_a_slice():

@@ -177,7 +177,7 @@ def test_split_refuses_a_solution_that_fails_its_re_check(monkeypatch, bad, mess
     else:
         pi_rows = [row for key, row in zip(keys, system.rows) if key[0] == "pi"]
         kernel = [[v.get(j, field.zero()) for j in range(len(unknowns))]
-                  for v in nullspace_basis(field, pi_rows, len(unknowns))]
+                  for _, v in nullspace_basis(field, pi_rows, len(unknowns))]
         vec = next(v for v in kernel if not hom.chain_map(0, unknowns, v).is_chain_map())
         solution = list(map(field.add, solution, vec))
     monkeypatch.setattr(homological, "solve_linear", lambda _: LinearSolution(solution))

@@ -252,6 +252,42 @@ def test_homology_rep_reads_the_kernel_memo_of_the_first_tower(monkeypatch):
     assert res.h0.dims == h0.dims
 
 
+def test_ext_eliminates_no_kernel_that_tate_left_on_the_tower(monkeypatch):
+    # Tate and Ext read one kernel per slice: after tate_resolution, ext_dims
+    # over a module on its last tower reads the kernels Tate eliminated, on
+    # the ancestors that hold them, and eliminates only slices Tate never
+    # read; no slice of any tower of the chain is eliminated twice
+    from dglift import BidegreeWindow, ext_dims, make_semifree
+
+    ring = PolyRing(Field(), ("x", "y", "z", "u"), (1, 1, 1, 1))
+    x, y, z, u = (ring.var(n) for n in "xyzu")
+    reading, eliminated, reads = [], [], []
+    kernel = TowerAlgebra.slice_kernel
+
+    def read(tower, hdeg, weight):
+        reading.append((tower, hdeg, weight))
+        reads.append(reading[-1])
+        try:
+            return kernel(tower, hdeg, weight)
+        finally:
+            reading.pop()
+
+    def counted(field, rows, ncols):
+        eliminated.append(reading[-1])
+        return nullspace_basis(field, rows, ncols)
+
+    monkeypatch.setattr(TowerAlgebra, "slice_kernel", read)
+    monkeypatch.setattr(dg_algebra, "nullspace_basis", counted)
+    res = tate_resolution(ring, [x * y, y * z, z * u, u * x], 3, 5)
+    by_tate = set(eliminated)
+    del reads[:]
+    n = make_semifree(res.tower, [("e", 0, 0), ("f", 2, 1)], {})
+    assert ext_dims(n, n, (0, 2), BidegreeWindow(0, 2, 5)).dims
+    monkeypatch.undo()
+    assert by_tate & set(reads)
+    assert len(eliminated) == len(set(eliminated)) > len(by_tate)
+
+
 def test_no_tower_of_the_chain_ranks_above_the_weight_it_reads():
     # tate_step reads H_hdeg one weight at a time, upward, and stops at the
     # first weight with homology, where it adjoins the next variable; an

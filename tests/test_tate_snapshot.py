@@ -1,23 +1,32 @@
 """Snapshot of Tate resolutions: the name, degree and weight of every adjoined
-variable, its differential as `render_element` writes it, and the h0 dims.
+variable, its differential as `render_element` writes it, and the h0 dims;
+and the reports of the first 40 distinct sessions of the benchmark's seed-1
+`resolve` deck, `result` and `certificates`, run through `dglift.cli.main`.
 
 The representative `tate_step` kills is chosen by the elimination kernel, so
 any change to how cycles and boundaries are reduced shows up here first.
 `python tests/test_tate_snapshot.py` rewrites tests/snapshots/tate.json from
-the current code; review the diff before committing it.
+the current code, and `python tests/test_tate_snapshot.py deck` rewrites
+tests/tate_deck.json; review the diff before committing either.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
+import sys
+import tempfile
 
 import pytest
 
 from dglift import Field, PolyRing, tate_resolution
+from dglift.cli import main
 from dglift.render import render_element
 
-SNAPSHOT = pathlib.Path(__file__).resolve().parent / "snapshots" / "tate.json"
+TESTS = pathlib.Path(__file__).resolve().parent
+SNAPSHOT = TESTS / "snapshots" / "tate.json"
+DECK = TESTS / "tate_deck.json"
 
 
 def ideals():
@@ -63,6 +72,49 @@ def test_tate_snapshot(expected, key, ring, gens, wbound, flavor, hbound):
     assert snapshot(ring, gens, wbound, flavor, hbound) == expected[key]
 
 
+def deck_sessions(count: int = 40) -> list[str]:
+    """The first `count` distinct session texts of the seed-1 `resolve` deck
+    of the benchmark, in deck order."""
+    sys.path.insert(0, str(TESTS.parent / "bench"))
+    try:
+        import run
+        import workloads
+    finally:
+        sys.path.pop(0)
+    # the modules already imported: run.import_dglift would import them afresh
+    dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
+    deck, _, _ = workloads.WORKLOADS["resolve"]().generate(dg, 1)
+    return list(dict.fromkeys(inp.spec["text"] for inp in deck))[:count]
+
+
+def deck_report(text: str, tmp: pathlib.Path) -> dict:
+    """`result` and `certificates` of the one report of a `resolve` session."""
+    session, report = tmp / "deck.session", tmp / "deck.json"
+    session.write_text(text, encoding="utf-8")
+    assert main([str(session), "--report", str(report)]) == 0
+    (entry,) = json.loads(report.read_text(encoding="utf-8"))["reports"]
+    return {"result": entry["result"], "certificates": entry["certificates"]}
+
+
+def test_bench_resolve_deck_keeps_its_reports(tmp_path, capsys):
+    # the variables Tate adjoins on quadrics in 3-4 variables over Q and F_p,
+    # beyond the hand-picked ideals above: a kernel basis with other free
+    # columns kills other representatives and changes these reports
+    expected = json.loads(DECK.read_text(encoding="utf-8"))
+    assert deck_sessions() == [case["session"] for case in expected]
+    for case in expected:
+        got = deck_report(case["session"], tmp_path)
+        assert got == {"result": case["result"], "certificates": case["certificates"]}, \
+            case["session"]
+
+
+def _write_deck() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = [{"session": text, **deck_report(text, pathlib.Path(tmp))}
+                 for text in deck_sessions()]
+    DECK.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
 def _write() -> None:
     lines = []
     for key, *args in cases():
@@ -75,4 +127,4 @@ def _write() -> None:
 
 
 if __name__ == "__main__":
-    _write()
+    _write_deck() if sys.argv[1:] == ["deck"] else _write()
