@@ -13,6 +13,8 @@ from dglift.cli import main
 from dglift.render import render_element, render_poly
 from dglift.session import BUDGET_LIMIT, EXPONENT_LIMIT, WINDOW_LIMIT, parse_window
 
+from bench_decks import bench_workloads
+
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -311,17 +313,9 @@ def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
     # bench shape gives a window or a command: the lift windows derived
     # from N as the benchmark derives them, the Tate and axiom bounds; and
     # the largest axiom budget beside BUDGET_LIMIT
-    import importlib
     import re
 
-    sys.path.insert(0, str(SRC.parent / "bench"))
-    try:
-        import run
-        import workloads
-    finally:
-        sys.path.pop(0)
-    # the modules already imported: run.import_dglift would import them afresh
-    dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
+    workloads, dg = bench_workloads()
     texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDENS.glob("*.session"))]
     bounds = [abs(int(b)) for text in texts
               for window in re.findall(r"-?\d+:-?\d+:-?\d+", text) for b in window.split(":")]
@@ -333,7 +327,7 @@ def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
     bounds += keywords
     budgets = [int(b) for text in texts for b in re.findall(r"\bbudget (\d+)", text)]
     assert budgets
-    for name, workload in workloads.WORKLOADS.items():
+    for name, workload in workloads.items():
         shapes, _ = workload().shapes(dg)
         for shape in shapes:
             if name == "lift":
@@ -356,19 +350,12 @@ def test_the_exponent_limit_sits_far_above_every_golden_and_bench_exponent():
     # the exponents `^m` and `^(m)` of the goldens and of one deck of each
     # session workload of the benchmark (the shapes, and so the largest
     # exponent, are the same for every seed)
-    import importlib
     import re
 
-    sys.path.insert(0, str(SRC.parent / "bench"))
-    try:
-        import run
-        import workloads
-    finally:
-        sys.path.pop(0)
-    dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
+    workloads, dg = bench_workloads()
     texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDENS.glob("*.session"))]
     for name in ("resolve", "axioms"):
-        deck, _, _ = workloads.WORKLOADS[name]().generate(dg, 1)
+        deck, _, _ = workloads[name]().generate(dg, 1)
         texts += [inp.spec["text"] for inp in deck]
     exponents = [int(m) for text in texts for m in re.findall(r"\^\(?(\d+)", text)]
     assert exponents

@@ -12,7 +12,6 @@ tests/tate_deck.json; review the diff before committing either.
 
 from __future__ import annotations
 
-import importlib
 import json
 import pathlib
 import sys
@@ -24,9 +23,12 @@ from dglift import Field, PolyRing, tate_resolution
 from dglift.cli import main
 from dglift.render import render_element
 
+from bench_decks import bench_workloads
+
 TESTS = pathlib.Path(__file__).resolve().parent
 SNAPSHOT = TESTS / "snapshots" / "tate.json"
 DECK = TESTS / "tate_deck.json"
+DECK_SESSIONS = 40
 
 
 def ideals():
@@ -72,19 +74,12 @@ def test_tate_snapshot(expected, key, ring, gens, wbound, flavor, hbound):
     assert snapshot(ring, gens, wbound, flavor, hbound) == expected[key]
 
 
-def deck_sessions(count: int = 40) -> list[str]:
-    """The first `count` distinct session texts of the seed-1 `resolve` deck
-    of the benchmark, in deck order."""
-    sys.path.insert(0, str(TESTS.parent / "bench"))
-    try:
-        import run
-        import workloads
-    finally:
-        sys.path.pop(0)
-    # the modules already imported: run.import_dglift would import them afresh
-    dg = {name: importlib.import_module(f"dglift.{name}") for name in run.SUBMODULES}
-    deck, _, _ = workloads.WORKLOADS["resolve"]().generate(dg, 1)
-    return list(dict.fromkeys(inp.spec["text"] for inp in deck))[:count]
+def deck_sessions() -> list[str]:
+    """The first `DECK_SESSIONS` distinct session texts of the seed-1
+    `resolve` deck of the benchmark, in deck order."""
+    workloads, dg = bench_workloads()
+    deck, _, _ = workloads["resolve"]().generate(dg, 1)
+    return list(dict.fromkeys(inp.spec["text"] for inp in deck))[:DECK_SESSIONS]
 
 
 def deck_report(text: str, tmp: pathlib.Path) -> dict:
