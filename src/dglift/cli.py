@@ -24,12 +24,10 @@ from .tate import TateError, tate_resolution
 
 OK, OBSTRUCTED, ERROR = 0, 10, 1
 
-DEFAULT_AXIOM_WEIGHT_BOUND = 6
-
 
 def _report_skeleton(cmd: Command, seed: int) -> dict:
     return {
-        "command": cmd.canonical(),
+        "command": cmd.text,
         "window": None,
         "result": {},
         "tables": {},
@@ -46,13 +44,12 @@ def run_command(session: Session, cmd: Command, seed: int,
     p = cmd.params
 
     if cmd.kind == "check-axioms":
-        wbound = p.get("wbound")
-        if wbound is None:
-            wbound = default_window.wmax if default_window else DEFAULT_AXIOM_WEIGHT_BOUND
-        budget = p.get("budget")
-        if budget is None:
-            budget = 200
-        result = check_axioms(session.tower, budget, weight_bound=wbound, seed=seed)
+        wbound = p["wbound"]
+        if wbound is None and default_window:
+            wbound = default_window.wmax
+        # check_axioms fills in its own defaults for what is still None
+        result = check_axioms(session.tower, p["budget"], weight_bound=wbound, seed=seed)
+        wbound = result.weight_bound
         max_deg = max((v.degree for v in session.tower.variables), default=0)
         rep["window"] = BidegreeWindow(0, wbound + max_deg, wbound).format()
         rep["result"] = {"status": "ok" if result.ok else "failed"}
@@ -78,9 +75,7 @@ def run_command(session: Session, cmd: Command, seed: int,
         return rep, OK, [f"[ok] eval: {text}"]
 
     if cmd.kind == "envelope-basis":
-        window = p["window"] or default_window
-        if window is None:
-            raise HomologicalError("envelope-basis needs a window (or --window)")
+        window = p["window"]
         rep["window"] = window.format()
         omega_rows, dims = session.envelope(p["over"]).basis_tables(window)
         rep["tables"]["omega_basis"] = omega_rows

@@ -10,7 +10,9 @@ symbols during that sorting; exponents of odd-degree variables never exceed 1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
+from functools import wraps
 from math import comb, factorial
 import random
 
@@ -44,35 +46,52 @@ class DGVariable:
         return self.degree % 2 == 1
 
 
+def per_slice(above: int | None = None):
+    """Keep a method's value once per (hdeg, weight) slice, in
+    `self._memo[method name]`.  With `above=k`, a tower built by `adjoin`
+    takes its parent's value, the very object, wherever
+    `_inherits(hdeg + k, weight)` holds: the slices up to k above, which the
+    value is read off, are then the parent's in the same positions."""
+    def decorate(method):
+        name = method.__name__
+
+        @wraps(method)
+        def memoised(self, hdeg: int, weight: int):
+            memo = self._memo[name]
+            value = memo.get((hdeg, weight))
+            if value is None:
+                if above is not None and self._inherits(hdeg + above, weight):
+                    value = getattr(self._parent, name)(hdeg, weight)
+                else:
+                    value = method(self, hdeg, weight)
+                memo[hdeg, weight] = value
+            return value
+        return memoised
+    return decorate
+
+
 class TowerAlgebra:
     """A base polynomial ring with an ordered list of adjoined DG variables.
 
     The constructor performs only structural checks; `adjoin` is the validated
     path that also checks the cycle condition on differential targets.  A
     tower never changes, so it memoises its monomial products, monomial
-    differentials, slice bases, slice indices, slice columns, slice
-    echelons, slice kernels (keyed by position in `slice_basis`), the
-    boundary record and contraction of each slice, and the plain data of its
-    envelopes, which are built on first use only; a slice's rank is the
-    length of its echelon, and `slice_dim` reads its dimension on the
-    ancestor whose slice it is.  A tower built by `adjoin` links to its parent
-    and inherits from it: a monomial without the new variable keeps its
-    differential, padded with a zero, a slice is the parent's slices
-    with powers of the new variable appended, and where `_inherits` holds
-    the parent's echelon, kernel, boundary record and contraction are read;
-    elsewhere an echelon starts from the rows of the nearest ancestor that
-    holds it and is kept only on the tower that asked for it.
-    The link runs from child to parent only, so a chain of towers is in no
-    reference cycle.
+    differentials, the `per_slice` methods (slice bases, indices, columns,
+    echelons and kernels, keyed by position in `slice_basis`, and the
+    boundary record and contraction of each slice) and the plain data of its
+    envelopes, each built on first use only; a slice's rank is the length of
+    its echelon, and `slice_dim` reads its dimension on the ancestor whose
+    slice it is.  A tower built by `adjoin` links to its parent and inherits
+    from it: a monomial without the new variable keeps its differential,
+    padded with a zero, a slice is the parent's slices with powers of the new
+    variable appended, and the echelon, kernel, boundary record and
+    contraction are the parent's where `per_slice` says so; elsewhere an
+    echelon starts from the rows of the nearest ancestor that holds it and is
+    kept only on the tower that asked for it.  The link runs from child to
+    parent only, so a chain of towers is in no reference cycle.
     """
 
     _parent: "TowerAlgebra | None" = None  # set by `adjoin` only
-    # the boundary record and contraction memos, made on first use, since
-    # most towers (those of Tate's construction, for one) never read them
-    _records: "dict | None" = None
-    _contractions: "dict | None" = None
-    # the envelope's data of this tower, made on first use (`envelope_memo`)
-    _envelope: "dict | None" = None
 
     def __init__(self, base: PolyRing, flavor: str = DIVIDED,
                  variables: tuple[DGVariable, ...] = ()):
@@ -89,11 +108,8 @@ class TowerAlgebra:
         self._diff_cache: dict[int, dict] = {}
         self._products: dict[tuple, tuple] = {}
         self._mono_diffs: dict[tuple, dict] = {}
-        self._slices: dict[tuple[int, int], tuple] = {}
-        self._indices: dict[tuple[int, int], dict] = {}
-        self._columns: dict[tuple[int, int], list[dict]] = {}
-        self._echelons: dict[tuple[int, int], list[tuple]] = {}
-        self._kernels: dict[tuple[int, int], list[dict]] = {}
+        # method name -> {(hdeg, weight): value}, filled by `per_slice`
+        self._memo: defaultdict[str, dict] = defaultdict(dict)
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names) or set(names) & set(base.names):
             raise TowerError("variable names must be fresh and distinct")
@@ -295,18 +311,15 @@ class TowerAlgebra:
             partial = grown
         return sorted(exps for exps, _, _ in partial)
 
+    @per_slice()
     def slice_basis(self, hdeg: int, weight: int) -> tuple[tuple[tuple, tuple], ...]:
         """Field basis of the (hdeg, weight) bidegree piece: (var exps, base
-        exps), sorted; computed once per slice.  A tower built by `adjoin`
-        takes the union over m >= 0 of its parent's (hdeg - m*d, weight - m*t)
-        slices with m appended, d and t being the last variable's degree and
-        weight (m <= 1 when it is odd)."""
+        exps), sorted.  A tower built by `adjoin` takes the union over m >= 0
+        of its parent's (hdeg - m*d, weight - m*t) slices with m appended, d
+        and t being the last variable's degree and weight (m <= 1 when it is
+        odd)."""
         if hdeg < 0 or weight < 0:
             return ()
-        key = (hdeg, weight)
-        cached = self._slices.get(key)
-        if cached is not None:
-            return cached
         out = []
         if self._parent is not None:
             last = self.variables[-1]
@@ -327,28 +340,20 @@ class TowerAlgebra:
                     continue
                 for bex in self.base.monomials_of_weight(weight - w):
                     out.append((exps, bex))
-        self._slices[key] = tuple(out)
-        return self._slices[key]
+        return tuple(out)
 
+    @per_slice()
     def slice_index(self, hdeg: int, weight: int) -> dict:
-        """The position of each (hdeg, weight) basis vector in `slice_basis`;
-        computed once per slice."""
-        key = (hdeg, weight)
-        cached = self._indices.get(key)
-        if cached is None:
-            cached = self._indices[key] = {b: j for j, b in enumerate(self.slice_basis(hdeg, weight))}
-        return cached
+        """The position of each (hdeg, weight) basis vector in `slice_basis`."""
+        return {b: j for j, b in enumerate(self.slice_basis(hdeg, weight))}
 
+    @per_slice()
     def slice_columns(self, hdeg: int, weight: int) -> list[dict]:
         """The columns of d on the (hdeg, weight) slice: d of each basis
         vector, in basis order, as a {position: scalar} map over the basis
-        of the (hdeg - 1, weight) slice; computed once per slice and kept
-        for the Hom assembly, which reads them again."""
-        key = (hdeg, weight)
-        cached = self._columns.get(key)
-        if cached is None:
-            cached = self._columns[key] = self._images(self.slice_basis(hdeg, weight), hdeg, weight)
-        return cached
+        of the (hdeg - 1, weight) slice; kept for the Hom assembly, which
+        reads them again."""
+        return self._images(self.slice_basis(hdeg, weight), hdeg, weight)
 
     def _images(self, basis, hdeg: int, weight: int) -> list[dict]:
         # d(X^e x^b) is d(X^e) with every base exponent shifted by b
@@ -371,58 +376,42 @@ class TowerAlgebra:
             tower = tower._parent
         return len(tower.slice_basis(hdeg, weight))
 
+    @per_slice(above=0)
     def slice_echelon(self, hdeg: int, weight: int) -> list[tuple]:
         """(pivot position, row) pairs spanning the columns of d on the
-        slice, as `matrix_rank` leaves them; computed once per slice and
-        kept on this tower only.  Where `_inherits` holds it is the parent's
-        list; otherwise the rows of the nearest ancestor that holds it (none
-        past the root) move to this tower's positions, and the columns of
-        the basis vectors that hold a variable past that ancestor's (every
-        non-zero column when none holds it) are reduced against them in one
-        batch and ranked."""
-        key = (hdeg, weight)
-        cached = self._echelons.get(key)
-        if cached is not None:
-            return cached
-        if self._inherits(hdeg, weight):
-            cached = self._parent.slice_echelon(hdeg, weight)
-        elif not self.slice_basis(hdeg - 1, weight):
-            cached = []
-        else:
-            field, anc = self.base.field, self._parent
-            while anc is not None and key not in anc._echelons:
-                anc = anc._parent
-            k, rows = (0, []) if anc is None else (anc.n, anc._echelons[key])
-            # the ancestor's basis vectors, zeros appended, in their order
-            up = [j for j, (e, _) in enumerate(self.slice_basis(hdeg - 1, weight)) if not any(e[k:])]
-            cached = [(up[col], {up[c]: v for c, v in row.items()}) for col, row in rows]
-            new = self._images([b for b in self.slice_basis(hdeg, weight) if any(b[0][k:])],
-                               hdeg, weight)
-            rest = [r for r in (remainder(field, cached, col) for col in new) if r]
-            if rest:
-                matrix_rank(field, rest, cached)
-        self._echelons[key] = cached
-        return cached
+        slice, as `matrix_rank` leaves them, kept on this tower only: the
+        rows of the nearest ancestor that holds it (none past the root) move
+        to this tower's positions, and the columns of the basis vectors that
+        hold a variable past that ancestor's (every non-zero column when none
+        holds it) are reduced against them in one batch and ranked."""
+        if not self.slice_basis(hdeg - 1, weight):
+            return []
+        field, anc, key = self.base.field, self._parent, (hdeg, weight)
+        while anc is not None and key not in anc._memo["slice_echelon"]:
+            anc = anc._parent
+        k, rows = (0, []) if anc is None else (anc.n, anc._memo["slice_echelon"][key])
+        # the ancestor's basis vectors, zeros appended, in their order
+        up = [j for j, (e, _) in enumerate(self.slice_basis(hdeg - 1, weight)) if not any(e[k:])]
+        echelon = [(up[col], {up[c]: v for c, v in row.items()}) for col, row in rows]
+        new = self._images([b for b in self.slice_basis(hdeg, weight) if any(b[0][k:])],
+                           hdeg, weight)
+        rest = [r for r in (remainder(field, echelon, col) for col in new) if r]
+        if rest:
+            matrix_rank(field, rest, echelon)
+        return echelon
 
+    @per_slice(above=0)
     def slice_kernel(self, hdeg: int, weight: int) -> list[tuple]:
         """A basis of the kernel of d on the (hdeg, weight) slice, as the
         (free position, {position: scalar}) pairs of `nullspace_basis` over
         `slice_basis`, the one elimination of the slice that Tate and Ext
-        both read; computed once per slice from columns that are not kept."""
-        key = (hdeg, weight)
-        cached = self._kernels.get(key)
-        if cached is None:
-            if self._inherits(hdeg, weight):
-                cached = self._parent.slice_kernel(hdeg, weight)
-            else:
-                rows: dict = {}
-                basis = self.slice_basis(hdeg, weight)
-                for j, image in enumerate(self._images(basis, hdeg, weight)):
-                    for k, scalar in image.items():
-                        rows.setdefault(k, {})[j] = scalar
-                cached = nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)], len(basis))
-            self._kernels[key] = cached
-        return cached
+        both read, from columns that are not kept."""
+        rows: dict = {}
+        basis = self.slice_basis(hdeg, weight)
+        for j, image in enumerate(self._images(basis, hdeg, weight)):
+            for k, scalar in image.items():
+                rows.setdefault(k, {})[j] = scalar
+        return nullspace_basis(self.base.field, [rows[k] for k in sorted(rows)], len(basis))
 
     def envelope_memo(self) -> dict:
         """The memo `envelope.EnvelopeAlgebra` keeps on this tower: the
@@ -430,47 +419,36 @@ class TowerAlgebra:
         prefix, level and window, as plain data (tuples, dicts, ints,
         scalars and strings), so that it holds no element, tower or
         envelope and every envelope of the tower stays freed with its last
-        reference; made on first use."""
-        if self._envelope is None:
-            self._envelope = {}
-        return self._envelope
+        reference."""
+        return self._memo["envelope"]
 
     # --- the contraction of a slice onto its homology ----------------------
 
+    @per_slice(above=1)
     def _boundary_record(self, hdeg: int, weight: int) -> tuple:
-        """(homology, echelon, preimages) of the (hdeg, weight) slice, once
-        per slice.  A cycle is fixed by its entries at the free positions of
+        """(homology, echelon, preimages) of the (hdeg, weight) slice.  A cycle is fixed by its entries at the free positions of
         `slice_kernel`, and d is injective on C, the span of the pivot basis
         vectors, so the columns of d above at its kernel's pivots span the
         boundaries: `splitting` them on the free positions here gives their
         echelon and each row's preimage in C above, and the homology is the
         kernel at the free positions that are no pivot of the echelon."""
-        if self._records is None:
-            self._records, self._contractions = {}, {}
-        key = (hdeg, weight)
-        cached = self._records.get(key)
-        if cached is None:
-            if self._inherits(hdeg + 1, weight):
-                cached = self._parent._boundary_record(hdeg, weight)
-            else:
-                kernel, echelon, pre = self.slice_kernel(hdeg, weight), [], {}
-                if kernel:
-                    free, above = dict(kernel), dict(self.slice_kernel(hdeg + 1, weight))
-                    basis = self.slice_basis(hdeg + 1, weight)
-                    pivots = [j for j in range(len(basis)) if j not in above]
-                    columns = self._images([basis[j] for j in pivots], hdeg + 1, weight)
-                    echelon, pre = splitting(self.base.field, [
-                        {r: s for r, s in col.items() if r in free} for col in columns])
-                    pre = {q: {pivots[c]: s for c, s in combo.items()} for q, combo in pre.items()}
-                cached = ([(f, vec) for f, vec in kernel if f not in pre], echelon, pre)
-            self._records[key] = cached
-        return cached
+        kernel, echelon, pre = self.slice_kernel(hdeg, weight), [], {}
+        if kernel:
+            free, above = dict(kernel), dict(self.slice_kernel(hdeg + 1, weight))
+            basis = self.slice_basis(hdeg + 1, weight)
+            pivots = [j for j in range(len(basis)) if j not in above]
+            columns = self._images([basis[j] for j in pivots], hdeg + 1, weight)
+            echelon, pre = splitting(self.base.field, [
+                {r: s for r, s in col.items() if r in free} for col in columns])
+            pre = {q: {pivots[c]: s for c, s in combo.items()} for q, combo in pre.items()}
+        return [(f, vec) for f, vec in kernel if f not in pre], echelon, pre
 
     def slice_homology(self, hdeg: int, weight: int) -> list[tuple]:
         """A basis of the homology of the (hdeg, weight) slice: (free
         position, kernel vector) pairs of `slice_kernel`."""
         return self._boundary_record(hdeg, weight)[0]
 
+    @per_slice(above=1)
     def slice_contraction(self, hdeg: int, weight: int) -> list[tuple]:
         """(p(v), h(v)) for each basis vector v of the (hdeg, weight) slice,
         in basis order, of a strong deformation retraction (i, p, h) of the
@@ -481,22 +459,15 @@ class TowerAlgebra:
         basis vectors; at a free position f, {f: 1} is reduced against the
         boundary echelon, p is what is left and h minus the preimage of what
         was taken away."""
-        _, echelon, pre = self._boundary_record(hdeg, weight)  # makes the memo
-        key = (hdeg, weight)
-        cached = self._contractions.get(key)
-        if cached is None:
-            if self._inherits(hdeg + 1, weight):
-                cached = self._parent.slice_contraction(hdeg, weight)
-            else:
-                field, free, cached = self.base.field, dict(self.slice_kernel(hdeg, weight)), []
-                for j in range(self.slice_dim(hdeg, weight)):
-                    combo, h = {}, {}
-                    p = remainder(field, echelon, {j: field.one()}, combo) if j in free else {}
-                    for q, m in combo.items():
-                        _axpy(field, h, pre[q], field.neg(m))
-                    cached.append((p, h))
-            self._contractions[key] = cached
-        return cached
+        _, echelon, pre = self._boundary_record(hdeg, weight)
+        field, free, out = self.base.field, dict(self.slice_kernel(hdeg, weight)), []
+        for j in range(self.slice_dim(hdeg, weight)):
+            combo, h = {}, {}
+            p = remainder(field, echelon, {j: field.one()}, combo) if j in free else {}
+            for q, m in combo.items():
+                _axpy(field, h, pre[q], field.neg(m))
+            out.append((p, h))
+        return out
 
     def adjoin(self, name: str, degree: int, weight: int,
                target: "AlgebraElement | None" = None) -> "TowerAlgebra":
@@ -885,16 +856,19 @@ class _Sampler:
         return AlgebraElement(tower, out)
 
 
-def check_axioms(tower: TowerAlgebra, sample_budget: int = 200, *,
-                 weight_bound: int = 6, seed: int = 0) -> AxiomReport:
+def check_axioms(tower: TowerAlgebra, sample_budget: int | None = None, *,
+                 weight_bound: int | None = None, seed: int = 0) -> AxiomReport:
     """Verify the DG and divided-power laws on exhaustive windowed monomials
-    plus seeded random homogeneous samples.
+    plus seeded random homogeneous samples: a budget of 200 and a weight
+    bound of 6 where None is given.
 
     Binary laws run over all pairs of windowed monomials (base coefficients
     enter either law linearly, so the monomial pairs plus the random multi-term
     samples cover the general case).  Failures are reported with a witness, not
     raised.
     """
+    sample_budget = 200 if sample_budget is None else sample_budget
+    weight_bound = 6 if weight_bound is None else weight_bound
     rng = random.Random(seed)
     report = AxiomReport(seed=seed, weight_bound=weight_bound)
     sampler = _Sampler(tower, weight_bound, rng)

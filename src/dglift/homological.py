@@ -9,12 +9,14 @@ solution symbolically before reporting SPLIT.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from operator import itemgetter
 
 from .base_ring import (Infeasible, LinearSolution, LinearSystem, _axpy, matrix_rank,
                         solve_linear)
+from .dg_algebra import per_slice
 from .dg_module import BidegreeWindow, ChainMap, SemifreeModule, base_change
 from .render import render_element
 
@@ -59,10 +61,11 @@ class HomComplex:
     inverts the tower slices with homology, scanned on a grid grown on
     demand, into {(d, w): blocks (a, i, k, v) in (a, i) order}, so an empty
     slice of E1 costs a lookup, and D_H is ranked only where delta leads a
-    block of E1 to a block of E1 below.  Memoised, as read again, are each
-    slice's block offsets [[start of (b, j)]], the products v·dM[a, b], the
-    E1 table and the ranks of D_H; the whole matrix, a transfer and an E1
-    dimension are rebuilt on each call.  The memos die with the complex.
+    block of E1 to a block of E1 below.  Memoised, as read again, are the
+    `per_slice` methods (each slice's block offsets [[start of (b, j)]] and
+    the rank of D_H), the products v·dM[a, b] and the E1 table; the whole
+    matrix, a transfer and an E1 dimension are rebuilt on each call.  The
+    memos die with the complex.
     """
 
     def __init__(self, m: SemifreeModule, l: SemifreeModule):
@@ -83,13 +86,13 @@ class HomComplex:
         self._reach_l = [1 << i for i in range(len(l.basis))]
         for j, i in sorted(l.diff, key=itemgetter(1)):
             self._reach_l[i] |= self._reach_l[j]
-        # (d, w) -> where each block (a, i) starts in that slice
-        self._blocks: dict[tuple[int, int], list] = {}
+        # method name -> {(d, w): value}, filled by `per_slice`
+        self._memo: defaultdict[str, dict] = defaultdict(dict)
         # (a, b, (exps, bex)) -> X^exps x^bex · dM[a, b] by tower position
         self._products: dict[tuple, dict] = {}
         # the shift of each pair (a, i) by a, the pairs by shift, the lowest
         # shift, the grid of tower slices scanned so far, the E1 table of
-        # blocks with homology per (d, w) slice, and the ranks of D_H
+        # blocks with homology per (d, w) slice
         self._pair_shifts = [[(f.degree - e.degree, f.weight - e.weight) for f in l.basis]
                              for e in m.basis]
         self._shifts: dict[tuple[int, int], list] = {}
@@ -99,7 +102,6 @@ class HomComplex:
         self._low = [min(c) for c in zip(*self._shifts)]
         self._grid = (-1, -1)
         self._e1: dict[tuple[int, int], list] = {}
-        self._e1_ranks: dict[tuple[int, int], int] = {}
 
     def require_complete(self, d: int, w: int):
         low = self.l.min_degree()
@@ -111,21 +113,18 @@ class HomComplex:
                     "complete range of the target module"
                 )
 
+    @per_slice()
     def _block_starts(self, d: int, w: int) -> list[list[int]]:
         """[[where block (b, j) starts in the (d, w) slice]], each list closed
         by the end of the maps out of e_b, then [the slice's dimension]; a
         block is as large as the tower slice (d, w) less its shift."""
-        key = (d, w)
-        at = self._blocks.get(key)
-        if at is None:
-            basis = self.l.tower.slice_basis
-            sizes = {s: len(basis(d - s[0], w - s[1])) for s in self._shifts}
-            at, start = [], 0
-            for shifts in self._pair_shifts:
-                at.append(list(accumulate(map(sizes.__getitem__, shifts), initial=start)))
-                start = at[-1][-1]
-            at = self._blocks[key] = at + [[start]]
-        return at
+        basis = self.l.tower.slice_basis
+        sizes = {s: len(basis(d - s[0], w - s[1])) for s in self._shifts}
+        at, start = [], 0
+        for shifts in self._pair_shifts:
+            at.append(list(accumulate(map(sizes.__getitem__, shifts), initial=start)))
+            start = at[-1][-1]
+        return at + [[start]]
 
     def slice_labels(self, d: int, w: int) -> list:
         """The basis maps e_alpha -> lab of the (d, w) slice, in position
@@ -304,15 +303,10 @@ class HomComplex:
             return 0
         return n - self._e1_rank(d, w) - self._e1_rank(d + 1, w)
 
+    @per_slice()
     def _e1_rank(self, d: int, w: int) -> int:
-        """Rank of D_H on the (d, w) slice of E1, computed once."""
-        key = (d, w)
-        if key not in self._e1_ranks:
-            rank = 0
-            if self._reaches(d, w):
-                rank = matrix_rank(self.m.tower.base.field, self.e1_columns(d, w))
-            self._e1_ranks[key] = rank
-        return self._e1_ranks[key]
+        """Rank of D_H on the (d, w) slice of E1."""
+        return matrix_rank(self.m.tower.base.field, self.e1_columns(d, w)) if self._reaches(d, w) else 0
 
 
 @dataclass

@@ -496,33 +496,8 @@ class Command:
     kind: str
     params: dict
     line: int
-
-    def canonical(self) -> str:
-        p = self.params
-        if self.kind == "check-axioms":
-            bits = ["check-axioms"]
-            if p.get("budget") is not None:
-                bits.append(f"budget {p['budget']}")
-            if p.get("wbound") is not None:
-                bits.append(f"wbound {p['wbound']}")
-            return " ".join(bits)
-        if self.kind == "eval":
-            return f"eval {render_element(p['expr'])}"
-        if self.kind == "envelope-basis":
-            return f"envelope-basis {p['window'].format()} over {p['over']}"
-        if self.kind == "omega":
-            return f"omega {render_envelope(p['expr'])} over {p['over']}"
-        if self.kind == "filtration-level":
-            return f"filtration-level {render_envelope(p['expr'])} over {p['over']}"
-        if self.kind == "ext":
-            w = p["window"].format() if p.get("window") else ""
-            return f"ext {p['m']} {p['l']} {p['i0']}..{p['i1']} {w}".rstrip()
-        if self.kind == "naive-lift":
-            return f"naive-lift {p['module']} over {p['over']}"
-        if self.kind == "tate":
-            gens = ", ".join(render_poly(g) for g in p["gens"])
-            return f"tate {gens} hbound {p['hbound']} wbound {p['wbound']}"
-        raise ValueError(f"unknown command kind {self.kind}")
+    # the canonical text after `run`, built from what the parser read
+    text: str
 
 
 @dataclass
@@ -547,9 +522,7 @@ class Session:
             a, b = self.modules[name], other.modules[name]
             if a.basis != b.basis or a.diff != b.diff:
                 return False
-        mine = [c.canonical() for c in self.commands]
-        theirs = [c.canonical() for c in other.commands]
-        return mine == theirs
+        return [c.text for c in self.commands] == [c.text for c in other.commands]
 
 
 # ---------------------------------------------------------------------------
@@ -751,15 +724,17 @@ class _Builder:
 
     def cmd_check_axioms(self, cur, kind):
         kw = cur.keywords(("budget", "wbound"))
+        text = " ".join([kind, *(f"{k} {kw[k]}" for k in ("budget", "wbound") if k in kw)])
         self.commands.append(Command(
-            kind, {"budget": kw.get("budget"), "wbound": kw.get("wbound")}, cur.line
+            kind, {"budget": kw.get("budget"), "wbound": kw.get("wbound")}, cur.line, text
         ))
 
     def cmd_eval(self, cur, kind):
         if cur.peek() is None:
             cur.error("eval needs an expression")
         val = ExprEval(cur, _Names(self.tower)).parse()
-        self.commands.append(Command(kind, {"expr": val}, cur.line))
+        self.commands.append(Command(kind, {"expr": val}, cur.line,
+                                     f"{kind} {render_element(val)}"))
 
     def cmd_envelope_basis(self, cur, kind):
         start = cur.peek()
@@ -767,7 +742,8 @@ class _Builder:
             cur.error("envelope-basis needs a window")
         window = cur.window()
         over = self._over(cur, start)
-        self.commands.append(Command(kind, {"window": window, "over": over}, cur.line))
+        self.commands.append(Command(kind, {"window": window, "over": over}, cur.line,
+                                     f"{kind} {window.format()} over {over}"))
 
     def cmd_envelope_expr(self, cur, kind):
         # the value depends on the prefix, so `over` is read before the
@@ -781,7 +757,8 @@ class _Builder:
         expr.done()
         if not isinstance(val, EnvelopeElement):
             cur.error("expected an envelope element", start)
-        self.commands.append(Command(kind, {"expr": val, "over": env.a_prefix}, cur.line))
+        self.commands.append(Command(kind, {"expr": val, "over": env.a_prefix}, cur.line,
+                                     f"{kind} {render_envelope(val)} over {env.a_prefix}"))
 
     def cmd_ext(self, cur, kind):
         m = cur.ident("module name")
@@ -793,8 +770,9 @@ class _Builder:
         cur.expect("..", "i range looks like 0..3")
         i1 = cur.int("i range end")
         window = cur.window() if cur.peek() is not None else None
+        text = f"{kind} {m.text} {l.text} {i0}..{i1}" + (f" {window.format()}" if window else "")
         self.commands.append(Command(
-            kind, {"m": m.text, "l": l.text, "i0": i0, "i1": i1, "window": window}, cur.line
+            kind, {"m": m.text, "l": l.text, "i0": i0, "i1": i1, "window": window}, cur.line, text
         ))
 
     def cmd_naive_lift(self, cur, kind):
@@ -802,7 +780,8 @@ class _Builder:
         if name.text not in self.modules:
             cur.error(f"unknown module {name.text!r}", name)
         over = self._over(cur, name)
-        self.commands.append(Command(kind, {"module": name.text, "over": over}, cur.line))
+        self.commands.append(Command(kind, {"module": name.text, "over": over}, cur.line,
+                                     f"{kind} {name.text} over {over}"))
 
     def cmd_tate(self, cur, kind):
         # the generators are the tokens before the first keyword, as the
@@ -832,8 +811,10 @@ class _Builder:
         kw = cur.keywords(("hbound", "wbound"))
         if "hbound" not in kw or "wbound" not in kw:
             cur.error("tate needs hbound and wbound", first)
+        text = (f"{kind} {', '.join(map(render_poly, gens))} "
+                f"hbound {kw['hbound']} wbound {kw['wbound']}")
         self.commands.append(Command(
-            kind, {"gens": gens, "hbound": kw["hbound"], "wbound": kw["wbound"]}, cur.line
+            kind, {"gens": gens, "hbound": kw["hbound"], "wbound": kw["wbound"]}, cur.line, text
         ))
 
 
@@ -886,5 +867,5 @@ def format_session(session: Session) -> str:
             lines.append(f"d {module.basis[b].name} = "
                          f"{render_module_elem(module, dict(module.columns[b]))}")
     for cmd in session.commands:
-        lines.append(f"run {cmd.canonical()}")
+        lines.append(f"run {cmd.text}")
     return "\n".join(lines) + "\n"

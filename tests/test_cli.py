@@ -177,6 +177,22 @@ def test_check_axioms_budget_zero_is_not_the_default(tmp_path):
     assert zero == one != default
 
 
+def test_check_axioms_without_wbound_reads_the_window_or_the_default(tmp_path, capsys):
+    # the session's wbound, else the wmax of --window, else check_axioms'
+    # own default of 6; the report's window and the human line read the
+    # bound that was used
+    session = tmp_path / "bound.session"
+    session.write_text("field Q\nbase x:1\ntower divided\nvar X deg 1 wt 1 d x\n"
+                       "run check-axioms budget 1\n")
+    out = tmp_path / "r.json"
+    seen = []
+    for extra in ([], ["--window", "0:3:2"]):
+        assert main([str(session), "--report", str(out), *extra]) == 0
+        (rep,) = json.loads(out.read_text())["reports"]
+        seen.append((rep["window"], capsys.readouterr().out.split("wbound ")[1]))
+    assert seen == [("0:7:6", "6)\n"), ("0:3:2", "2)\n")]
+
+
 REAL_NAIVE_LIFT = cli.naive_lift_check
 
 

@@ -469,7 +469,7 @@ def test_towers_and_envelope_used_by_ext_and_lift_are_freed_without_the_cycle_co
                   ext_dims(u, u, (0, 3), window)]
         result = naive_lift_check(n)
         assert result.status == "OBSTRUCTED" and all(table.dims for table in tables)
-        assert tower._contractions and env.algebra._contractions
+        assert tower._memo["slice_contraction"] and env.algebra._memo["slice_contraction"]
         refs = [weakref.ref(x) for x in (base, tower, env, env.algebra)]
         del base, tower, env, n, u, nq, tables, result
         assert [r() for r in refs] == [None] * len(refs)
@@ -528,7 +528,7 @@ def test_the_envelope_memo_holds_plain_data_only(mixed_tower):
         env = EnvelopeAlgebra(mixed_tower, a_prefix)
         for level in (0, 1, 2):
             assert env.quotient_module(level, BidegreeWindow(0, 6, 5)).basis
-    memo = mixed_tower._envelope
+    memo = mixed_tower.envelope_memo()
     assert {key[0] for key in memo} == {"xi", "quotient"}
     seen, todo = set(), [memo]
     while todo:

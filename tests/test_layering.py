@@ -29,9 +29,10 @@ too, with no module-element operation, and builds no label but its
 unknowns'; a SPLIT is re-checked through `ChainMap`; E1 dimensions come
 from one table per complex, and the complex keeps no whole matrix, transfer
 or E1 dimension, which no caller reads again; a tower keeps the columns of
-d on a slice in that positional format only, and one predicate, `_inherits`,
-decides where it reads its parent's echelon, kernel and boundary record, the
-one branch of `slice_echelon` that asks the parent for its echelon; a tower
+d on a slice in that positional format only, every per-slice memo of a
+tower or a Hom complex goes through the decorator `per_slice`, and one
+predicate, `_inherits`, read by its wrapper, decides where a tower reads its
+parent's echelon, kernel, boundary record and contraction; a tower
 keeps no slice rank beside its echelon, and only the Hom assembly keeps the
 columns of a slice; Tate and Ext read one kernel elimination per slice,
 `slice_kernel`, and Ext splits its boundaries once per slice; `_axpy` is
@@ -496,12 +497,51 @@ def test_tower_memoises_only_what_it_reads_again():
                 if isinstance(fn, ast.FunctionDef) and "slice_columns" in _calls_in(fn):
                     readers.add(fn.name if fn is top else f"{top.name}.{fn.name}")
     assert readers == {"HomComplex.matrix_columns"}
-    # four methods read a parent's slice memo, one branch each, and
-    # slice_dim walks up to the ancestor whose slice it is; slice_homology
-    # reads the boundary record, which a child inherits
-    assert {fn.name for fn in tower.body if isinstance(fn, ast.FunctionDef)
-            and "_inherits" in _calls_in(fn)} \
-        == {"slice_dim", "slice_echelon", "slice_kernel", "_boundary_record", "slice_contraction"}
+    # per_slice's wrapper is where a tower reads a parent's slice value, and
+    # slice_dim walks up to the ancestor whose slice it is; each inherited
+    # method states at its head how far above the slice it reads, and
+    # slice_homology reads the boundary record, which a child inherits
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        fns = [fn for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(fn, ast.FunctionDef) and "_inherits" in _calls_in(fn)]
+        # the innermost function around each call, not the ones that hold it
+        callers |= {(path.name, fn.name) for fn in fns
+                    if not any(inner in fns for inner in ast.walk(fn) if inner is not fn)}
+    assert callers == {("dg_algebra.py", "memoised"), ("dg_algebra.py", "slice_dim")}
+    wrapper = _function("dg_algebra.py", "per_slice")
+    assert "memoised" in {fn.name for fn in ast.walk(wrapper) if isinstance(fn, ast.FunctionDef)}
+    assert per_slice_methods("dg_algebra.py", "TowerAlgebra") == {
+        "slice_basis": "", "slice_index": "", "slice_columns": "",
+        "slice_echelon": "above=0", "slice_kernel": "above=0",
+        "_boundary_record": "above=1", "slice_contraction": "above=1"}
+    assert per_slice_methods("homological.py", "HomComplex") == {
+        "_block_starts": "", "_e1_rank": ""}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.parse((SRC / module).read_text(encoding="utf-8")).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def per_slice_methods(module: str, cls: str) -> dict[str, str]:
+    """{method: the arguments of its `per_slice` decorator, as text}."""
+    return {fn.name: ", ".join(map(ast.unparse, [*deco.args, *deco.keywords]))
+            for fn in _class(module, cls).body if isinstance(fn, ast.FunctionDef)
+            for deco in fn.decorator_list
+            if isinstance(deco, ast.Call) and ast.unparse(deco.func) == "per_slice"}
+
+
+def test_every_slice_memo_goes_through_per_slice():
+    # one rule keeps a value per (hdeg, weight) slice and reads the parent's
+    # where _inherits allows; a memo attribute written out by hand beside it
+    # would be a second copy of that rule
+    gone = {"_slices", "_indices", "_columns", "_echelons", "_kernels", "_records",
+            "_contractions", "_envelope", "_blocks", "_e1_ranks"}
+    for path in sorted(SRC.glob("*.py")):
+        attrs = {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute)}
+        assert not attrs & gone, (path.name, attrs & gone)
 
 
 def test_one_kernel_per_tower_slice_for_tate_and_ext():
@@ -543,17 +583,19 @@ def test_only_inherits_asks_whether_the_last_variable_enters_a_slice():
 
 
 def test_slice_echelon_reads_the_parent_only_where_it_inherits():
-    # a tower asks its parent for an echelon only in the _inherits branch;
-    # every other slice starts from the rows an ancestor already holds, so
-    # no one-step parent path sits beside that one, and one rank call ranks
-    # what is left, for a root and a child alike
+    # a tower asks its parent for an echelon only where per_slice's
+    # _inherits branch does; every other slice starts from the rows an
+    # ancestor already holds, so no one-step parent path sits beside that
+    # one, and one rank call ranks what is left, for a root and a child alike
     fn = _method(_class("dg_algebra.py", "TowerAlgebra"), "slice_echelon")
-    asks = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute) and node.func.attr == "slice_echelon"]
-    assert [ast.unparse(node.func.value) for node in asks] == ["self._parent"]
-    (branch,) = [node for node in ast.walk(fn) if isinstance(node, ast.If)
-                 and ast.unparse(node.test) == "self._inherits(hdeg, weight)"]
-    assert asks[0] in [node for stmt in branch.body for node in ast.walk(stmt)]
+    assert [ast.unparse(deco) for deco in fn.decorator_list] == ["per_slice(above=0)"]
+    assert not _calls_in(fn) & {"slice_echelon", "_inherits"}
+    wrapper = _function("dg_algebra.py", "per_slice")
+    asks = [node for node in ast.walk(wrapper) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "getattr(self._parent, name)"]
+    (branch,) = [node for node in ast.walk(wrapper) if isinstance(node, ast.If)
+                 and "self._inherits(hdeg + above, weight)" in ast.unparse(node.test)]
+    assert len(asks) == 1 and asks[0] in [node for stmt in branch.body for node in ast.walk(stmt)]
     ranks = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
              and ast.unparse(node.func) == "matrix_rank"]
     assert len(ranks) == 1

@@ -222,7 +222,7 @@ def test_towers_of_a_resolution_are_freed_without_the_cycle_collector(ring_xy):
                           {("e", "f"): res.tower.from_poly(y)})
         table = ext_dims(n, n, (0, 2), BidegreeWindow(0, 2, 2))
         result = naive_lift_check(n)
-        assert table.dims and result.status and res.tower._contractions
+        assert table.dims and result.status and res.tower._memo["slice_contraction"]
         del res, towers, n, table, result
         assert [r() for r in refs] == [None] * len(refs)
     finally:
@@ -303,9 +303,38 @@ def test_no_tower_of_the_chain_ranks_above_the_weight_it_reads():
     towers.reverse()
     assert len(towers) == 16
     above = [(k, d, w) for k, tower in enumerate(towers[1:-1], 1)
-             for d, w in tower._echelons
+             for d, w in tower._memo["slice_echelon"]
              if d == res.tower.variables[k].degree and w > res.tower.variables[k].weight]
     assert not above
+
+
+# the per-slice methods a tower built by `adjoin` takes from its parent, each
+# with the offset above the slice up to which the slices it reads must be the
+# parent's
+INHERITED = [("slice_echelon", 0), ("slice_kernel", 0), ("_boundary_record", 1),
+             ("slice_contraction", 1)]
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+def test_a_child_reads_its_parents_slice_values_exactly_where_it_inherits(flavor):
+    # on every tower of a Tate chain and every slice of a small window, each
+    # inherited method hands back the parent's very object where
+    # _inherits(hdeg + above, weight) holds, and one of its own elsewhere
+    ring = PolyRing(Field(), ("x", "y", "z", "u"), (1, 1, 1, 1))
+    x, y, z, u = (ring.var(n) for n in "xyzu")
+    tower = tate_resolution(ring, [x * y, y * z, z * u, u * x], 3, 5, flavor).tower
+    seen = set()
+    while tower._parent is not None:
+        for hdeg in range(4):
+            for weight in range(6):
+                for name, above in INHERITED:
+                    same = (getattr(tower, name)(hdeg, weight)
+                            is getattr(tower._parent, name)(hdeg, weight))
+                    assert same == tower._inherits(hdeg + above, weight), \
+                        (tower, name, hdeg, weight)
+                    seen.add((name, same))
+        tower = tower._parent
+    assert seen == {(name, same) for name, _ in INHERITED for same in (True, False)}
 
 
 def _fresh(tower, counter):

@@ -12,8 +12,9 @@ runs first from pair to pair.  The final JSON line of each run is kept with
 its `machine_ms` gauge, read from the summary line.  The summary gives, per
 workload and end-to-end metric of `BENCHMARK.json`, the median and
 quartiles of each side, the ratio of the medians and the pairs in which the
-change reads better.  Standard library only; one benchmark process runs at
-a time.
+change reads better; a time or a rate also gets the median over pairs of
+the pair's change/parent ratio corrected by the pair's `machine_ms` ratio.
+Standard library only; one benchmark process runs at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +40,11 @@ DESCRIPTION = (
     "Alternating parent/change pairs of bench/run.py; each pair runs both sides on one seed, "
     "one after the other, alternating which side runs first; the final JSON line of each run "
     "is kept under 'pairs', with the run's machine_ms gauge from its summary line. Quartiles "
-    "are statistics.quantiles(n=4, method='inclusive'). 'gauge_moved_past_0.25' names every "
-    "pair whose larger machine_ms exceeded its smaller by more than 25%.")
+    "are statistics.quantiles(n=4, method='inclusive'). 'change_over_parent_by_gauge', for a "
+    "time (unit s) or a rate (unit 1/s), is the median over pairs of change/parent, a time "
+    "divided and a rate multiplied by the pair's change/parent machine_ms ratio. "
+    "'gauge_moved_past_0.25' names every pair whose larger machine_ms exceeded its smaller "
+    "by more than 25%.")
 
 
 def git(*args: str) -> str:
@@ -114,6 +118,13 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
                                    / statistics.median(values["parent"])),
             "change_better_pairs": better,
         }
+        # a slower machine (larger gauge) lengthens a time and lowers a rate
+        power = {"s": -1, "1/s": 1}.get(metric["unit"])
+        gauged = [c / a * (p["change"]["machine_ms"] / p["parent"]["machine_ms"]) ** power
+                  for p, a, c in zip(got, values["parent"], values["change"])
+                  if power is not None and p["parent"]["machine_ms"] and p["change"]["machine_ms"]]
+        if gauged:
+            out[name]["change_over_parent_by_gauge"] = statistics.median(gauged)
     out["gauge_moved_past_0.25"] = [
         p["seed"] for p in pairs
         if p["parent"]["machine_ms"] and p["change"]["machine_ms"]
@@ -125,9 +136,12 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
 def note(summary: dict, metrics: list[dict], prefix: str) -> str:
     parts = [prefix] if prefix else []
     for workload, s in summary.items():
-        ratios = ", ".join(f"{m['name']} {s[m['name']]['change_over_parent']:.3f}x "
-                           f"({s[m['name']]['change_better_pairs']}/{s['pairs']})"
-                           for m in metrics if m["name"] in s)
+        ratios = ", ".join(
+            f"{m['name']} {s[m['name']]['change_over_parent']:.3f}x "
+            f"({s[m['name']]['change_better_pairs']}/{s['pairs']}"
+            + (f", by gauge {s[m['name']]['change_over_parent_by_gauge']:.3f}x)"
+               if "change_over_parent_by_gauge" in s[m["name"]] else ")")
+            for m in metrics if m["name"] in s)
         parts.append(f"{workload}: {ratios}; failed {s['failed']['parent']} parent, "
                      f"{s['failed']['change']} change.")
     moved = [seed for s in summary.values() for seed in s["gauge_moved_past_0.25"]]
