@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
+from dglift.dg_algebra import AlgebraElement
 from dglift.dg_module import BidegreeWindow, ChainMap, base_change
 
 
@@ -113,6 +114,65 @@ def symbol_product(u, v) -> dict:
             else:
                 out.pop(key, None)
     return out
+
+
+def label_power(tower, label, s, j: int, divided: bool) -> dict:
+    """(s·X^e x^b)^(j) when `divided`, else (s·X^e x^b)^j, for the label
+    (e, b) of an even-degree monomial, as {label: scalar}, in closed form.
+    Past j = 1 it is zero when X^e holds an odd variable.  Otherwise it is
+    s^j x^(jb) X^(je) times an integer: in the divided flavor each variable
+    X_i^(a) of X^e deals j·a objects into j blocks of a, in
+    prod_{k=1..j} binom(ka, a) ways when the blocks are told apart and in
+    prod_{k=1..j} binom(ka - 1, a - 1) when not, which the first variable
+    takes for a divided power; in the ordinary flavor X^e X^e = X^(2e),
+    and a divided power divides by j!."""
+    field = tower.base.field
+    e, b = label
+    if j > 1 and any(m and var.degree % 2 for m, var in zip(e, tower.variables)):
+        return {}
+    count, dealt = 1, not divided
+    for a in e:
+        if a and tower.flavor == "divided":
+            for k in range(1, j + 1):
+                count *= comb(k * a, a) if dealt else comb(k * a - 1, a - 1)
+            dealt = True
+    scalar = field.of(count)
+    if divided and tower.flavor == "ordinary":
+        scalar = field.mul(scalar, field.of(1, factorial(j)))
+    for _ in range(j):
+        scalar = field.mul(scalar, s)
+    if not scalar:
+        return {}
+    return {(tuple(j * m for m in e), tuple(j * m for m in b)): scalar}
+
+
+def divided_power(u, m: int) -> dict:
+    """The field coordinates of u^(m) for u of positive even degree, by the
+    sum rule (v + w)^(m) = sum_j v^(j) w^(m-j) over the labels of u, each
+    label's divided power from `label_power` and the products from
+    `symbol_product`."""
+    tower = u.tower
+    field = tower.base.field
+    labels = sorted(u.coeffs.items())
+
+    def rule(i: int, left: int) -> dict:
+        (label, s), rest = labels[i], i + 1 < len(labels)
+        if not rest:
+            return label_power(tower, label, s, left, True)
+        out: dict = {}
+        for j in range(left + 1):
+            head = label_power(tower, label, s, j, True)
+            if head:
+                for key, c in symbol_product(AlgebraElement(tower, head),
+                                             AlgebraElement(tower, rule(i + 1, left - j))).items():
+                    c = field.add(out.get(key, field.zero()), c)
+                    if c:
+                        out[key] = c
+                    else:
+                        out.pop(key, None)
+        return out
+
+    return rule(0, m)
 
 
 def hom_differential(phi) -> dict:
@@ -305,29 +365,27 @@ class TensorOracle:
         """x^(m) for x of positive even degree: x^m/m! in the ordinary flavor
         over Q; in the divided flavor the sum rule over the single terms
         c·L^o (x) M of x, where (L^o (x) M)^(i) is (L^(i))^o (x) M^i when
-        |M| = 0, (L^i)^o (x) M^(i) when L and M hold no odd variable, and 0
-        for i > 1 otherwise."""
+        |M| = 0 and (L^i)^o (x) M^(i) otherwise, each factor from
+        `label_power`, which is 0 for i > 1 when it holds an odd variable."""
         tower = self.tower
         if self.ordinary:
             out = self.one()
             for _ in range(m):
                 out = self.mul(out, x)
             return {lex: r.scale(tower.base.field.of(1, factorial(m))) for lex, r in out.items()}
-        pieces = [(lex, tower.monomial(exps, tower.base.monomial(bex, c)))
+        one = tower.base.field.one()
+        pieces = [(lex, (exps, bex), c)
                   for lex, r in sorted(x.items()) for (exps, bex), c in sorted(r.coeffs.items())]
 
         def piece_power(piece, i):
-            lex, r = piece
-            if i < 2:
-                return self.one() if i == 0 else {lex: r}
-            odd = [v.degree % 2 for v in tower.variables]
-            ((exps, _),) = r.coeffs
-            if any(m and o for m, o in zip((0,) * self.k + lex, odd)) \
-                    or any(m and o for m, o in zip(exps, odd)):
-                return {}
-            if not r.degree():
-                return self.tensor(self.mono(lex).divided_power(i), r.power(i))
-            return self.tensor(self.mono(lex).power(i), r.divided_power(i))
+            lex, label, c = piece
+            if i == 0:
+                return self.one()
+            ext = ((0,) * self.k + lex, (0,) * len(tower.base.names))
+            divided_ext = not tower.monomial_bidegree(label[0])[0]
+            left = label_power(tower, ext, one, i, divided_ext)
+            right = label_power(tower, label, c, i, not divided_ext)
+            return self.tensor(AlgebraElement(tower, left), AlgebraElement(tower, right))
 
         def rule(pieces, m):
             if len(pieces) < 2:

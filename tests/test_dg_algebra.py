@@ -20,7 +20,7 @@ from dglift import (
 
 from dglift.base_ring import matrix_rank, remainder
 from dglift.tate import homology_dim
-from oracle import leibniz_differential, symbol_product
+from oracle import divided_power as oracle_divided_power, leibniz_differential, symbol_product
 
 
 def test_divided_product_rule(even_tower):
@@ -176,6 +176,59 @@ def test_divided_flavor_over_F5(F5):
     # binomial coefficients reduce mod 5: Y^(1) Y^(4) = 5 Y^(5) = 0
     assert (Y * Y.divided_power(4)).is_zero()
     assert Y.divided_power(2) * Y.divided_power(3) == Y.divided_power(5).scale_int(comb(5, 2))
+
+
+def test_elements_of_towers_with_different_differentials_differ(QQ):
+    # Q[x]<X | dX = x> and Q[x]<X | dX = 2x> share a signature, not a
+    # differential: their generators cannot be added, so they are not equal
+    base = TowerAlgebra(PolyRing(QQ, ("x",), (1,)), "divided")
+    a = base.adjoin("X", 1, 1, base.gen("x")).gen("X")
+    b = base.adjoin("X", 1, 1, base.gen("x").scale_int(2)).gen("X")
+    assert a.tower.signature() == b.tower.signature() and a.coeffs == b.coeffs
+    assert a != b and a.differential() != b.differential()
+    with pytest.raises(TowerError, match="different towers"):
+        a + b
+    same = base.adjoin("X", 1, 1, base.gen("x")).gen("X")
+    assert a == same and (a - same).is_zero()
+
+
+def _acceptance_towers(flavor, p):
+    """The towers of the acceptance suite, in the given flavor over Q or
+    F_p: k<X> with |X| = 2, k[x,y]<X1,X2> and k[x,y]<X1,X2,Y>."""
+    field = Field(p)
+    even = TowerAlgebra(PolyRing(field, (), ()), flavor).adjoin("X", 2, 1, None)
+    t = TowerAlgebra(PolyRing(field, ("x", "y"), (1, 1)), flavor)
+    t = t.adjoin("X1", 1, 1, t.gen("x"))
+    koszul = t.adjoin("X2", 1, 1, t.gen("y"))
+    g = koszul.gen
+    return even, koszul, koszul.adjoin("Y", 2, 2, g("X1") * g("y") - g("X2") * g("x"))
+
+
+@pytest.mark.parametrize("flavor", ["divided", "ordinary"])
+@pytest.mark.parametrize("p", [None, 5, 32003])
+def test_divided_powers_match_the_label_oracle(flavor, p):
+    # random homogeneous even elements of up to four labels on one slice,
+    # against the oracle's closed form per label and sum rule through the
+    # symbol product, over F_5 too, where the multinomials may vanish; and
+    # m!·u^(m) = u^m wherever m! is a unit (p > m), which the ordinary
+    # flavor, refusing F_p, asks for as u^m/m!
+    rng = random.Random(f"divided-power-sweep-{flavor}-{p}")
+    for tower in _acceptance_towers(flavor, p):
+        field = tower.base.field
+        slices = [(h, w) for h in (2, 4) for w in range(1, 7) if tower.slice_basis(h, w)]
+        for _ in range(25):
+            basis = tower.slice_basis(*rng.choice(slices))
+            labels = rng.sample(basis, min(4, len(basis)))
+            u = AlgebraElement(tower, {label: field.of(rng.choice((-3, -2, -1, 1, 2, 5)))
+                                       for label in labels})
+            m = rng.randrange(2, 6)
+            if flavor == "ordinary" and p is not None:
+                with pytest.raises(TowerError, match="rational"):
+                    u.divided_power(m)
+                continue
+            assert u.divided_power(m).coeffs == oracle_divided_power(u, m)
+            if p is None or m < p:
+                assert u.divided_power(m).scale_int(factorial(m)) == u.power(m)
 
 
 def test_check_axioms_pass(mixed_tower):

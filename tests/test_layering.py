@@ -18,7 +18,9 @@ a tower element is one flat map {(exps, bex): scalar}, and no loop walks a
 base polynomial inside a walk over tower monomials; `BasePoly` has no
 arithmetic loop of its own; the product of tower elements reads its signs
 and binomials off the monomial product memo through the tower's shift
-routine, which the Hom blocks use as well; every elimination, `matrix_rank`,
+routine, which the Hom blocks use as well, and a divided power is one
+walk over an element's labels in both flavors, multiplying them through
+that memo; every elimination, `matrix_rank`,
 `solve_linear`, `nullspace_basis` and `splitting`, goes straight to
 `_reduce`, so that one pivot rule makes every echelon, kernel and
 certificate, and no structural-pivot pass is left; `HomComplex` assembles D
@@ -310,6 +312,25 @@ def test_element_product_has_no_per_variable_loop():
         assert not names & {"comb", "range", "enumerate"}, fn.name
     attrs = {node.attr for node in ast.walk(times) if isinstance(node, ast.Attribute)}
     assert {"_products", "monomial_product"} <= attrs
+
+
+def test_divided_power_has_one_path_for_both_flavors():
+    # u^(m) is one walk over the labels of u in both flavors, the flavor
+    # choosing only the scalar of each label's power: no per-term helper is
+    # left, no ordinary power is divided by m!, and the labels multiply
+    # through the monomial product memo; past the cases m = 0, u = 0 and
+    # m = 1, one return hands back what the walk built
+    elem = _class("dg_algebra.py", "AlgebraElement")
+    assert not {"_sum_divided_power", "_term_power"} & {fn.name for fn in elem.body
+                                                         if isinstance(fn, ast.FunctionDef)}
+    dp = _method(elem, "divided_power")
+    assert not _calls_in(dp) & {"power", "scale", "scale_int", "divided_power"}
+    assert "monomial_product" in {node.attr for node in ast.walk(dp)
+                                  if isinstance(node, ast.Attribute)}
+    returns = sorted((node.lineno, ast.unparse(node.value)) for node in ast.walk(dp)
+                     if isinstance(node, ast.Return))
+    assert [text for _, text in returns] == ["self.tower.one()", "self.tower.zero()",
+                       "AlgebraElement(self.tower, dict(self.coeffs))", "AlgebraElement(tower, out)"]
 
 
 def test_elements_have_one_flat_format():

@@ -8,13 +8,16 @@ temporary directory, so both sides run from their own `src/` and `bench/`.
 Each workload gets `PAIRS` pairs, one seed each (3001, 3002, ... across
 the workloads in order); a pair runs `bench/run.py` for the benchmark's
 `run_seconds` on both sides, one after the other, alternating which side
-runs first from pair to pair.  The final JSON line of each run is kept with
-its `machine_ms` gauge, read from the summary line.  The summary gives, per
-workload and end-to-end metric of `BENCHMARK.json`, the median and
-quartiles of each side, the ratio of the medians and the pairs in which the
-change reads better; a time or a rate also gets the median over pairs of
-the pair's change/parent ratio corrected by the pair's `machine_ms` ratio.
-Standard library only; one benchmark process runs at a time.
+runs first from pair to pair.  Just before each side runs, `bench/run.py`'s
+`machine_ms` integer loop runs in a fresh process of its own, so that the
+gauge reads the machine alone and not the benchmark process around it.  The
+final JSON line of each run is kept with that `fresh_machine_ms` gauge and
+with the run's in-run `machine_ms`, read from its summary line.  The summary
+gives, per workload and end-to-end metric of `BENCHMARK.json`, the median
+and quartiles of each side, the ratio of the medians and the pairs in which
+the change reads better; a time or a rate also gets the median over pairs of
+the pair's change/parent ratio corrected by the pair's `fresh_machine_ms`
+ratio.  Standard library only; one process runs at a time.
 """
 
 from __future__ import annotations
@@ -35,16 +38,19 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 3001
 PAIRS = 10
 GAUGE_BOUND = 0.25
+# bench/run.py's machine_ms, run from the checkout root in a process of its own
+GAUGE = "import sys; sys.path.insert(0, 'bench'); from run import machine_ms; print(machine_ms())"
 COMMAND = "python3 bench/run.py --workload <workload> --seed <seed> --seconds {seconds} --trace 0"
 DESCRIPTION = (
     "Alternating parent/change pairs of bench/run.py; each pair runs both sides on one seed, "
     "one after the other, alternating which side runs first; the final JSON line of each run "
-    "is kept under 'pairs', with the run's machine_ms gauge from its summary line. Quartiles "
-    "are statistics.quantiles(n=4, method='inclusive'). 'change_over_parent_by_gauge', for a "
-    "time (unit s) or a rate (unit 1/s), is the median over pairs of change/parent, a time "
-    "divided and a rate multiplied by the pair's change/parent machine_ms ratio. "
-    "'gauge_moved_past_0.25' names every pair whose larger machine_ms exceeded its smaller "
-    "by more than 25%.")
+    "is kept under 'pairs', with the run's in-run machine_ms gauge from its summary line and "
+    "'fresh_machine_ms', bench/run.py's machine_ms loop run in a fresh process just before "
+    "that side. Quartiles are statistics.quantiles(n=4, method='inclusive'). "
+    "'change_over_parent_by_gauge', for a time (unit s) or a rate (unit 1/s), is the median "
+    "over pairs of change/parent, a time divided and a rate multiplied by the pair's "
+    "change/parent fresh_machine_ms ratio. 'gauge_moved_past_0.25' names every pair whose "
+    "larger fresh_machine_ms exceeded its smaller by more than 25%.")
 
 
 def git(*args: str) -> str:
@@ -88,6 +94,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {**out, "machine_ms": gauge, "returncode": proc.returncode}
 
 
+def fresh_gauge() -> float:
+    """`machine_ms` of bench/run.py, run in a fresh process of its own."""
+    return float(subprocess.run([sys.executable, "-c", GAUGE], cwd=ROOT, check=True,
+                                capture_output=True, text=True).stdout)
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -100,9 +112,10 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
         "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
         "correct": all(p[s]["correct"] for p in pairs for s in sides),
-        "machine_ms": {s: quartiles([p[s]["machine_ms"] for p in pairs
-                                     if p[s]["machine_ms"] is not None]) for s in sides},
     }
+    for gauge in ("machine_ms", "fresh_machine_ms"):
+        out[gauge] = {s: quartiles([p[s][gauge] for p in pairs if p[s][gauge] is not None])
+                      for s in sides}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         got = [p for p in pairs if all(name in p[s]["metrics"] for s in sides)]
@@ -120,16 +133,14 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         }
         # a slower machine (larger gauge) lengthens a time and lowers a rate
         power = {"s": -1, "1/s": 1}.get(metric["unit"])
-        gauged = [c / a * (p["change"]["machine_ms"] / p["parent"]["machine_ms"]) ** power
-                  for p, a, c in zip(got, values["parent"], values["change"])
-                  if power is not None and p["parent"]["machine_ms"] and p["change"]["machine_ms"]]
+        gauged = [c / a * (p["change"]["fresh_machine_ms"] / p["parent"]["fresh_machine_ms"])
+                  ** power for p, a, c in zip(got, values["parent"], values["change"])
+                  if power is not None]
         if gauged:
             out[name]["change_over_parent_by_gauge"] = statistics.median(gauged)
-    out["gauge_moved_past_0.25"] = [
-        p["seed"] for p in pairs
-        if p["parent"]["machine_ms"] and p["change"]["machine_ms"]
-        and max(p["parent"]["machine_ms"], p["change"]["machine_ms"])
-        > (1 + GAUGE_BOUND) * min(p["parent"]["machine_ms"], p["change"]["machine_ms"])]
+    gauges = [(p["seed"], sorted(p[s]["fresh_machine_ms"] for s in sides)) for p in pairs]
+    out["gauge_moved_past_0.25"] = [seed for seed, (lo, hi) in gauges
+                                    if hi > (1 + GAUGE_BOUND) * lo]
     return out
 
 
@@ -146,7 +157,7 @@ def note(summary: dict, metrics: list[dict], prefix: str) -> str:
                      f"{s['failed']['change']} change.")
     moved = [seed for s in summary.values() for seed in s["gauge_moved_past_0.25"]]
     if moved:
-        parts.append("The machine_ms gauge moved past 0.25 within pairs "
+        parts.append("The fresh machine_ms gauge moved past 0.25 within pairs "
                      + ", ".join(map(str, moved)) + ".")
     return " ".join(parts)
 
@@ -175,7 +186,9 @@ def main(argv=None) -> int:
                 first = ("parent", "change")[len(pairs) % 2]
                 pair = {"workload": workload, "seed": seed, "first": first}
                 for side in (first, "change" if first == "parent" else "parent"):
-                    pair[side] = run_once(roots[side], workload, seed, seconds)
+                    gauge = fresh_gauge()
+                    pair[side] = {**run_once(roots[side], workload, seed, seconds),
+                                  "fresh_machine_ms": gauge}
                 pairs.append({key: pair[key] for key in
                               ("workload", "seed", "first", "parent", "change")})
                 seeds.append(seed)
