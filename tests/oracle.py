@@ -4,7 +4,9 @@ Deliberately separate from dglift.base_ring: plain dense Gaussian elimination
 over Fraction/int scalars, no pivoting strategy, used to cross-check ranks,
 homology dimensions, and Ext tables computed by the library.  The product of
 tower elements is checked against `symbol_product`, which sorts words of
-variable symbols by adjacent swaps.  The Hom
+variable symbols by adjacent swaps, and divided powers against
+`divided_power`: each label's power in closed form, by counting the ways to
+deal objects into blocks, and the sum rule through `symbol_product`.  The Hom
 differential is applied to maps with module-element operations, not with the
 library's Hom-complex code, and the differential of a tower element is
 expanded by the Leibniz rule over its variable powers, not with the library's
