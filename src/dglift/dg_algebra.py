@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
-from functools import wraps
+from functools import reduce, wraps
+from itertools import chain
 from math import comb, factorial, prod
 import random
 
@@ -768,12 +769,6 @@ class LawResult:
     passed: bool
     witness: str | None = None
 
-    def to_dict(self) -> dict:
-        d = {"law": self.law, "cases": self.cases, "passed": self.passed}
-        if self.witness is not None:
-            d["witness"] = self.witness
-        return d
-
 
 @dataclass
 class AxiomReport:
@@ -784,14 +779,6 @@ class AxiomReport:
     @property
     def ok(self) -> bool:
         return all(l.passed for l in self.laws)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "weight_bound": self.weight_bound,
-            "passed": self.ok,
-            "laws": [l.to_dict() for l in self.laws],
-        }
 
 
 class _Sampler:
@@ -857,167 +844,131 @@ def check_axioms(tower: TowerAlgebra, sample_budget: int | None = None, *,
     multinomial walk of `divided_power` against products, sums, scalars and
     the differential, and in the ordinary flavor over Q,
     `ordinary_power_consistency` against repeated products: m!·u^(m) = u^m.
-    Failures are reported with a witness, not raised.
+
+    Each law is a row of one table: its name, its pool of cases, drawn when
+    the law starts, and a check that returns the witness text of a failing
+    case or None.  One loop counts the cases and stops a law at its first
+    failure; failures are reported with their witness, not raised.
     """
     sample_budget = 200 if sample_budget is None else sample_budget
     weight_bound = 6 if weight_bound is None else weight_bound
-    rng = random.Random(seed)
-    report = AxiomReport(seed=seed, weight_bound=weight_bound)
-    sampler = _Sampler(tower, weight_bound, rng)
-    divided_ok = tower.flavor == DIVIDED or tower.base.field.is_rational
+    sampler = _Sampler(tower, weight_bound, random.Random(seed))
+    draw, field = sampler.homogeneous, tower.base.field
     monos, gammas = sampler.monos, sampler.gammas
     n_random = max(1, sample_budget // 8)
 
-    # each case yields True, or the witness of its failure: `ok or f"..."`
-    # builds the witness text only when the law fails
-    def law(name, cases):
-        count, witness = 0, None
-        for result in cases:
-            count += 1
-            if result is not True:
-                witness = result
+    def singles():
+        return monos + [draw() for _ in range(n_random)]
+
+    def pairs():
+        return [(u, v) for u in gammas for v in gammas] + [(draw(), draw()) for _ in range(n_random)]
+
+    def dp_samples(count):
+        """The samples of a divided-power law: `count` draws of even degree
+        above 0, the zeros dropped."""
+        return [u for u in [draw(even=True, positive=True) for _ in range(count)] if not u.is_zero()]
+
+    def with_v(u):
+        # the sum rule's second summand, drawn when u's first case is reached
+        v = draw(hdeg=u.degree(), even=True, positive=True)
+        return [(u, v, 2), (u, v, 3)]
+
+    def with_c(u):
+        c = sampler.scalar()
+        return [(u, c, 2), (u, c, 3)]
+
+    def d_squared(u):
+        d2 = u.differential().differential()
+        return None if d2.is_zero() else f"d(d({u!r})) = {d2!r}"
+
+    def leibniz(u, v):
+        sign = -1 if u.degree() % 2 else 1
+        lhs = (u * v).differential()
+        rhs = u.differential() * v + (u * v.differential()).scale_int(sign)
+        return None if lhs == rhs else f"Leibniz fails for u={u!r}, v={v!r}"
+
+    def commutes(u, v):
+        rhs = (v * u).scale_int(-1 if (u.degree() * v.degree()) % 2 else 1)
+        return None if u * v == rhs else f"commutativity fails for u={u!r}, v={v!r}"
+
+    def odd_square(u):
+        sq = u * u
+        return None if sq.is_zero() else f"odd square ({u!r})^2 = {sq!r}"
+
+    def keeps_weight(u):
+        ws = u.weights()
+        return None if u.differential().weights() <= ws else f"d changed weight of {u!r}"
+
+    def dp_units(u):
+        ok = u.divided_power(0) == tower.one() and u.divided_power(1) == u
+        return None if ok else f"u^(0)/u^(1) fail for {u!r}"
+
+    def dp_product(u, i, j):
+        lhs = u.divided_power(i) * u.divided_power(j)
+        rhs = u.divided_power(i + j).scale_int(comb(i + j, i))
+        return None if lhs == rhs else f"u^({i})u^({j}) fails for {u!r}"
+
+    def dp_sum(u, v, i):
+        lhs = (u + v).divided_power(i)
+        rhs = sum([u.divided_power(j) * v.divided_power(i - j) for j in range(i + 1)], tower.zero())
+        return None if lhs == rhs else f"(u+v)^({i}) fails for u={u!r}, v={v!r}"
+
+    def dp_scalar(u, c, i):
+        lhs = u.scale(c).divided_power(i)
+        rhs = u.divided_power(i).scale(reduce(field.mul, [c] * i))
+        return None if lhs == rhs else f"(cu)^({i}) fails for {u!r}"
+
+    def dp_composition(u, i, j):
+        lhs = u.divided_power(i).divided_power(j)
+        rhs = u.divided_power(i * j).scale_int(factorial(i * j) // (factorial(j) * factorial(i) ** j))
+        return None if lhs == rhs else f"(u^({i}))^({j}) fails for {u!r}"
+
+    def dp_differential(u, m):
+        lhs = u.divided_power(m).differential()
+        rhs = u.divided_power(m - 1) * u.differential()
+        return None if lhs == rhs else f"d(u^({m})) fails for {u!r}"
+
+    def ordinary_power(u, m):
+        ok = u.divided_power(m).scale_int(factorial(m)) == u.power(m)
+        return None if ok else f"m! u^(m) != u^m for {u!r}"
+
+    # (name, pool of argument tuples of the check, check); a pool that maps
+    # `with_v` or `with_c` over its samples is lazy, so each sample's own
+    # draw is made only if the law reaches that sample
+    laws = [
+        ("d_squared_zero", lambda: [(u,) for u in singles()], d_squared),
+        ("leibniz", lambda: [(u, v) for u, v in pairs() if u.degree() is not None], leibniz),
+        ("graded_commutativity",
+         lambda: [(u, v) for u, v in pairs() if None not in (u.degree(), v.degree())], commutes),
+        ("odd_squares_vanish",
+         lambda: [(u,) for u in singles() if (u.degree() or 0) % 2 == 1], odd_square),
+        ("differential_preserves_weight", lambda: [(u,) for u in singles()], keeps_weight),
+    ]
+    if tower.flavor == DIVIDED or field.is_rational:
+        laws += [
+            ("dp_zeroth_and_first", lambda: [(u,) for u in dp_samples(n_random)], dp_units),
+            ("dp_product_rule", lambda: [(u, i, j) for u in dp_samples(n_random)
+                                         for i, j in ((1, 1), (1, 2), (2, 2))], dp_product),
+            ("dp_sum_rule", lambda: chain.from_iterable(map(with_v, dp_samples(n_random // 2))),
+             dp_sum),
+            ("dp_scalar_rule", lambda: chain.from_iterable(map(with_c, dp_samples(n_random))),
+             dp_scalar),
+            ("dp_composition_rule", lambda: [(u, i, j) for u in dp_samples(n_random // 2)
+                                             for i, j in ((2, 2), (2, 3), (3, 2))], dp_composition),
+            ("dp_differential", lambda: [(u, m) for u in dp_samples(n_random) for m in (2, 3)],
+             dp_differential),
+        ]
+    if tower.flavor == ORDINARY and field.is_rational:
+        laws.append(("ordinary_power_consistency",
+                     lambda: [(u, m) for u in dp_samples(n_random) for m in (2, 3)], ordinary_power))
+
+    report = AxiomReport(seed=seed, weight_bound=weight_bound)
+    for name, pool, check in laws:
+        cases, witness = 0, None
+        for args in pool():
+            cases += 1
+            witness = check(*args)
+            if witness is not None:
                 break
-        report.laws.append(
-            LawResult(law=name, cases=count, passed=witness is None, witness=witness)
-        )
-
-    def dd_cases():
-        pool = monos + [sampler.homogeneous() for _ in range(n_random)]
-        for u in pool:
-            d2 = u.differential().differential()
-            yield d2.is_zero() or f"d(d({u!r})) = {d2!r}"
-
-    law("d_squared_zero", dd_cases())
-
-    def leibniz_cases():
-        pairs = [(u, v) for u in gammas for v in gammas]
-        for _ in range(n_random):
-            pairs.append((sampler.homogeneous(), sampler.homogeneous()))
-        for u, v in pairs:
-            du = u.degree()
-            if du is None:
-                continue
-            lhs = (u * v).differential()
-            rhs = u.differential() * v + (u * v.differential()).scale_int(
-                -1 if du % 2 else 1
-            )
-            yield lhs == rhs or f"Leibniz fails for u={u!r}, v={v!r}"
-
-    law("leibniz", leibniz_cases())
-
-    def comm_cases():
-        pairs = [(u, v) for u in gammas for v in gammas]
-        for _ in range(n_random):
-            pairs.append((sampler.homogeneous(), sampler.homogeneous()))
-        for u, v in pairs:
-            du, dv = u.degree(), v.degree()
-            if du is None or dv is None:
-                continue
-            rhs = (v * u).scale_int(-1 if (du * dv) % 2 else 1)
-            yield u * v == rhs or f"commutativity fails for u={u!r}, v={v!r}"
-
-    law("graded_commutativity", comm_cases())
-
-    def odd_square_cases():
-        pool = [u for u in monos if (u.degree() or 0) % 2 == 1]
-        for _ in range(n_random):
-            u = sampler.homogeneous()
-            if (u.degree() or 0) % 2 == 1:
-                pool.append(u)
-        for u in pool:
-            sq = u * u
-            yield sq.is_zero() or f"odd square ({u!r})^2 = {sq!r}"
-
-    law("odd_squares_vanish", odd_square_cases())
-
-    def weight_cases():
-        pool = monos + [sampler.homogeneous() for _ in range(n_random)]
-        for u in pool:
-            ws = u.weights()
-            dw = u.differential().weights()
-            yield dw <= ws or f"d changed weight of {u!r}"
-
-    law("differential_preserves_weight", weight_cases())
-
-    if divided_ok:
-        def evens(count):
-            out = []
-            for _ in range(count):
-                u = sampler.homogeneous(even=True, positive=True)
-                if not u.is_zero():
-                    out.append(u)
-            return out
-
-        def dp_unit_cases():
-            for u in evens(n_random):
-                yield u.divided_power(0) == tower.one() and u.divided_power(1) == u or \
-                    f"u^(0)/u^(1) fail for {u!r}"
-
-        law("dp_zeroth_and_first", dp_unit_cases())
-
-        def dp_product_cases():
-            for u in evens(n_random):
-                for i, j in ((1, 1), (1, 2), (2, 2)):
-                    lhs = u.divided_power(i) * u.divided_power(j)
-                    rhs = u.divided_power(i + j).scale_int(comb(i + j, i))
-                    yield lhs == rhs or f"u^({i})u^({j}) fails for {u!r}"
-
-        law("dp_product_rule", dp_product_cases())
-
-        def dp_sum_cases():
-            for u in evens(n_random // 2):
-                v = sampler.homogeneous(hdeg=u.degree(), even=True, positive=True)
-                for i in (2, 3):
-                    lhs = (u + v).divided_power(i)
-                    rhs = tower.zero()
-                    for j in range(i + 1):
-                        rhs = rhs + u.divided_power(j) * v.divided_power(i - j)
-                    yield lhs == rhs or f"(u+v)^({i}) fails for u={u!r}, v={v!r}"
-
-        law("dp_sum_rule", dp_sum_cases())
-
-        def dp_scalar_cases():
-            for u in evens(n_random):
-                c = sampler.scalar()
-                for i in (2, 3):
-                    lhs = u.scale(c).divided_power(i)
-                    rhs = u.divided_power(i).scale(
-                        tower.base.field.mul(c, c) if i == 2
-                        else tower.base.field.mul(tower.base.field.mul(c, c), c)
-                    )
-                    yield lhs == rhs or f"(cu)^({i}) fails for {u!r}"
-
-        law("dp_scalar_rule", dp_scalar_cases())
-
-        def dp_composition_cases():
-            for u in evens(n_random // 2):
-                for i, j in ((2, 2), (2, 3), (3, 2)):
-                    lhs = u.divided_power(i).divided_power(j)
-                    c = factorial(i * j) // (factorial(j) * factorial(i) ** j)
-                    rhs = u.divided_power(i * j).scale_int(c)
-                    yield lhs == rhs or f"(u^({i}))^({j}) fails for {u!r}"
-
-        law("dp_composition_rule", dp_composition_cases())
-
-        def dp_diff_cases():
-            for u in evens(n_random):
-                for m in (2, 3):
-                    lhs = u.divided_power(m).differential()
-                    rhs = u.divided_power(m - 1) * u.differential()
-                    yield lhs == rhs or f"d(u^({m})) fails for {u!r}"
-
-        law("dp_differential", dp_diff_cases())
-
-    if tower.flavor == ORDINARY and tower.base.field.is_rational:
-        def dp_ordinary_cases():
-            for _ in range(n_random):
-                u = sampler.homogeneous(even=True, positive=True)
-                if u.is_zero():
-                    continue
-                for m in (2, 3):
-                    yield u.divided_power(m).scale_int(factorial(m)) == u.power(m) or \
-                        f"m! u^(m) != u^m for {u!r}"
-
-        law("ordinary_power_consistency", dp_ordinary_cases())
-
+        report.laws.append(LawResult(name, cases, witness is None, witness))
     return report

@@ -181,16 +181,21 @@ class _Cursor:
         self.i += 1
         return sign * int(tok.text)
 
+    def bound(self, what: str) -> int:
+        """An integer at most WINDOW_LIMIT in size, refused at the number."""
+        at = self.peek()
+        value = self.int(what)
+        if abs(value) > WINDOW_LIMIT:
+            self.error(f"{what} must lie within -{WINDOW_LIMIT}..{WINDOW_LIMIT}", at)
+        return value
+
     def window(self) -> BidegreeWindow:
         """`hmin:hmax:wmax`, each bound at most WINDOW_LIMIT in size."""
         start, bounds = self.peek(), []
         for what in ("window hmin", "window hmax", "window wmax"):
             if bounds:
                 self.expect(":", "window must look like hmin:hmax:wmax")
-            at = self.peek()
-            bounds.append(self.int(what))
-            if abs(bounds[-1]) > WINDOW_LIMIT:
-                self.error(f"{what} must lie within -{WINDOW_LIMIT}..{WINDOW_LIMIT}", at)
+            bounds.append(self.bound(what))
         try:
             return BidegreeWindow(*bounds)
         except ModuleError as exc:
@@ -766,9 +771,13 @@ class _Builder:
         for t in (m, l):
             if t.text not in self.modules:
                 cur.error(f"unknown module {t.text!r}", t)
-        i0 = cur.int("i range start")
+        # the i range bounds the Hom slices read, as a window does
+        i0 = cur.bound("i range start")
         cur.expect("..", "i range looks like 0..3")
-        i1 = cur.int("i range end")
+        at = cur.peek()
+        i1 = cur.bound("i range end")
+        if i1 < i0:
+            cur.error(f"empty i range {i0}..{i1}: its end is below its start", at)
         window = cur.window() if cur.peek() is not None else None
         text = f"{kind} {m.text} {l.text} {i0}..{i1}" + (f" {window.format()}" if window else "")
         self.commands.append(Command(

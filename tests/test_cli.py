@@ -267,6 +267,9 @@ def assert_refused_at_the_number(tmp_path, capsys, command, col, message):
     ("run envelope-basis 0:100000:100000 over 0", 22, "window hmax"),
     ("run envelope-basis 0:3:1001 over 0", 24, "window wmax"),
     ("run ext N N 0..2 -1001:2:3", 18, "window hmin"),
+    # the i range of `ext` bounds the Hom slices it reads, as a window does
+    ("run ext N N -100000..0 0:2:2", 13, "i range start"),
+    ("run ext N N 0..3000000 0:2:2", 16, "i range end"),
 ])
 def test_huge_windows_are_refused_at_the_number(tmp_path, capsys, command, col, what):
     assert_refused_at_the_number(tmp_path, capsys, command, col,
@@ -325,8 +328,9 @@ def test_the_window_flag_is_read_as_a_session_window(tmp_path, capsys):
 
 
 def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
-    # the largest window bound of the goldens, and the largest bound each
-    # bench shape gives a window or a command: the lift windows derived
+    # the largest window bound of the goldens, their keyword bounds and the
+    # ends of their `ext` i ranges, and the largest bound each bench shape
+    # gives a window or a command: the lift windows and i ranges derived
     # from N as the benchmark derives them, the Tate and axiom bounds; and
     # the largest axiom budget beside BUDGET_LIMIT
     import re
@@ -341,6 +345,11 @@ def test_the_window_limit_sits_far_above_every_golden_and_bench_window():
                 for b in re.findall(r"\b(?:deg|wt|hbound|wbound) (-?\d+)", text)]
     assert keywords
     bounds += keywords
+    # so are the ends of an `ext` i range
+    ranges = [abs(int(b)) for text in texts
+              for ends in re.findall(r"(-?\d+)\.\.(-?\d+)", text) for b in ends]
+    assert ranges
+    bounds += ranges
     budgets = [int(b) for text in texts for b in re.findall(r"\bbudget (\d+)", text)]
     assert budgets
     for name, workload in workloads.items():

@@ -19,6 +19,7 @@ from dglift import (
 )
 
 from dglift.base_ring import matrix_rank, remainder
+from dglift.dg_algebra import AxiomReport, LawResult
 from dglift.tate import homology_dim
 from oracle import divided_power as oracle_divided_power, leibniz_differential, symbol_product
 
@@ -254,20 +255,41 @@ def test_check_axioms_detects_corruption(koszul_xy, ring_xy):
                ("differential_preserves_weight", 67), ("dp_zeroth_and_first", 11),
                ("dp_product_rule", 36), ("dp_sum_rule", 10), ("dp_scalar_rule", 24),
                ("dp_composition_rule", 15), ("dp_differential", 24)]
-    assert report.to_dict() == {
-        "laws": [{"law": "d_squared_zero", "cases": 16, "passed": False,
-                  "witness": "d(d((1)*W)) = (1*x^2)"}]
-        + [{"law": law, "cases": cases, "passed": True} for law, cases in passing],
-        "passed": False,
-        "seed": 3,
-        "weight_bound": 4,
-    }
+    assert report == AxiomReport(seed=3, weight_bound=4, laws=[
+        LawResult("d_squared_zero", 16, False, "d(d((1)*W)) = (1*x^2)"),
+        *(LawResult(law, cases, True) for law, cases in passing),
+    ])
 
 
 def test_check_axioms_seed_reproducible(mixed_tower):
     a = check_axioms(mixed_tower, 100, weight_bound=4, seed=9)
     b = check_axioms(mixed_tower, 100, weight_bound=4, seed=9)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
+
+
+def test_a_failing_report_keeps_its_draw_order(mixed_tower, monkeypatch):
+    # u^(3) answered by the true u^(2): every law past the sixth fails early,
+    # and each pool draws only what the cases it reached needed, so the
+    # samples of later laws, and their witnesses, stay where they were
+    true_power = AlgebraElement.divided_power
+    monkeypatch.setattr(AlgebraElement, "divided_power",
+                        lambda u, m: true_power(u, 2 if m == 3 else m))
+    report = check_axioms(mixed_tower, 100, weight_bound=4, seed=3)
+    passing = [("d_squared_zero", 67), ("leibniz", 93), ("graded_commutativity", 93),
+               ("odd_squares_vanish", 29), ("differential_preserves_weight", 67),
+               ("dp_zeroth_and_first", 11)]
+    failing = [
+        ("dp_product_rule", 5, "u^(1)u^(2) fails for (4/3)*Y^(2) + (1/2)*X1*X2*Y"),
+        ("dp_sum_rule", 2, "(u+v)^(3) fails for u=(-2*x^2)*Y + (-1*y^2 + -1*x*y)*X1*X2, "
+                           "v=(-2*y + -7/3*x)*X1*X2"),
+        ("dp_scalar_rule", 2, "(cu)^(3) fails for (-1)*Y^(2) + (1)*X1*X2*Y"),
+        ("dp_composition_rule", 2, "(u^(2))^(3) fails for (1*y)*Y + (3/2*y + 3/2*x)*X1*X2"),
+        ("dp_differential", 2, "d(u^(3)) fails for (-1*y^2 + 2*x^2)*Y + (-1*y^2)*X1*X2"),
+    ]
+    assert report == AxiomReport(seed=3, weight_bound=4, laws=[
+        *(LawResult(law, cases, True) for law, cases in passing),
+        *(LawResult(law, cases, False, witness) for law, cases, witness in failing),
+    ])
 
 
 def _oracle_towers(flavor, p):

@@ -42,8 +42,10 @@ the one scalar `dst += m·src`; the suffix split of tower terms, the Koszul
 flip of a left action, a module's differential by column and the sums of
 module elements each have one home; the envelope reads the differential of
 its Mon(Omega) modules, J and J^(l)/J^(l+1), in one method, and a bimodule
-gets its left action when it is built; and every name the benchmark's tracer
-wraps is defined where the tracer looks."""
+gets its left action when it is built; `check_axioms` is one table of laws
+run by one loop, with no case generator, and its report compares by value,
+with no dict of its own; and every name the benchmark's tracer wraps is
+defined where the tracer looks."""
 
 from __future__ import annotations
 
@@ -771,3 +773,22 @@ def test_split_is_re_checked_through_chain_map():
     check = _calls_in(_homological_functions()["naive_lift_check"])
     assert {"compose", "identity", "is_chain_map"} <= check
     assert not check & {"apply_diff", "apply", "elem_eq"}
+
+
+def test_check_axioms_runs_one_law_table():
+    # every law is a row of one table, (name, pool, check), and one loop over
+    # the rows runs a loop over each pool's cases: no generator is left,
+    # nested or not, and one call builds every law's result; the dataclasses
+    # compare by value, so neither writes itself out as a dict
+    check = _function("dg_algebra.py", "check_axioms")
+    nodes = list(ast.walk(check))
+    assert not [node for node in nodes
+                if isinstance(node, (ast.Yield, ast.YieldFrom, ast.GeneratorExp))]
+    assert not {node.name for node in nodes if isinstance(node, ast.FunctionDef)} & {"law", "evens"}
+    loops = [ast.unparse(node.iter) for node in nodes if isinstance(node, ast.For)]
+    assert loops == ["laws", "pool()"]
+    assert sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "LawResult"
+               for node in nodes) == 1
+    for cls in ("LawResult", "AxiomReport"):
+        assert "to_dict" not in {fn.name for fn in _class("dg_algebra.py", cls).body
+                                 if isinstance(fn, ast.FunctionDef)}, cls

@@ -8,8 +8,9 @@ goes at the end. For each probe the snapshot records `"ok"` or
 the two: no other exception may escape the parser.
 
 A huge exponent or keyword bound is refused where it is read
-(`session.EXPONENT_LIMIT`, `session.MOST`), so `run eval
-x^99999999999999999999` and `run tate x^2 hbound 3 wbound 100000` are
+(`session.EXPONENT_LIMIT`, `session.MOST`, and `session.WINDOW_LIMIT` for
+the ends of an `ext` i range), so `run eval x^99999999999999999999`, `run
+tate x^2 hbound 3 wbound 100000` and `run ext N N -100000..0 0:2:2` are
 probes.
 
 `python tests/test_parse_errors.py` rewrites tests/snapshots/parse_errors.json
@@ -157,6 +158,12 @@ PROBES = [
     "run ext N",
     "run ext N N 0..2 over 0",
     "run ext N N -1..2 0:2:3",
+    "run ext N N -100000..0 0:2:2",
+    "run ext N N 0..3000000 0:2:2",
+    "run ext N N -1000..1000 0:2:2",
+    "run ext N N 0..1001 0:2:2",
+    "run ext N N 3..1 0:2:2",
+    "run ext N N 2..2 0:2:2",
     # run naive-lift
     "run naive-lift N over 0",
     "run naive-lift N",

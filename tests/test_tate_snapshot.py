@@ -1,13 +1,16 @@
 """Snapshot of Tate resolutions: the name, degree and weight of every adjoined
 variable, its differential as `render_element` writes it, and the h0 dims;
-and the reports of the first 40 distinct sessions of the benchmark's seed-1
-`resolve` deck, `result` and `certificates`, run through `dglift.cli.main`.
+and the reports of two of the benchmark's seed-1 decks, run through
+`dglift.cli.main`: the first 40 distinct sessions of the `resolve` deck,
+`result` and `certificates`, and the first round of the `axioms` deck (its
+32 distinct sessions, one per shape), `result` and the `laws` table.
 
 The representative `tate_step` kills is chosen by the elimination kernel, so
 any change to how cycles and boundaries are reduced shows up here first.
 `python tests/test_tate_snapshot.py` rewrites tests/snapshots/tate.json from
 the current code, and `python tests/test_tate_snapshot.py deck` rewrites
-tests/tate_deck.json; review the diff before committing either.
+tests/tate_deck.json and tests/axioms_deck.json; review the diff before
+committing any of them.
 """
 
 from __future__ import annotations
@@ -27,8 +30,13 @@ from bench_decks import bench_workloads
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SNAPSHOT = TESTS / "snapshots" / "tate.json"
-DECK = TESTS / "tate_deck.json"
-DECK_SESSIONS = 40
+# workload -> (deck file, distinct sessions kept, the parts of a report kept)
+DECKS = {
+    "resolve": (TESTS / "tate_deck.json", 40,
+                lambda entry: {"result": entry["result"], "certificates": entry["certificates"]}),
+    "axioms": (TESTS / "axioms_deck.json", 32,
+               lambda entry: {"result": entry["result"], "laws": entry["tables"]["laws"]}),
+}
 
 
 def ideals():
@@ -74,40 +82,45 @@ def test_tate_snapshot(expected, key, ring, gens, wbound, flavor, hbound):
     assert snapshot(ring, gens, wbound, flavor, hbound) == expected[key]
 
 
-def deck_sessions() -> list[str]:
-    """The first `DECK_SESSIONS` distinct session texts of the seed-1
-    `resolve` deck of the benchmark, in deck order."""
+def deck_sessions(workload: str) -> list[str]:
+    """The first distinct session texts of the workload's seed-1 deck of the
+    benchmark, as many as `DECKS` keeps, in deck order."""
     workloads, dg = bench_workloads()
-    deck, _, _ = workloads["resolve"]().generate(dg, 1)
-    return list(dict.fromkeys(inp.spec["text"] for inp in deck))[:DECK_SESSIONS]
+    deck, _, _ = workloads[workload]().generate(dg, 1)
+    return list(dict.fromkeys(inp.spec["text"] for inp in deck))[:DECKS[workload][1]]
 
 
-def deck_report(text: str, tmp: pathlib.Path) -> dict:
-    """`result` and `certificates` of the one report of a `resolve` session."""
+def deck_report(workload: str, text: str, tmp: pathlib.Path) -> dict:
+    """The parts `DECKS` keeps of the one report of a session."""
     session, report = tmp / "deck.session", tmp / "deck.json"
     session.write_text(text, encoding="utf-8")
     assert main([str(session), "--report", str(report)]) == 0
     (entry,) = json.loads(report.read_text(encoding="utf-8"))["reports"]
-    return {"result": entry["result"], "certificates": entry["certificates"]}
+    return DECKS[workload][2](entry)
 
 
-def test_bench_resolve_deck_keeps_its_reports(tmp_path, capsys):
-    # the variables Tate adjoins on quadrics in 3-4 variables over Q and F_p,
-    # beyond the hand-picked ideals above: a kernel basis with other free
-    # columns kills other representatives and changes these reports
-    expected = json.loads(DECK.read_text(encoding="utf-8"))
-    assert deck_sessions() == [case["session"] for case in expected]
+@pytest.mark.parametrize("workload", list(DECKS))
+def test_bench_deck_keeps_its_reports(workload, tmp_path, capsys):
+    # `resolve`: the variables Tate adjoins on quadrics in 3-4 variables over
+    # Q and F_p, beyond the hand-picked ideals above: a kernel basis with
+    # other free columns kills other representatives and changes these
+    # reports.  `axioms`: every law's name and case count on the towers the
+    # benchmark checks, so a law that draws its samples in another order or
+    # counts other cases changes these reports
+    expected = json.loads(DECKS[workload][0].read_text(encoding="utf-8"))
+    assert deck_sessions(workload) == [case["session"] for case in expected]
     for case in expected:
-        got = deck_report(case["session"], tmp_path)
-        assert got == {"result": case["result"], "certificates": case["certificates"]}, \
+        got = deck_report(workload, case["session"], tmp_path)
+        assert got == {key: value for key, value in case.items() if key != "session"}, \
             case["session"]
 
 
-def _write_deck() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        cases = [{"session": text, **deck_report(text, pathlib.Path(tmp))}
-                 for text in deck_sessions()]
-    DECK.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+def _write_decks() -> None:
+    for workload, (path, _, _) in DECKS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            cases = [{"session": text, **deck_report(workload, text, pathlib.Path(tmp))}
+                     for text in deck_sessions(workload)]
+        path.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def _write() -> None:
@@ -122,4 +135,4 @@ def _write() -> None:
 
 
 if __name__ == "__main__":
-    _write_deck() if sys.argv[1:] == ["deck"] else _write()
+    _write_decks() if sys.argv[1:] == ["deck"] else _write()
